@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import permutations
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .matcore import (
     char_poly_coeffs,
     derived_rng,
     max_abs,
+    sym_monomials,
     sym_product,
 )
 from .repgen import (
@@ -271,14 +272,6 @@ class BlochState:
         }
 
 
-def _monomials(g: GeneratorSet, rank: int):
-    for ms in combinations_with_replacement(range(g.k), rank):
-        if rank == 1:
-            yield ms, g.generators[ms[0]]
-        else:
-            yield ms, sym_product([g.generators[i] for i in ms])
-
-
 def decompose_density(rho, g: GeneratorSet, max_rank: int = 2) -> BlochState:
     """Least-squares coefficients of rho - I/d in the symmetrized monomial
     basis of ranks 1..max_rank (minimum-norm solution when the monomials
@@ -290,12 +283,10 @@ def decompose_density(rho, g: GeneratorSet, max_rank: int = 2) -> BlochState:
     if m.shape != (g.d, g.d):
         raise ValueError("dimension mismatch")
     target = m - (np.trace(m) / g.d) * np.eye(g.d)
-    cols, keys = [], []
-    for r in range(1, max_rank + 1):
-        for ms, mono in _monomials(g, r):
-            cols.append(mono.ravel())
-            keys.append(ms)
-    a = np.stack(cols, axis=1)
+    monomials = {r: sym_monomials(g.generators, r) for r in range(1, max_rank + 1)}
+    keys = [ms for multisets, _ in monomials.values() for ms in multisets]
+    # columns are the flattened monomials, in key order
+    a = np.concatenate([stack.reshape(len(stack), -1) for _, stack in monomials.values()]).T.copy()
     design = np.vstack([a.real, a.imag])
     rhs = np.concatenate([target.ravel().real, target.ravel().imag])
     coeffs, *_ = np.linalg.lstsq(design, rhs, rcond=None)
@@ -315,9 +306,9 @@ def decompose_density(rho, g: GeneratorSet, max_rank: int = 2) -> BlochState:
         perms = set(permutations(ms))
         for perm in perms:
             tensors[r][perm] = c / len(perms)
-    for r in range(1, max_rank + 1):
+    for r, (multisets, stack) in monomials.items():
         term = np.zeros((g.d, g.d), dtype=np.complex128)
-        for ms, mono in _monomials(g, r):
+        for ms, mono in zip(multisets, stack):
             perms = set(permutations(ms))
             term += tensors[r][ms] * len(perms) * mono
         trace_parts[r] = float(np.trace(term).real / g.d)

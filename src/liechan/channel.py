@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, permutations
+from itertools import permutations
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +33,8 @@ from .matcore import (
     max_abs,
     random_density,
     random_pure_statevector,
-    sym_product,
+    readonly_copy,
+    sym_monomials,
 )
 from .repgen import GeneratorSet, clifford_gamma
 
@@ -46,15 +47,6 @@ CRITICAL_MAP_TOL = 1e-8
 class POutOfRangeError(ValueError):
     """Error probability outside [0, 1]; the Kraus family cannot be
     normalized and the map is not trace preserving."""
-
-
-def _readonly_ops(ops) -> tuple:
-    out = []
-    for m in ops:
-        a = np.array(m, dtype=np.complex128, copy=True)
-        a.flags.writeable = False
-        out.append(a)
-    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,7 +64,7 @@ class KrausChannel:
     source: str
 
     def __post_init__(self):
-        ops = _readonly_ops(as_complex_matrix(m) for m in self.ops)
+        ops = tuple(readonly_copy(as_complex_matrix(m)) for m in self.ops)
         object.__setattr__(self, "ops", ops)
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
@@ -333,8 +325,8 @@ class IdentityReport:
     g_tensor: np.ndarray = field(repr=False)
     multisets: tuple = field(repr=False)
     informative: tuple = field(repr=False)
-    _monomials: tuple = field(repr=False)
-    _transforms: tuple = field(repr=False)
+    _monomials: np.ndarray = field(repr=False)    # (len(multisets), d, d)
+    _transforms: np.ndarray = field(repr=False)   # sum_i X_i M X_i per monomial
 
     def residual_with(self, g0: float) -> float:
         """Worst fit error when g is pinned to g0 and only f re-fitted."""
@@ -364,35 +356,46 @@ class IdentityReport:
 
 
 def find_identity(g: GeneratorSet, r: int) -> IdentityReport:
+    """Fit sum_i X_i M X_i = f_M I + g_M M for every symmetrized rank-r
+    monomial M of the generators, with r capped at 3.
+
+    Per monomial, g_M is the least-squares slope on the traceless parts of
+    M and of the transform, and f_M then matches the traces.  A monomial is
+    informative when its traceless part is nonzero (squared norm above
+    1e-16 of max(1, |M|^2)); any g fits the others, so they get g_M = 0, a
+    NaN entry in ``g_tensor`` and no say in the spread test behind
+    ``special``.
+    """
     if r not in (1, 2, 3):
         raise ValueError("rank r must be 1, 2 or 3")
-    gens = g.generators
-    stack = np.stack(gens)
+    stack = np.stack(g.generators)
     d, k = g.d, g.k
     eye = np.eye(d)
+    multisets, monomials = sym_monomials(g.generators, r)
+    # With the monomial axis contiguous, einsum's inner loop runs over the
+    # monomials (1.7x faster at su(5) rank 3).  Each entry is still summed
+    # over (i, b, c) in the same order, so the bits do not change.
+    transforms = np.einsum(
+        "iab,bcm,icd->adm", stack, np.ascontiguousarray(monomials.transpose(1, 2, 0)), stack
+    ).transpose(2, 0, 1)
     f_tensor = np.zeros((k,) * r)
     g_tensor = np.full((k,) * r, np.nan)
-    multisets, monomials, transforms, informative, g_values = [], [], [], [], []
+    informative, g_values = [], []
     residual = 0.0
-    for ms in combinations_with_replacement(range(k), r):
-        m = gens[ms[0]] if r == 1 else sym_product([gens[i] for i in ms])
-        t = np.einsum("iab,bc,icd->ad", stack, m, stack)
-        tr_m = np.trace(m).real
+    for ms, m, t in zip(multisets, monomials, transforms):
+        tr_m, tr_t = np.trace(m).real, np.trace(t).real
         m0 = m - (tr_m / d) * eye
         norm0 = float(np.vdot(m0, m0).real)
         is_informative = norm0 > 1e-16 * max(1.0, float(np.vdot(m, m).real))
         if is_informative:
-            gm = float(np.vdot(m0, t - (np.trace(t).real / d) * eye).real) / norm0
+            gm = float(np.vdot(m0, t - (tr_t / d) * eye).real) / norm0
         else:
             gm = 0.0  # any g fits; pick 0 so f absorbs the trace part
-        fm = (np.trace(t).real - gm * tr_m) / d
+        fm = (tr_t - gm * tr_m) / d
         residual = max(residual, max_abs(t - fm * eye - gm * m))
         for perm in set(permutations(ms)):
             f_tensor[perm] = fm
             g_tensor[perm] = gm if is_informative else np.nan
-        multisets.append(ms)
-        monomials.append(m)
-        transforms.append(t)
         informative.append(is_informative)
         if is_informative:
             g_values.append(gm)
@@ -413,10 +416,10 @@ def find_identity(g: GeneratorSet, r: int) -> IdentityReport:
         residual=float(residual),
         f_tensor=f_tensor,
         g_tensor=g_tensor,
-        multisets=tuple(multisets),
+        multisets=multisets,
         informative=tuple(informative),
-        _monomials=tuple(monomials),
-        _transforms=tuple(transforms),
+        _monomials=monomials,
+        _transforms=transforms,
     )
 
 
@@ -465,13 +468,12 @@ class CriticalDecomposition:
         }
 
 
-def _sample_rank_state(g: GeneratorSet, r: int, rng: np.random.Generator) -> np.ndarray:
-    """A random density matrix of the form I/d + (traceless rank-r part)."""
-    gens = g.generators
-    d = g.d
+def _sample_rank_state(monomials: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """A random density matrix of the form I/d + (traceless part of a random
+    combination of the given monomials)."""
+    d = monomials.shape[1]
     total = np.zeros((d, d), dtype=np.complex128)
-    for ms in combinations_with_replacement(range(g.k), r):
-        m = gens[ms[0]] if r == 1 else sym_product([gens[i] for i in ms])
+    for m in monomials:
         total += rng.normal() * m
     t0 = total - (np.trace(total).real / d) * np.eye(d)
     spread = max_abs(np.linalg.eigvalsh(t0))
@@ -494,6 +496,8 @@ def critical_values(
     case g_r = 0 (p_r = 1) reports False.  Ranks without a special identity
     (or with unidentifiable g) appear with p_value None.
     """
+    if not 1 <= max_rank <= 3:
+        raise ValueError("max_rank must be 1, 2 or 3")
     entries = []
     for r in range(1, max_rank + 1):
         report = find_identity(g, r)
@@ -515,7 +519,7 @@ def critical_values(
             ch = build_channel(g, p_r)
             verified = True
             for i in range(samples):
-                rho = _sample_rank_state(g, r, derived_rng(seed, 1000 * r + i))
+                rho = _sample_rank_state(report._monomials, derived_rng(seed, 1000 * r + i))
                 out = apply_matrix(ch, rho)
                 if max_abs(out - np.eye(g.d) / g.d) > CRITICAL_MAP_TOL:
                     verified = False

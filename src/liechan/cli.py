@@ -153,8 +153,8 @@ def cmd_apply(cfg: RunConfig, rho_path: str) -> int:
 # verify
 
 def _verify_su(cfg: RunConfig) -> tuple[list, dict]:
-    n = cfg.n
-    g = rg.gell_mann(n)
+    g = _genset(cfg)
+    n = g.d
     t = rg.structure_tensors(n)
     k = g.k
     checks = []
@@ -189,8 +189,8 @@ def _verify_su(cfg: RunConfig) -> tuple[list, dict]:
 
 
 def _verify_spin(cfg: RunConfig) -> tuple[list, dict]:
-    two_s = cfg.two_s
-    g = rg.spin_rep(two_s)
+    g = _genset(cfg)
+    two_s = g.d - 1
     lam = g.Z
     d = g.d
     checks = []

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from typing import Sequence
 
 import numpy as np
@@ -83,8 +83,9 @@ def is_hermitian(m, tol: float = HERMITIAN_TOL) -> bool:
 def sym_product(mats: Sequence) -> np.ndarray:
     """Average of the ordered products over all permutations of the input.
 
-    For two factors this is (AB + BA)/2; one factor is returned as is.  The
-    result is invariant under any reordering of the input list.
+    For two factors this is (AB + BA)/2; one factor is returned as is (a
+    copy, signed zeros included).  The result is invariant under any
+    reordering of the input list.
     """
     ms = [as_complex_matrix(m) for m in mats]
     if not ms:
@@ -92,6 +93,8 @@ def sym_product(mats: Sequence) -> np.ndarray:
     d = ms[0].shape[0]
     if any(m.shape != (d, d) for m in ms):
         raise ValueError("dimension mismatch in sym_product")
+    if len(ms) == 1:
+        return ms[0].copy()
     # Sort by a content key first so the sum is performed in an
     # order-independent way and the result is bitwise reproducible.
     order = sorted(range(len(ms)), key=lambda i: ms[i].tobytes())
@@ -103,6 +106,37 @@ def sym_product(mats: Sequence) -> np.ndarray:
             acc = acc @ ms[i]
         total += acc
     return total / math.factorial(len(ms))
+
+
+def sym_monomials(mats: Sequence, r: int) -> tuple[tuple, np.ndarray]:
+    """Every symmetrized rank-r monomial of ``mats``, built batched.
+
+    Returns the multisets in ``combinations_with_replacement`` order and a
+    ``(C(k+r-1, r), d, d)`` array whose slice ``j`` is bitwise equal to
+    ``sym_product([mats[i] for i in multisets[j]])``: each multiset's
+    factors are ordered by the same content key, the permutations are
+    summed in the same order, each as a left fold, and the sum is divided
+    by r! last.  For r = 1 the slices are the matrices as given.
+    """
+    if r < 1:
+        raise ValueError("rank r must be >= 1")
+    ms = [as_complex_matrix(m) for m in mats]
+    stack = np.stack(ms)  # ValueError for no matrices or mixed shapes
+    multisets = tuple(combinations_with_replacement(range(len(ms)), r))
+    if r == 1:
+        return multisets, stack
+    d = stack.shape[1]
+    keys = [m.tobytes() for m in ms]
+    # factors[j] lists the generator indices of multiset j in key order
+    factors = np.array([sorted(s, key=keys.__getitem__) for s in multisets], dtype=np.intp)
+    total = np.zeros((len(multisets), d, d), dtype=np.complex128)
+    for perm in permutations(range(r)):
+        acc = stack[factors[:, perm[0]]]
+        for i in perm[1:]:
+            acc = acc @ stack[factors[:, i]]
+        total += acc
+    total /= math.factorial(r)
+    return multisets, total
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:
@@ -150,7 +184,8 @@ def char_poly_coeffs(m) -> np.ndarray:
     return a
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
+def readonly_copy(a) -> np.ndarray:
+    """A complex128 copy of ``a`` that cannot be written to."""
     a = np.array(a, dtype=np.complex128, copy=True)
     a.flags.writeable = False
     return a
@@ -173,7 +208,7 @@ class DensityMatrix:
         lo = float(np.linalg.eigvalsh(m)[0])
         if lo < -PSD_TOL:
             raise ValueError(f"not positive semidefinite: min eigenvalue {lo:.3e}")
-        object.__setattr__(self, "matrix", _readonly(m))
+        object.__setattr__(self, "matrix", readonly_copy(m))
 
     @property
     def dim(self) -> int:

@@ -28,6 +28,7 @@ from .matcore import (
     matrix_from_json,
     matrix_to_json,
     max_abs,
+    readonly_copy,
 )
 
 SU_N_DEFINING = "su_n_defining"
@@ -82,15 +83,6 @@ def trace_form_constant(generators: Sequence) -> float:
     return float(n)
 
 
-def _readonly_tuple(mats) -> tuple:
-    out = []
-    for m in mats:
-        a = np.array(m, dtype=np.complex128, copy=True)
-        a.flags.writeable = False
-        out.append(a)
-    return tuple(out)
-
-
 @dataclass(frozen=True, eq=False)
 class GeneratorSet:
     """A representation: k Hermitian d x d matrices plus N and Z."""
@@ -105,7 +97,7 @@ class GeneratorSet:
     def __post_init__(self):
         if self.algebra not in ALGEBRA_TAGS:
             raise ValueError(f"unknown algebra tag {self.algebra!r}")
-        gens = _readonly_tuple(self.generators)
+        gens = tuple(readonly_copy(m) for m in self.generators)
         object.__setattr__(self, "generators", gens)
         if len(gens) != self.k:
             raise ValueError(f"expected {self.k} generators, got {len(gens)}")

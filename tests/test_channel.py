@@ -336,6 +336,33 @@ def test_su_rank1_identity_and_critical(n):
     assert entry.verified
 
 
+def test_su4_rank3_critical_values():
+    n = 4
+    g = su(n)
+    decomp = ch.critical_values(g, max_rank=3, seed=19)
+    assert [e.rank for e in decomp.entries] == [1, 2, 3]
+    for e in decomp.entries:
+        assert e.special
+        assert e.g_value == pytest.approx(-g.Z / (n * n - 1), abs=1e-12)
+        assert e.verified is True
+
+
+@pytest.mark.parametrize("gens", [lambda: su(3), lambda: g2()], ids=["su3", "g2"])
+def test_find_identity_transforms_match_per_monomial_einsum(gens):
+    g = gens()
+    stack = np.stack(g.generators)
+    report = ch.find_identity(g, 2)
+    for m, t in zip(report._monomials, report._transforms):
+        ref = np.einsum("iab,bc,icd->ad", stack, m, stack)
+        assert t.tobytes() == ref.tobytes()
+
+
+def test_critical_values_rejects_rank_out_of_range():
+    for max_rank in (0, 4):
+        with pytest.raises(ValueError, match="max_rank"):
+            ch.critical_values(su(2), max_rank=max_rank)
+
+
 def test_spin1_critical_values():
     decomp = ch.critical_values(spin(2), max_rank=2, seed=16)
     e1, e2 = decomp.entry(1), decomp.entry(2)

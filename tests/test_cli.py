@@ -197,6 +197,41 @@ def test_invalid_samples_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("max_rank", ["0", "4"])
+def test_critical_rank_out_of_range_exits_2(tmp_path, monkeypatch, max_rank):
+    from liechan import channel as ch
+
+    fitted = []
+    real = ch.find_identity
+
+    def counting_find_identity(g, r):
+        fitted.append(r)
+        return real(g, r)
+
+    monkeypatch.setattr(ch, "find_identity", counting_find_identity)
+    code, _ = run(tmp_path, "critical", "--algebra", "su", "--n", "5", "--max-rank", max_rank)
+    assert code == 2
+    assert fitted == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--algebra", "su"], "--n is required for the su algebra"),
+        (["--algebra", "spin"], "--two-s is required for the spin algebra"),
+    ],
+)
+def test_verify_missing_size_exits_2(tmp_path, capsys, argv, message):
+    from liechan import repgen as rg
+
+    with pytest.raises(ValueError) as built:
+        rg.build_algebra(argv[1])
+    assert str(built.value) == message
+    code, _ = run(tmp_path, "verify", *argv)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_generator_dump_reloads(tmp_path):
     from liechan import repgen as rg
 

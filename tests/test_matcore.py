@@ -1,8 +1,10 @@
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 
 from liechan import matcore as mc
-from tests.conftest import spin
+from tests.conftest import clifford, g2, spin, su
 
 PAULI = [
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -103,6 +105,33 @@ def test_sym_product_permutation_invariant_exactly():
     base = mc.sym_product(ms)
     for perm in [(1, 0, 2), (2, 1, 0), (2, 0, 1)]:
         np.testing.assert_array_equal(base, mc.sym_product([ms[i] for i in perm]))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize(
+    "gens",
+    [lambda: su(3), lambda: g2(), lambda: spin(3), lambda: clifford()[0]],
+    ids=["su3", "g2", "spin3_2", "clifford"],
+)
+def test_sym_monomials_bitwise_equal_to_sym_product(gens, r):
+    mats = gens().generators
+    multisets, stack = mc.sym_monomials(mats, r)
+    assert multisets == tuple(combinations_with_replacement(range(len(mats)), r))
+    assert stack.shape == (len(multisets),) + mats[0].shape
+    for ms, mono in zip(multisets, stack):
+        ref = mc.sym_product([mats[i] for i in ms])
+        np.testing.assert_array_equal(mono, ref)
+        assert mono.tobytes() == ref.tobytes()  # signed zeros included
+
+
+@pytest.mark.parametrize(
+    "mats, r",
+    [(PAULI, 0), ([], 2), ([np.eye(2), np.eye(3)], 2)],
+    ids=["rank0", "empty", "mixed_shapes"],
+)
+def test_sym_monomials_rejects_bad_input(mats, r):
+    with pytest.raises(ValueError):
+        mc.sym_monomials(mats, r)
 
 
 def test_char_poly_identity_2x2():
