@@ -509,6 +509,12 @@ def g2_bound_refine(g: GeneratorSet | None = None) -> list[RadiusBound]:
     return bounds
 
 
+def trace_powers(stack: np.ndarray, v) -> list:
+    """tr((v.X)^q).real for q = 1..5, with X the stacked generators."""
+    vb = np.einsum("a,aij->ij", v, stack)
+    return [np.trace(np.linalg.matrix_power(vb, q)).real for q in range(1, 6)]
+
+
 def _measured_trace_ratios(gset: GeneratorSet) -> tuple[Fraction, Fraction]:
     stack = np.stack(gset.generators)
     r2s, r4s = [], []
@@ -516,8 +522,7 @@ def _measured_trace_ratios(gset: GeneratorSet) -> tuple[Fraction, Fraction]:
         rng = derived_rng(97, i)
         v = rng.normal(size=14)
         x = float(v @ v)
-        vb = np.einsum("a,aij->ij", v, stack)
-        powers = [np.trace(np.linalg.matrix_power(vb, q)).real for q in range(1, 6)]
+        powers = trace_powers(stack, v)
         if max(abs(powers[0]), abs(powers[2]), abs(powers[4])) > 1e-9 * max(1.0, x**2):
             raise ArithmeticError("odd trace powers of v.beta do not vanish")
         r2s.append(powers[1] / x)

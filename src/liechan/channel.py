@@ -71,10 +71,7 @@ class KrausChannel:
         d = ops[0].shape[0]
         if any(m.shape != (d, d) for m in ops):
             raise ValueError("Kraus operators must share one dimension")
-        total = np.zeros((d, d), dtype=np.complex128)
-        for m in ops:
-            total += m.conj().T @ m
-        dev = max_abs(total - np.eye(d))
+        dev = normalization_deviation(ops)
         if dev > NORMALIZATION_TOL:
             raise ValueError(f"normalization sum M^dag M = I violated by {dev:.3e}")
         if self.p is not None and not 0.0 <= self.p <= 1.0:
@@ -98,6 +95,15 @@ class KrausChannel:
             p=None if obj["p"] is None else float(obj["p"]),
             source=obj["source"],
         )
+
+
+def normalization_deviation(ops: Sequence) -> float:
+    """max-norm of sum_mu M_mu^dag M_mu - I."""
+    d = ops[0].shape[0]
+    total = np.zeros((d, d), dtype=np.complex128)
+    for m in ops:
+        total += m.conj().T @ m
+    return max_abs(total - np.eye(d))
 
 
 def build_channel(g: GeneratorSet, p: float) -> KrausChannel:
@@ -259,9 +265,7 @@ def extend(base_ops: Sequence, ext_ops: Sequence, at_index: int) -> KrausChannel
     a_ops = [as_complex_matrix(m) for m in ext_ops]
     b_ops = [as_complex_matrix(m) for m in base_ops]
     for name, ops in (("base", b_ops), ("extension", a_ops)):
-        d = ops[0].shape[0]
-        total = sum(m.conj().T @ m for m in ops)
-        if max_abs(total - np.eye(d)) > NORMALIZATION_TOL:
+        if normalization_deviation(ops) > NORMALIZATION_TOL:
             raise ValueError(f"{name} operator set is not normalized")
     if not 0 <= at_index < len(a_ops):
         raise ValueError("at_index out of range")

@@ -254,11 +254,17 @@ def matrix_to_json(m) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    d = int(obj["dim"])
-    entries = obj["entries"]
-    if len(entries) != d * d:
-        raise ValueError(f"expected {d * d} entries, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
+    if not isinstance(obj, dict):
+        raise ValueError("a matrix must be a JSON object with 'dim' and 'entries'")
+    d, entries = obj["dim"], obj["entries"]
+    if type(d) is not int:
+        raise ValueError(f"matrix 'dim' must be an integer, got {d!r}")
+    if not isinstance(entries, list) or len(entries) != d * d:
+        raise ValueError(f"expected a list of {d * d} entries")
+    try:
+        flat = np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
+    except (TypeError, ValueError):
+        raise ValueError("each matrix entry must be a pair of numbers [re, im]") from None
     return flat.reshape(d, d)
 
 

@@ -54,13 +54,24 @@ class NotScalarError(ValueError):
     """
 
 
-def casimir_z(generators: Sequence) -> float:
-    """Z with sum_i X_i^2 = Z * identity, or NotScalarError if no such Z."""
-    mats = [as_complex_matrix(g) for g in generators]
+def _square_sum(mats) -> np.ndarray:
     d = mats[0].shape[0]
     total = np.zeros((d, d), dtype=np.complex128)
     for m in mats:
         total += m @ m
+    return total
+
+
+def _gram(mats) -> np.ndarray:
+    stack = np.stack(mats)
+    return np.einsum("aij,bji->ab", stack, stack)
+
+
+def casimir_z(generators: Sequence) -> float:
+    """Z with sum_i X_i^2 = Z * identity, or NotScalarError if no such Z."""
+    mats = [as_complex_matrix(g) for g in generators]
+    d = mats[0].shape[0]
+    total = _square_sum(mats)
     z = np.trace(total).real / d
     dev = max_abs(total - z * np.eye(d))
     if dev > CASIMIR_TOL:
@@ -74,8 +85,7 @@ def trace_form_constant(generators: Sequence) -> float:
     """N with tr(X_a X_b) = N d delta_ab, or ValueError if not of that form."""
     mats = [as_complex_matrix(g) for g in generators]
     d = mats[0].shape[0]
-    stack = np.stack(mats)
-    gram = np.einsum("aij,bji->ab", stack, stack)
+    gram = _gram(mats)
     n = gram[0, 0].real / d
     dev = max_abs(gram - n * d * np.eye(len(mats)))
     if dev > TRACE_FORM_TOL:
@@ -83,9 +93,22 @@ def trace_form_constant(generators: Sequence) -> float:
     return float(n)
 
 
+def generator_residuals(generators: Sequence, Z: float, N: float) -> dict:
+    """Max-norm residuals of the four generator-set invariants: Hermiticity,
+    tracelessness, sum_i X_i^2 = Z I and tr(X_a X_b) = N d delta_ab."""
+    d = generators[0].shape[0]
+    return {
+        "hermiticity": max(max_abs(x - x.conj().T) for x in generators),
+        "traceless": max(abs(np.trace(x)) for x in generators),
+        "casimir_deviation": max_abs(_square_sum(generators) - Z * np.eye(d)),
+        "trace_form_deviation": max_abs(_gram(generators) - N * d * np.eye(len(generators))),
+    }
+
+
 @dataclass(frozen=True, eq=False)
 class GeneratorSet:
-    """A representation: k Hermitian d x d matrices plus N and Z."""
+    """k Hermitian d x d matrices plus N and Z; ``residuals`` holds their
+    :func:`generator_residuals`, measured and enforced on construction."""
 
     algebra: str
     d: int
@@ -93,32 +116,30 @@ class GeneratorSet:
     generators: tuple = field(repr=False)
     N: float
     Z: float
+    residuals: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.algebra not in ALGEBRA_TAGS:
             raise ValueError(f"unknown algebra tag {self.algebra!r}")
         gens = tuple(readonly_copy(m) for m in self.generators)
         object.__setattr__(self, "generators", gens)
+        if not gens:
+            raise ValueError("a generator set needs at least one generator")
         if len(gens) != self.k:
             raise ValueError(f"expected {self.k} generators, got {len(gens)}")
-        d = self.d
-        eye = np.eye(d)
-        sq = np.zeros((d, d), dtype=np.complex128)
-        for g in gens:
-            if g.shape != (d, d):
-                raise ValueError("generator dimension mismatch")
-            if not is_hermitian(g, GENERATOR_HERM_TOL):
-                raise ValueError("generator is not Hermitian within 1e-10")
-            # Clifford gamma matrices are not Lie algebra generators, so the
-            # tracelessness guarantee does not apply to them.
-            if self.algebra != CLIFFORD_WEYL and abs(np.trace(g)) > GENERATOR_TRACELESS_TOL:
-                raise ValueError("generator is not traceless within 1e-10")
-            sq += g @ g
-        if max_abs(sq - self.Z * eye) > CASIMIR_TOL:
+        if any(g.shape != (self.d, self.d) for g in gens):
+            raise ValueError("generator dimension mismatch")
+        res = generator_residuals(gens, self.Z, self.N)
+        object.__setattr__(self, "residuals", res)
+        if not res["hermiticity"] <= GENERATOR_HERM_TOL:
+            raise ValueError("generator is not Hermitian within 1e-10")
+        # Clifford gamma matrices are not Lie algebra generators, so the
+        # tracelessness guarantee does not apply to them.
+        if self.algebra != CLIFFORD_WEYL and res["traceless"] > GENERATOR_TRACELESS_TOL:
+            raise ValueError("generator is not traceless within 1e-10")
+        if res["casimir_deviation"] > CASIMIR_TOL:
             raise NotScalarError("sum of squared generators does not equal Z * identity")
-        stack = np.stack(gens)
-        gram = np.einsum("aij,bji->ab", stack, stack)
-        if max_abs(gram - self.N * d * np.eye(self.k)) > TRACE_FORM_TOL:
+        if res["trace_form_deviation"] > TRACE_FORM_TOL:
             raise ValueError("trace form deviates from N*d*delta beyond 1e-9")
 
     @classmethod
@@ -243,28 +264,31 @@ def structure_tensors(n: int) -> StructureTensors:
     d_sym = d_sym.real
     q = d_sym + 1j * f
     tensors = StructureTensors(n=n, beta=2.0 / n, f=f, d_sym=d_sym, Q=q)
-    _validate_structure(g, tensors)
+    failed = [name for name, residual, tol in structure_residuals(g, tensors) if residual > tol]
+    if failed:
+        raise ArithmeticError(f"su({n}) structure identities violated: {', '.join(failed)}")
     return tensors
 
 
-def _validate_structure(g: GeneratorSet, t: StructureTensors) -> None:
+def structure_residuals(g: GeneratorSet, t: StructureTensors) -> list:
+    """(name, residual, tolerance) of the su(n) structure identities:
+    f_ijm f_ljm = n delta, Q_ijm Q_ljm = -(4/n) delta, sum_i d_iik = 0 and
+    X_i X_j = beta delta_ij I + Q_ijk X_k."""
     n, k = t.n, g.k
     x = np.stack(g.generators)
+    ff = np.einsum("ijm,ljm->il", t.f, t.f)
+    qq = np.einsum("ijm,ljm->il", t.Q, t.Q)
+    prod = np.einsum("iab,jbc->ijac", x, x)
     recon = (
         t.beta * np.einsum("ij,ab->ijab", np.eye(k), np.eye(n))
         + np.einsum("ijk,kab->ijab", t.Q, x)
     )
-    prod = np.einsum("iab,jbc->ijac", x, x)
-    if max_abs(prod - recon) > 1e-9:
-        raise ArithmeticError("product identity X_i X_j = beta delta I + Q.X failed")
-    if max_abs(np.einsum("iik->k", t.d_sym)) > 1e-9:
-        raise ArithmeticError("d tensor trace sum_i d_iik != 0")
-    ff = np.einsum("ijm,ljm->il", t.f, t.f)
-    if max_abs(ff - n * np.eye(k)) > 1e-8:
-        raise ArithmeticError("f contraction f_ijm f_ljm != n delta")
-    qq = np.einsum("ijm,ljm->il", t.Q, t.Q)
-    if max_abs(qq + (4.0 / n) * np.eye(k)) > 1e-8:
-        raise ArithmeticError("Q contraction Q_ijm Q_ljm != -(4/n) delta")
+    return [
+        ("f_contraction", max_abs(ff - n * np.eye(k)), 1e-8),
+        ("Q_contraction", max_abs(qq + (4.0 / n) * np.eye(k)), 1e-8),
+        ("d_traceless", max_abs(np.einsum("iik->k", t.d_sym)), 1e-9),
+        ("product_identity", max_abs(prod - recon), 1e-9),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -473,10 +497,15 @@ def clifford_weyl() -> tuple[GeneratorSet, tuple]:
     for r in (2, 3, 4):
         for idx in combinations(range(4), r):
             basis.append(_antisymmetrized([gammas[i] for i in idx]))
-    gram = np.array([[np.trace(a.conj().T @ b) for b in basis] for a in basis])
-    if np.linalg.matrix_rank(gram, tol=1e-8) != 16:
+    if basis_rank(basis) != 16:
         raise ArithmeticError("antisymmetrized gamma basis is not linearly independent")
     return genset, tuple(basis)
+
+
+def basis_rank(mats) -> int:
+    """Rank of the Gram matrix tr(A^dag B) of a matrix family (tolerance 1e-8)."""
+    gram = np.array([[np.trace(a.conj().T @ b) for b in mats] for a in mats])
+    return int(np.linalg.matrix_rank(gram, tol=1e-8))
 
 
 def clifford_gamma(x, genset: GeneratorSet) -> np.ndarray:

@@ -1,0 +1,183 @@
+"""Identity suites, one per algebra family.  Invariants that the library
+enforces on construction are reported through the same repgen functions."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from . import bloch as bl
+from . import channel as ch
+from . import matcore as mc
+from . import repgen as rg
+
+
+def _check(name: str, residual: float, tol: float) -> dict:
+    return {"name": name, "residual": float(residual), "tolerance": tol, "pass": bool(residual <= tol)}
+
+
+def _su(g: rg.GeneratorSet, seed: int, samples: int) -> tuple[list, dict]:
+    n = g.d
+    t = rg.structure_tensors(n)
+    checks = [_check(*row) for row in rg.structure_residuals(g, t)]
+    worst = 0.0
+    for i, p in enumerate((0.0, 0.25, 0.5, 0.75, 1.0)):
+        channel = ch.build_channel(g, p)
+        lam = ch.su_n_factor(p, n)
+        for j in range(max(2, samples // 10)):
+            rho = mc.random_density(n, mc.derived_rng(seed, 31 * i + j)).matrix
+            out = ch.apply_matrix(channel, rho)
+            worst = max(worst, mc.max_abs(out - lam * rho - (1 - lam) / n * np.eye(n)))
+    checks.append(_check("depolarizing_factor", worst, 1e-9))
+    pc = ch.su_n_critical(n)
+    channel = ch.build_channel(g, pc)
+    worst = max(
+        mc.max_abs(ch.apply_matrix(channel, mc.random_density(n, mc.derived_rng(seed, 500 + j)).matrix) - np.eye(n) / n)
+        for j in range(5)
+    )
+    checks.append(_check("critical_map_to_uniform", worst, 1e-9))
+    return checks, {"Z": g.Z, "N": g.N, "critical_p": pc}
+
+
+def _spin(g: rg.GeneratorSet, seed: int) -> tuple[list, dict]:
+    two_s = g.d - 1
+    lam = g.Z
+    j = g.generators
+    worst = max(
+        mc.max_abs(mc.commutator(j[a], j[b]) - 1j * j[c])
+        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    )
+    checks = [_check("commutation", worst, 1e-10)]
+    rep1 = ch.find_identity(g, 1)
+    checks.append(_check("triple_product_identity", rep1.residual_with(lam - 1.0), 1e-9))
+    rep2 = ch.find_identity(g, 2)
+    checks.append(_check("quadruple_product_identity", rep2.residual_with(lam - 3.0), 1e-9))
+    worst = 0.0
+    for i in range(5):
+        rng = mc.derived_rng(seed, i)
+        p = rng.uniform(0.0, 1.0)
+        v, w = _random_unit_trace_vw(two_s, rng)
+        v2, w2 = ch.spin_channel_vw(two_s, p, v, w)
+        direct = ch.apply_matrix(ch.build_channel(g, p), bl.rho_vw(two_s, v, w))
+        worst = max(worst, mc.max_abs(direct - bl.rho_vw(two_s, v2, w2)))
+    checks.append(_check("vw_closed_form", worst, 1e-8))
+    info = {"Z": lam, "N": g.N, "critical_p_rank2": lam / 3.0}
+    if two_s == 2:
+        worst = 0.0
+        for i in range(3):
+            rng = mc.derived_rng(seed, 50 + i)
+            p = rng.uniform(0.0, 1.0)
+            _, w = _random_unit_trace_vw(2, rng)
+            rho = bl.rho_vw(2, np.zeros(3), w)
+            channel = ch.build_channel(g, p)
+            acc = rho.copy()
+            for nfold in range(1, 7):
+                acc = ch.apply_matrix(channel, acc)
+                wn = ch.iterate_w_polynomial(p, nfold).apply_to(w)
+                worst = max(worst, mc.max_abs(acc - bl.rho_vw(2, np.zeros(3), wn)))
+        checks.append(_check("iteration_formula", worst, 1e-9))
+    if two_s == 3:
+        info["vw_purity_search_min"] = bl.spin_vw_purity_search(3, n_starts=10, seed=seed)
+    return checks, info
+
+
+def _random_unit_trace_vw(two_s: int, rng: np.random.Generator):
+    d = two_s + 1
+    lam = (two_s / 2.0) * (two_s / 2.0 + 1.0)
+    base = np.eye(3) * (1.0 / (d * lam))
+    dw = rng.normal(size=(3, 3)) * 0.2
+    dw = (dw + dw.T) / 2.0
+    dw -= np.eye(3) * np.trace(dw) / 3.0
+    v = rng.normal(size=3) * 0.2
+    w = base + dw
+    rho = bl.rho_vw(two_s, v, w)
+    lo = float(np.linalg.eigvalsh(rho).min())
+    if lo < 1e-3 / d:
+        shrink = 0.5 * (1.0 / d) / max(1.0 / d - lo, 1e-12)
+        v = shrink * v
+        w = base + shrink * dw
+    return v, w
+
+
+def _g2(seed: int) -> tuple[list, dict]:
+    g = rg.g2_rep()
+    checks = [
+        _check("casimir_identity", g.residuals["casimir_deviation"], 1e-9),
+        _check("trace_orthonormality", g.residuals["trace_form_deviation"], 1e-9),
+    ]
+    stack = np.stack(g.generators)
+    worst = max(
+        mc.max_abs(np.einsum("iab,bc,icd->ad", stack, b, stack)) for b in g.generators
+    )
+    checks.append(_check("cubic_identity", worst, 1e-12))
+    worst = 0.0
+    for i in range(5):
+        rng = mc.derived_rng(seed, i)
+        p = rng.uniform(0.0, 1.0)
+        v = rng.normal(size=14) * 0.2
+        rho = bl.bloch_rho(g, v)
+        out = ch.apply_matrix(ch.build_channel(g, p), rho)
+        worst = max(worst, mc.max_abs(out - bl.bloch_rho(g, (1.0 - p) * v)))
+    checks.append(_check("bloch_scaling", worst, 1e-9))
+    worst_odd = worst_t2 = worst_t4 = 0.0
+    for i in range(25):
+        rng = mc.derived_rng(seed, 100 + i)
+        v = rng.normal(size=14)
+        x = float(v @ v)
+        powers = bl.trace_powers(stack, v)
+        worst_odd = max(worst_odd, abs(powers[0]), abs(powers[2]), abs(powers[4]) / max(1.0, x * x))
+        worst_t2 = max(worst_t2, abs(powers[1] - x / 2.0))
+        worst_t4 = max(worst_t4, abs(powers[3] - x * x / 16.0))
+    checks.append(_check("odd_trace_powers", worst_odd, 1e-8))
+    checks.append(_check("quadratic_trace", worst_t2, 1e-9))
+    checks.append(_check("quartic_trace_ratio_one_sixteenth", worst_t4, 1e-8))
+    info = {
+        "Z": g.Z,
+        "N": g.N,
+        "radius_bounds_v_squared": [b.v_squared_bound for b in bl.g2_bound_refine(g)],
+        "depolarizing_on_full_space": ch.detect_depolarizing(
+            ch.build_channel(g, 0.5), n_samples=8, seed=seed
+        ),
+    }
+    return checks, info
+
+
+def _clifford(seed: int) -> tuple[list, dict]:
+    g, basis = rg.clifford_weyl()
+    checks = []
+    worst = 0.0
+    for i in range(50):
+        rng = mc.derived_rng(seed, i)
+        x = rng.normal(size=4)
+        y = rng.normal(size=4)
+        gx = rg.clifford_gamma(x, g)
+        gy = rg.clifford_gamma(y, g)
+        worst = max(worst, mc.max_abs(gx @ gy + gy @ gx - rg.clifford_bilinear(x, y) * np.eye(4)))
+    checks.append(_check("anticommutation", worst, 1e-10))
+    checks.append(_check("basis_rank_16", float(16 - rg.basis_rank(basis)), 0.0))
+    worst = 0.0
+    for i in range(5):
+        rng = mc.derived_rng(seed, 100 + i)
+        nvec = int(rng.integers(1, 5))
+        xs = [rng.normal(size=4) for _ in range(nvec)]
+        channel = ch.clifford_vector_channel(g, xs)
+        for j in range(4):
+            rho = mc.random_density(4, mc.derived_rng(seed, 200 + 10 * i + j)).matrix
+            out = ch.apply_matrix(channel, rho)
+            worst = max(worst, abs(np.trace(out).real - 1.0))
+    checks.append(_check("vector_channel_trace_preserving", worst, 1e-10))
+    return checks, {"Z": g.Z, "N": g.N}
+
+
+def run_suite(algebra: str, n: int | None = None, two_s: int | None = None,
+              seed: int = 0, samples: int = 1000) -> tuple[list, dict]:
+    """``(checks, info)`` of the identity suite of ``algebra`` (su, spin, g2
+    or clifford); ``samples // 10`` states per p feed the su(n) suite."""
+    if algebra == "su":
+        return _su(rg.build_algebra("su", n=n), seed, samples)
+    if algebra == "spin":
+        return _spin(rg.build_algebra("spin", two_s=two_s), seed)
+    if algebra == "g2":
+        return _g2(seed)
+    if algebra == "clifford":
+        return _clifford(seed)
+    raise ValueError(f"unknown algebra {algebra!r}")

@@ -261,6 +261,11 @@ def test_extend_rejects_unnormalized():
         ch.extend([np.eye(2) * 2.0], [np.eye(2)], at_index=0)
 
 
+def test_normalization_deviation():
+    assert ch.normalization_deviation(ch.build_channel(su(3), 0.5).ops) < 1e-12
+    assert ch.normalization_deviation([np.eye(2) * 2.0]) == pytest.approx(3.0)
+
+
 def test_double_channel_su2():
     dbl = ch.double_channel(su(2))
     assert len(dbl.ops) == 9

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import liechan
 from liechan import bloch as bl
 from liechan import matcore as mc
 from liechan.cli import main
@@ -241,3 +245,73 @@ def test_generator_dump_reloads(tmp_path):
     assert gs.d == 4
     for a, b in zip(gs.generators, spin(3).generators):
         assert mc.max_abs(a - b) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["critical", "--algebra", "su", "--n", "3", "--samples", "5"],
+        ["gen", "--algebra", "su", "--n", "3", "--p", "0.5"],
+        ["verify", "--algebra", "su", "--n", "3", "--format", "csv"],
+    ],
+)
+def test_unread_flag_exits_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"dim": null, "entries": []}',
+        "[1, 2]",
+        '{"dim": 2, "entries": ["ab", "cd", "ef", "gh"]}',
+    ],
+)
+def test_malformed_rho_exits_2_without_traceback(tmp_path, text):
+    rho_file = tmp_path / "rho.json"
+    rho_file.write_text(text)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(liechan.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "liechan.cli", "apply", "--algebra", "su", "--n", "2",
+         "--rho", str(rho_file)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+SEED_MESSAGE = "error: --seed (or LIECHAN_SEED) must be >= 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--algebra", "su", "--n", "2"],
+        ["apply", "--algebra", "su", "--n", "2", "--rho", "RHO"],
+        ["verify", "--algebra", "su", "--n", "2"],
+        ["bloch-scan", "--algebra", "su", "--n", "2", "--samples", "5"],
+        ["critical", "--algebra", "su", "--n", "2"],
+    ],
+)
+def test_negative_seed_exits_2(tmp_path, capsys, monkeypatch, argv):
+    rho_file = tmp_path / "rho.json"
+    rho_file.write_text(json.dumps(mc.DensityMatrix.maximally_mixed(2).to_json()))
+    argv = [str(rho_file) if a == "RHO" else a for a in argv]
+    code, _ = run(tmp_path, *argv, "--seed", "-3")
+    assert code == 2
+    assert capsys.readouterr().err == SEED_MESSAGE
+    monkeypatch.setenv("LIECHAN_SEED", "-3")
+    code, _ = run(tmp_path, *argv)
+    assert code == 2
+    assert capsys.readouterr().err == SEED_MESSAGE
+
+
+def test_gen_reports_stored_residuals(tmp_path):
+    from liechan import repgen as rg
+
+    code, text = run(tmp_path, "gen", "--algebra", "g2")
+    assert code == 0
+    assert json.loads(text)["checks"] == rg.g2_rep().residuals

@@ -238,6 +238,23 @@ def test_matrix_json_round_trip():
     np.testing.assert_array_equal(mc.matrix_from_json(obj), m)
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [1, 2],
+        {"dim": None, "entries": []},
+        {"dim": 2.0, "entries": [[1, 0]] * 4},
+        {"dim": 2, "entries": None},
+        {"dim": 2, "entries": ["ab", "cd", "ef", "gh"]},
+        {"dim": 1, "entries": [[1, 0, 0]]},
+        {"dim": 1, "entries": [["1", 0]]},
+    ],
+)
+def test_matrix_from_json_rejects_malformed(obj):
+    with pytest.raises(ValueError):
+        mc.matrix_from_json(obj)
+
+
 def test_density_json_round_trip():
     rho = mc.random_density(3, np.random.default_rng(10))
     again = mc.DensityMatrix.from_json(rho.to_json())

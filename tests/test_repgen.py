@@ -87,6 +87,25 @@ def test_product_identity_reconstruction(n):
     assert worst < 1e-9
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_structure_residuals_within_tolerance(n):
+    rows = rg.structure_residuals(su(n), su_tensors(n))
+    assert [name for name, _, _ in rows] == [
+        "f_contraction", "Q_contraction", "d_traceless", "product_identity",
+    ]
+    assert all(residual <= tol for _, residual, tol in rows)
+
+
+def test_structure_residuals_see_perturbed_q():
+    t = su_tensors(3)
+    q = t.Q.copy()
+    q[0, 1, 2] += 1e-6
+    bad = rg.StructureTensors(n=3, beta=t.beta, f=t.f, d_sym=t.d_sym, Q=q)
+    rows = {name: (res, tol) for name, res, tol in rg.structure_residuals(su(3), bad)}
+    res, tol = rows["product_identity"]
+    assert res > tol
+
+
 def test_d_tensor_fully_symmetric():
     t = su_tensors(3)
     assert mc.max_abs(t.d_sym - t.d_sym.transpose(1, 0, 2)) < 1e-12
@@ -266,6 +285,12 @@ def test_antisymmetrized_basis_independent():
     assert np.linalg.matrix_rank(gram, tol=1e-8) == 16
 
 
+def test_basis_rank_sees_dependent_element():
+    _, basis = clifford()
+    assert rg.basis_rank(basis) == 16
+    assert rg.basis_rank(basis[:15] + (2.0 * basis[1],)) == 15
+
+
 # ---------------------------------------------------------------------------
 # Casimir constant
 
@@ -320,3 +345,27 @@ def test_non_hermitian_generators_rejected():
     bad = [np.array([[0, 1], [0, 0]], dtype=complex)]
     with pytest.raises(ValueError):
         rg.GeneratorSet.from_generators(bad)
+
+
+@pytest.mark.parametrize("build", [lambda: su(4), lambda: spin(3), g2, lambda: clifford()[0]])
+def test_generator_residuals_stored_on_construction(build):
+    g = build()
+    assert g.residuals == rg.generator_residuals(g.generators, g.Z, g.N)
+    assert set(g.residuals) == {
+        "hermiticity", "traceless", "casimir_deviation", "trace_form_deviation",
+    }
+    assert max(g.residuals.values()) <= 1e-9
+
+
+def test_scaled_generator_breaks_casimir():
+    g = su(3)
+    gens = list(g.generators)
+    gens[0] = gens[0] * (1.0 + 1e-6)
+    with pytest.raises(rg.NotScalarError):
+        rg.GeneratorSet(algebra=rg.CUSTOM, d=3, k=8, generators=tuple(gens), N=g.N, Z=g.Z)
+    assert rg.generator_residuals(gens, g.Z, g.N)["casimir_deviation"] > 1e-9
+
+
+def test_empty_generator_set_rejected():
+    with pytest.raises(ValueError):
+        rg.GeneratorSet(algebra=rg.CUSTOM, d=2, k=0, generators=(), N=1.0, Z=1.0)
