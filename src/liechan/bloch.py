@@ -19,6 +19,7 @@ from itertools import permutations
 
 import numpy as np
 
+from .channel import generator_action
 from .matcore import (
     as_complex_matrix,
     char_poly_coeffs,
@@ -583,40 +584,26 @@ def sample_bloch_vectors(g: GeneratorSet, n: int, seed: int = 0) -> np.ndarray:
     return out
 
 
-def spin_vw_purity_search(two_s: int, n_starts: int = 40, seed: int = 0) -> float:
-    """Empirical minimum of ||rho^2 - rho||_max over unit-trace (v, w)
-    states of the spin-s representation (random restarts plus a crude
-    local descent).  Reported as an observation only; a large value
-    suggests, but does not prove, that no pure state lies in the span.
-    """
+def spin_vw_pure_weight(two_s: int) -> float:
+    """Least weight a pure spin-s state puts outside the (v, w) span: the
+    rank l >= 3 weight of a coherent state, sum_{l=3}^{2s} (2l + 1) (2s)!^2 /
+    ((2s - l)! (2s + l + 1)!); 0 for s <= 1, 1/20 at s = 3/2, 4/35 at s = 2.
+    Coherent states maximize every cumulative low-rank multipole sum (Bjork
+    et al., PRA 92, 031801(R) (2015)), so no pure state does better."""
+    f = math.factorial
+    return float(sum(Fraction((2 * l + 1) * f(two_s) ** 2, f(two_s - l) * f(two_s + l + 1))
+                     for l in range(3, two_s + 1)))
+
+
+def spin_vw_purity_search(two_s: int) -> float:
+    """Measured weight ||(1 - P) vec(psi psi^dag)||^2 of the coherent state
+    psi = |s, s> outside span{I, J_a, J_(a J_b)}, the minimum over pure
+    states (:func:`spin_vw_pure_weight`).  The span is the l = 0, 1, 2
+    eigenspaces of L (eigenvalue s(s+1) - l(l+1)/2 on rank l), and P projects
+    onto it through their orthonormal eigenvectors."""
     g = spin_rep(two_s)
-    d, lam = g.d, g.Z
-    base_tr = 3.0 / (d * lam)
-
-    def purity_residual(params: np.ndarray) -> float:
-        v = params[:3]
-        sym = np.zeros((3, 3))
-        sym[np.triu_indices(3)] = params[3:]
-        w = (sym + sym.T) / 2.0
-        w += (base_tr - np.trace(w)) / 3.0 * np.eye(3)
-        rho = _rho_from_vw(g.generators, v, w)
-        return max_abs(rho @ rho - rho)
-
-    best = math.inf
-    for start in range(n_starts):
-        rng = derived_rng(seed, start)
-        params = rng.normal(size=9) * 0.3
-        value = purity_residual(params)
-        step = 0.25
-        while step > 1e-4:
-            improved = False
-            for _ in range(40):
-                trial = params + rng.normal(size=9) * step
-                tv = purity_residual(trial)
-                if tv < value:
-                    params, value = trial, tv
-                    improved = True
-            if not improved:
-                step *= 0.5
-        best = min(best, value)
-    return best
+    evals, evecs = np.linalg.eigh(generator_action(g))
+    span = evecs[:, evals > g.Z - 4.5]   # l = 2 sits at Z - 3, l = 3 at Z - 6
+    rest = -span @ span[0].conj()         # -P vec(|s, s><s, s|), as J_3 = diag(s, ..., -s)
+    rest[0] += 1.0
+    return float(np.vdot(rest, rest).real)

@@ -5,12 +5,12 @@ The central map is
     rho -> (1 - p) rho + (p / Z) sum_i X_i rho X_i,
 
 realized by Kraus operators M_0 = sqrt(1-p) I and M_i = sqrt(p/Z) X_i for a
-generator set with Casimir constant Z.  On top of construction and
-application this module provides: channel extension and the double channel,
-depolarizing detection, the closed-form spin-s action on (v, w)
-coefficients, discovery of r -> r-2 product identities and the critical
-error probabilities they induce, minimal output entropy of the su(n)
-channel, maximal l_q norms, and the Werner-Holevo map.
+generator set with Casimir constant Z; on the operator space it is the matrix
+(1 - p) I + (p / Z) L of :func:`generator_action`.  This module also provides
+channel extension and the double channel, depolarizing detection, the spin-s
+action on (v, w) coefficients, discovery of r -> r-2 product identities and
+the critical error probabilities they induce, minimal output entropy of the
+su(n) channel, maximal l_q norms, and the Werner-Holevo map.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .matcore import (
     matrix_from_json,
     matrix_to_json,
     max_abs,
-    random_density,
     random_pure_statevector,
     readonly_copy,
     sym_monomials,
@@ -133,6 +132,22 @@ def apply_matrix(ch: KrausChannel, m) -> np.ndarray:
     return out
 
 
+def superoperator(ops: Sequence) -> np.ndarray:
+    """sum_k K (x) conj(K): the d^2 x d^2 matrix of M -> sum_k K M K^dag on
+    row-major vec(M) (Watrous, The Theory of Quantum Information, 2018, ch. 2)."""
+    n, d, _ = np.shape(ops)
+    flat = np.reshape(ops, (n, d * d))
+    return (flat.T @ flat.conj()).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
+def generator_action(g: GeneratorSet) -> np.ndarray:
+    """L = sum_i X_i (x) conj(X_i), the Hermitian matrix of M -> sum_i X_i M X_i
+    on row-major vec(M).  The channel of g at p is (1 - p) I + (p/Z) L; each
+    eigenvalue g_r of L on traceless operators gives the critical
+    probability Z/(Z - g_r), and vec(I) has eigenvalue Z."""
+    return superoperator(g.generators)
+
+
 def apply(ch: KrausChannel, rho) -> DensityMatrix:
     """Apply to a density matrix; the output is re-validated."""
     rho = as_density(rho)
@@ -154,30 +169,22 @@ def su_n_critical(n: int) -> float:
     return 1.0 - 1.0 / (n * n)
 
 
-def detect_depolarizing(
-    ch: KrausChannel, n_samples: int = 32, seed: int = 0
-) -> float | None:
-    """Fit lambda with ch(rho) = lambda rho + (1-lambda)/d I, or None.
+def detect_depolarizing(ch: KrausChannel) -> float | None:
+    """lambda with ch(M) = lambda M + (1 - lambda) tr(M) I/d for all M, or None.
 
-    A depolarizing channel is affine, so one generic sample determines
-    lambda; the fit is validated on the remaining samples within 1e-8.
+    Decided from the superoperator S = sum_k K (x) conj(K): lambda =
+    (tr S - 1)/(d^2 - 1), and the channel is depolarizing when every entry
+    of S is within DEPOLARIZING_FIT_TOL = 1e-8 of lambda I + ((1 - lambda)/d)
+    vec(I) vec(I)^T.
     """
     d = ch.dim
-    eye = np.eye(d)
-    lam = None
-    for i in range(n_samples):
-        rng = derived_rng(seed, i)
-        rho = random_density(d, rng).matrix
-        out = apply_matrix(ch, rho)
-        if lam is None:
-            dev_in = rho - eye / d
-            denom = float(np.vdot(dev_in, dev_in).real)
-            if denom < 1e-14:
-                continue
-            lam = float(np.vdot(dev_in, out - eye / d).real) / denom
-        if max_abs(out - lam * rho - (1.0 - lam) / d * eye) > DEPOLARIZING_FIT_TOL:
-            return None
-    return lam
+    if d == 1:
+        return None   # the only 1 x 1 channel is the identity: lambda is undetermined
+    s = superoperator(ch.ops)
+    lam = (float(np.trace(s).real) - 1.0) / (d * d - 1.0)
+    vec_eye = np.eye(d).ravel()
+    target = lam * np.eye(d * d) + ((1.0 - lam) / d) * np.outer(vec_eye, vec_eye)
+    return lam if max_abs(s - target) <= DEPOLARIZING_FIT_TOL else None
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +341,10 @@ class IdentityReport:
 
     def residual_with(self, g0: float) -> float:
         """Worst fit error when g is pinned to g0 and only f re-fitted."""
-        worst = 0.0
-        for m, t in zip(self._monomials, self._transforms):
-            d = m.shape[0]
-            f0 = (np.trace(t).real - g0 * np.trace(m).real) / d
-            worst = max(worst, max_abs(t - f0 * np.eye(d) - g0 * m))
-        return worst
+        m, t = self._monomials, self._transforms
+        d = m.shape[1]
+        f0 = (_traces(t) - g0 * _traces(m)) / d
+        return max_abs(t - f0[:, None, None] * np.eye(d) - g0 * m)
 
     def to_json(self) -> dict:
         def pack(t):
@@ -359,6 +364,23 @@ class IdentityReport:
         }
 
 
+def _traces(stack: np.ndarray) -> np.ndarray:
+    return np.trace(stack, axis1=1, axis2=2).real
+
+
+def _traceless(stack: np.ndarray) -> np.ndarray:
+    """A copy of the stack with each matrix's trace part removed."""
+    out = stack.copy()
+    diag = np.arange(stack.shape[1])
+    out[:, diag, diag] -= (_traces(stack) / stack.shape[1])[:, None]
+    return out
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re tr(A^dag B) per pair in two contiguous stacks, from their float views."""
+    return np.einsum("nk,nk->n", a.reshape(len(a), -1).view(float), b.reshape(len(b), -1).view(float))
+
+
 def find_identity(g: GeneratorSet, r: int) -> IdentityReport:
     """Fit sum_i X_i M X_i = f_M I + g_M M for every symmetrized rank-r
     monomial M of the generators, with r capped at 3.
@@ -372,39 +394,30 @@ def find_identity(g: GeneratorSet, r: int) -> IdentityReport:
     """
     if r not in (1, 2, 3):
         raise ValueError("rank r must be 1, 2 or 3")
-    stack = np.stack(g.generators)
     d, k = g.d, g.k
-    eye = np.eye(d)
     multisets, monomials = sym_monomials(g.generators, r)
-    # With the monomial axis contiguous, einsum's inner loop runs over the
-    # monomials (1.7x faster at su(5) rank 3).  Each entry is still summed
-    # over (i, b, c) in the same order, so the bits do not change.
-    transforms = np.einsum(
-        "iab,bcm,icd->adm", stack, np.ascontiguousarray(monomials.transpose(1, 2, 0)), stack
-    ).transpose(2, 0, 1)
+    n = len(multisets)
+    transforms = (monomials.reshape(n, d * d) @ generator_action(g).T).reshape(n, d, d)
+    tr_m, tr_t = _traces(monomials), _traces(transforms)
+    m0 = _traceless(monomials)
+    norm0 = _inner(m0, m0)
+    informative = norm0 > 1e-16 * np.maximum(1.0, _inner(monomials, monomials))
+    # any g fits a monomial that is a multiple of I; pick 0 so f absorbs it
+    g_m = np.where(informative, _inner(m0, transforms) / np.where(informative, norm0, 1.0), 0.0)
+    f_m = (tr_t - g_m * tr_m) / d
+    misfit = g_m[:, None, None] * monomials
+    misfit -= transforms
+    misfit[:, np.arange(d), np.arange(d)] += f_m[:, None]
+    residual = max_abs(misfit)
     f_tensor = np.zeros((k,) * r)
     g_tensor = np.full((k,) * r, np.nan)
-    informative, g_values = [], []
-    residual = 0.0
-    for ms, m, t in zip(multisets, monomials, transforms):
-        tr_m, tr_t = np.trace(m).real, np.trace(t).real
-        m0 = m - (tr_m / d) * eye
-        norm0 = float(np.vdot(m0, m0).real)
-        is_informative = norm0 > 1e-16 * max(1.0, float(np.vdot(m, m).real))
-        if is_informative:
-            gm = float(np.vdot(m0, t - (tr_t / d) * eye).real) / norm0
-        else:
-            gm = 0.0  # any g fits; pick 0 so f absorbs the trace part
-        fm = (tr_t - gm * tr_m) / d
-        residual = max(residual, max_abs(t - fm * eye - gm * m))
+    for ms, fm, gm, is_informative in zip(multisets, f_m, g_m, informative):
         for perm in set(permutations(ms)):
             f_tensor[perm] = fm
             g_tensor[perm] = gm if is_informative else np.nan
-        informative.append(is_informative)
-        if is_informative:
-            g_values.append(gm)
-    if g_values:
-        spread = max(g_values) - min(g_values)
+    g_values = g_m[informative]
+    if g_values.size:
+        spread = float(g_values.max() - g_values.min())
         special = spread <= SPECIAL_SPREAD_TOL
         g_scalar = float(np.mean(g_values)) if special else None
     else:
@@ -417,11 +430,11 @@ def find_identity(g: GeneratorSet, r: int) -> IdentityReport:
         k=k,
         special=special,
         g=g_scalar,
-        residual=float(residual),
+        residual=residual,
         f_tensor=f_tensor,
         g_tensor=g_tensor,
         multisets=multisets,
-        informative=tuple(informative),
+        informative=tuple(bool(x) for x in informative),
         _monomials=monomials,
         _transforms=transforms,
     )
@@ -437,7 +450,7 @@ class CriticalEntry:
     g_value: float | None
     p_value: float | None
     in_range: bool
-    verified: bool | None   # sampled map-to-maximally-mixed check, if run
+    verified: bool | None   # map of the traceless rank-r span to 0, if checked
     residual: float
 
     def to_json(self) -> dict:
@@ -472,28 +485,23 @@ class CriticalDecomposition:
         }
 
 
-def _sample_rank_state(monomials: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """A random density matrix of the form I/d + (traceless part of a random
-    combination of the given monomials)."""
-    d = monomials.shape[1]
-    total = np.zeros((d, d), dtype=np.complex128)
-    for m in monomials:
-        total += rng.normal() * m
-    t0 = total - (np.trace(total).real / d) * np.eye(d)
-    spread = max_abs(np.linalg.eigvalsh(t0))
-    eps = 0.5 / (d * spread) if spread > 1e-14 else 0.0
-    return np.eye(d) / d + eps * t0
+def _traceless_basis(monomials: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the traceless parts of the monomials (SVD;
+    singular values below max(N, d^2) eps times the largest are round-off)."""
+    n, d, _ = monomials.shape
+    flat = _traceless(monomials).reshape(n, d * d)
+    # flat = Q R: R has flat's singular values and right vectors, at d^2 x d^2
+    _, sv, vh = np.linalg.svd(np.linalg.qr(flat, mode="r"), full_matrices=False)
+    return vh[sv > sv[0] * max(flat.shape) * np.finfo(float).eps]
 
 
-def critical_values(
-    g: GeneratorSet,
-    max_rank: int = 2,
-    seed: int = 0,
-    samples: int = 5,
-    verify: bool = True,
-) -> CriticalDecomposition:
+def critical_values(g: GeneratorSet, max_rank: int = 2, verify: bool = True) -> CriticalDecomposition:
     """For each rank where a special identity exists, the error probability
     at which the channel sends every I/d + (rank-r) state to I/d.
+
+    ``verified`` is True when (1 - p) I + (p/Z) L maps an orthonormal basis
+    of the traceless rank-r span to within CRITICAL_MAP_TOL = 1e-8 of zero;
+    the channel is unital, so that is the map of those states to I/d.
 
     p_r = Z / (Z - g_r) lies in [0, 1] exactly when g_r <= 0; the
     ``in_range`` flag records the strict condition g_r < 0, so the boundary
@@ -520,14 +528,9 @@ def critical_values(
         in_range = gr < -1e-12
         verified = None
         if verify and p_r is not None and 0.0 <= p_r <= 1.0:
-            ch = build_channel(g, p_r)
-            verified = True
-            for i in range(samples):
-                rho = _sample_rank_state(report._monomials, derived_rng(seed, 1000 * r + i))
-                out = apply_matrix(ch, rho)
-                if max_abs(out - np.eye(g.d) / g.d) > CRITICAL_MAP_TOL:
-                    verified = False
-                    break
+            basis = _traceless_basis(report._monomials)
+            images = (1.0 - p_r) * basis + (p_r / g.Z) * (basis @ generator_action(g).T)
+            verified = max_abs(images) <= CRITICAL_MAP_TOL
         entries.append(
             CriticalEntry(
                 rank=r, special=True, g_value=float(gr), p_value=p_r,
@@ -539,14 +542,6 @@ def critical_values(
 
 # ---------------------------------------------------------------------------
 # Output entropy and l_q norms.
-
-def von_neumann_entropy(rho) -> float:
-    """-(sum lambda ln lambda) over the spectrum, with 0 ln 0 = 0."""
-    m = rho.matrix if isinstance(rho, DensityMatrix) else as_complex_matrix(rho)
-    ev = np.clip(np.linalg.eigvalsh(m).real, 0.0, None)
-    nz = ev[ev > 0.0]
-    return float(-(nz * np.log(nz)).sum())
-
 
 def min_entropy_su_n(p: float, n: int) -> float:
     """Minimal von Neumann output entropy of the su(n) channel.

@@ -83,19 +83,29 @@ def cmd_gen(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # apply
 
+def _real_array(obj, name: str) -> np.ndarray:
+    try:
+        return np.asarray(obj, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be a (nested) list of real numbers") from None
+
+
 def _load_rho(path: str, cfg: RunConfig, g: rg.GeneratorSet) -> mc.DensityMatrix:
     with open(path) as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):
         raise ValueError("--rho must hold a JSON object")
     if "v" in obj:
-        v = np.asarray(obj["v"], dtype=float)
-        if "w" in obj and obj["w"] is not None:
-            w = np.asarray(obj["w"]["data"], dtype=float).reshape(obj["w"]["shape"]) \
-                if isinstance(obj["w"], dict) else np.asarray(obj["w"], dtype=float)
+        v = _real_array(obj["v"], "v")
+        w = obj.get("w")
+        if w is not None:
+            if isinstance(w, dict):
+                if w.get("shape") != [3, 3]:
+                    raise ValueError("w 'shape' must be [3, 3]")
+                w = _real_array(w.get("data"), "w 'data'").reshape(3, 3)
             if cfg.algebra != "spin":
                 raise ValueError("(v, w) input requires --algebra spin")
-            return mc.DensityMatrix(bl.rho_vw(cfg.two_s, v, w))
+            return mc.DensityMatrix(bl.rho_vw(cfg.two_s, v, _real_array(w, "w")))
         return mc.DensityMatrix(bl.bloch_rho(g, v))
     return mc.DensityMatrix(mc.matrix_from_json(obj))
 
@@ -105,7 +115,7 @@ def cmd_apply(cfg: RunConfig, rho_path: str) -> int:
     channel = ch.build_channel(g, cfg.p)
     rho = _load_rho(rho_path, cfg, g)
     out = ch.apply(channel, rho)
-    lam = ch.detect_depolarizing(channel, n_samples=16, seed=cfg.seed)
+    lam = ch.detect_depolarizing(channel)
     report = {
         "p": cfg.p,
         "source": g.algebra,
@@ -185,7 +195,7 @@ def cmd_bloch_scan(cfg: RunConfig) -> int:
 
 def cmd_critical(cfg: RunConfig, max_rank: int) -> int:
     g = _genset(cfg)
-    decomp = ch.critical_values(g, max_rank=max_rank, seed=cfg.seed)
+    decomp = ch.critical_values(g, max_rank=max_rank)
     _dump_json(decomp.to_json(), cfg.output_path)
     return 0
 

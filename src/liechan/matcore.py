@@ -263,7 +263,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ValueError(f"expected a list of {d * d} entries")
     try:
         flat = np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError("each matrix entry must be a pair of numbers [re, im]") from None
     return flat.reshape(d, d)
 

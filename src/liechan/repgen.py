@@ -232,6 +232,7 @@ class StructureTensors:
 
     X_i X_j = beta delta_ij I + sum_k Q_ijk X_k with Q = d_sym + i f;
     f is totally antisymmetric, d_sym totally symmetric and traceless.
+    ``residuals``: the :func:`structure_residuals` rows measured by :func:`structure_tensors`.
     """
 
     n: int
@@ -239,6 +240,7 @@ class StructureTensors:
     f: np.ndarray = field(repr=False)
     d_sym: np.ndarray = field(repr=False)
     Q: np.ndarray = field(repr=False)
+    residuals: tuple = field(init=False, repr=False, default=())
 
     def __post_init__(self):
         k = self.n * self.n - 1
@@ -264,13 +266,14 @@ def structure_tensors(n: int) -> StructureTensors:
     d_sym = d_sym.real
     q = d_sym + 1j * f
     tensors = StructureTensors(n=n, beta=2.0 / n, f=f, d_sym=d_sym, Q=q)
-    failed = [name for name, residual, tol in structure_residuals(g, tensors) if residual > tol]
+    object.__setattr__(tensors, "residuals", structure_residuals(g, tensors))
+    failed = [name for name, residual, tol in tensors.residuals if residual > tol]
     if failed:
         raise ArithmeticError(f"su({n}) structure identities violated: {', '.join(failed)}")
     return tensors
 
 
-def structure_residuals(g: GeneratorSet, t: StructureTensors) -> list:
+def structure_residuals(g: GeneratorSet, t: StructureTensors) -> tuple:
     """(name, residual, tolerance) of the su(n) structure identities:
     f_ijm f_ljm = n delta, Q_ijm Q_ljm = -(4/n) delta, sum_i d_iik = 0 and
     X_i X_j = beta delta_ij I + Q_ijk X_k."""
@@ -283,12 +286,12 @@ def structure_residuals(g: GeneratorSet, t: StructureTensors) -> list:
         t.beta * np.einsum("ij,ab->ijab", np.eye(k), np.eye(n))
         + np.einsum("ijk,kab->ijab", t.Q, x)
     )
-    return [
+    return (
         ("f_contraction", max_abs(ff - n * np.eye(k)), 1e-8),
         ("Q_contraction", max_abs(qq + (4.0 / n) * np.eye(k)), 1e-8),
         ("d_traceless", max_abs(np.einsum("iik->k", t.d_sym)), 1e-9),
         ("product_identity", max_abs(prod - recon), 1e-9),
-    ]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +470,11 @@ def clifford_bilinear(x, y) -> float:
     return 2.0 * float(np.dot(np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
 
 
-def clifford_weyl() -> tuple[GeneratorSet, tuple]:
+class GammaBasis(tuple):
+    """A tuple of matrices with the ``rank`` that :func:`clifford_weyl` measured."""
+
+
+def clifford_weyl() -> tuple[GeneratorSet, GammaBasis]:
     """Four Hermitian 4x4 gamma matrices with {g(x), g(y)} = <x,y> I,
     plus the 16-element antisymmetrized product basis of gl(4).
 
@@ -497,9 +504,11 @@ def clifford_weyl() -> tuple[GeneratorSet, tuple]:
     for r in (2, 3, 4):
         for idx in combinations(range(4), r):
             basis.append(_antisymmetrized([gammas[i] for i in idx]))
-    if basis_rank(basis) != 16:
+    basis = GammaBasis(basis)
+    basis.rank = basis_rank(basis)
+    if basis.rank != 16:
         raise ArithmeticError("antisymmetrized gamma basis is not linearly independent")
-    return genset, tuple(basis)
+    return genset, basis
 
 
 def basis_rank(mats) -> int:

@@ -17,8 +17,7 @@ def _check(name: str, residual: float, tol: float) -> dict:
 
 def _su(g: rg.GeneratorSet, seed: int, samples: int) -> tuple[list, dict]:
     n = g.d
-    t = rg.structure_tensors(n)
-    checks = [_check(*row) for row in rg.structure_residuals(g, t)]
+    checks = [_check(*row) for row in rg.structure_tensors(n).residuals]
     worst = 0.0
     for i, p in enumerate((0.0, 0.25, 0.5, 0.75, 1.0)):
         channel = ch.build_channel(g, p)
@@ -75,8 +74,9 @@ def _spin(g: rg.GeneratorSet, seed: int) -> tuple[list, dict]:
                 wn = ch.iterate_w_polynomial(p, nfold).apply_to(w)
                 worst = max(worst, mc.max_abs(acc - bl.rho_vw(2, np.zeros(3), wn)))
         checks.append(_check("iteration_formula", worst, 1e-9))
-    if two_s == 3:
-        info["vw_purity_search_min"] = bl.spin_vw_purity_search(3, n_starts=10, seed=seed)
+    least = bl.spin_vw_pure_weight(two_s)
+    checks.append(_check("vw_pure_weight_witness", abs(bl.spin_vw_purity_search(two_s) - least), 1e-12))
+    info["vw_pure_weight_min"] = least
     return checks, info
 
 
@@ -134,9 +134,7 @@ def _g2(seed: int) -> tuple[list, dict]:
         "Z": g.Z,
         "N": g.N,
         "radius_bounds_v_squared": [b.v_squared_bound for b in bl.g2_bound_refine(g)],
-        "depolarizing_on_full_space": ch.detect_depolarizing(
-            ch.build_channel(g, 0.5), n_samples=8, seed=seed
-        ),
+        "depolarizing_on_full_space": ch.detect_depolarizing(ch.build_channel(g, 0.5)),
     }
     return checks, info
 
@@ -153,7 +151,7 @@ def _clifford(seed: int) -> tuple[list, dict]:
         gy = rg.clifford_gamma(y, g)
         worst = max(worst, mc.max_abs(gx @ gy + gy @ gx - rg.clifford_bilinear(x, y) * np.eye(4)))
     checks.append(_check("anticommutation", worst, 1e-10))
-    checks.append(_check("basis_rank_16", float(16 - rg.basis_rank(basis)), 0.0))
+    checks.append(_check("basis_rank_16", float(16 - basis.rank), 0.0))
     worst = 0.0
     for i in range(5):
         rng = mc.derived_rng(seed, 100 + i)

@@ -126,7 +126,7 @@ def test_c05_special_identities():
         assert r2.residual_with(lam - 3.0) <= 1e-9
         if two_s >= 2:  # for d = 2 the rank-2 monomials cannot pin g down
             assert abs(r2.g - (lam - 3.0)) <= 1e-9
-    decomp = ch.critical_values(spin(2), max_rank=2, seed=106)
+    decomp = ch.critical_values(spin(2), max_rank=2)
     e1, e2 = decomp.entry(1), decomp.entry(2)
     assert e1.p_value == pytest.approx(2.0, abs=1e-12) and not e1.in_range
     assert e2.p_value == pytest.approx(2.0 / 3.0, abs=1e-12) and e2.in_range

@@ -475,11 +475,11 @@ def test_sample_bloch_vectors_deterministic():
 
 def test_spin_vw_purity_search_spin1_finds_pure():
     # spin-1: pure states exist in the (v, w) span, so the residual is tiny
-    best = bl.spin_vw_purity_search(2, n_starts=8, seed=24)
+    best = bl.spin_vw_purity_search(2)
     assert best < 1e-3
 
 
 def test_spin_vw_purity_search_spin32_stays_large():
     # observed empirically: no (v, w) state of spin 3/2 gets close to pure
-    best = bl.spin_vw_purity_search(3, n_starts=8, seed=25)
+    best = bl.spin_vw_purity_search(3)
     assert best > 1e-3

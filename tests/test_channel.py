@@ -109,18 +109,18 @@ def test_su_n_factor_values():
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_su_channel_detected_depolarizing(n):
     for p in (0.2, 0.8):
-        lam = ch.detect_depolarizing(ch.build_channel(su(n), p), n_samples=12, seed=3)
+        lam = ch.detect_depolarizing(ch.build_channel(su(n), p))
         assert lam is not None
         assert abs(lam - ch.su_n_factor(p, n)) < 1e-9
 
 
 def test_spin1_not_depolarizing():
-    lam = ch.detect_depolarizing(ch.build_channel(spin(2), 0.5), n_samples=16, seed=4)
+    lam = ch.detect_depolarizing(ch.build_channel(spin(2), 0.5))
     assert lam is None
 
 
 def test_identity_channel_depolarizing_lambda_one():
-    lam = ch.detect_depolarizing(ch.build_channel(su(2), 0.0), n_samples=8, seed=5)
+    lam = ch.detect_depolarizing(ch.build_channel(su(2), 0.0))
     assert lam == pytest.approx(1.0, abs=1e-12)
 
 
@@ -334,7 +334,7 @@ def test_su_rank1_identity_and_critical(n):
     report = ch.find_identity(g, 1)
     assert report.special
     assert report.g == pytest.approx(-2.0 / n, abs=1e-10)
-    decomp = ch.critical_values(g, max_rank=1, seed=15)
+    decomp = ch.critical_values(g, max_rank=1)
     entry = decomp.entry(1)
     assert entry.in_range
     assert entry.p_value == pytest.approx(1.0 - 1.0 / n**2, abs=1e-12)
@@ -344,7 +344,7 @@ def test_su_rank1_identity_and_critical(n):
 def test_su4_rank3_critical_values():
     n = 4
     g = su(n)
-    decomp = ch.critical_values(g, max_rank=3, seed=19)
+    decomp = ch.critical_values(g, max_rank=3)
     assert [e.rank for e in decomp.entries] == [1, 2, 3]
     for e in decomp.entries:
         assert e.special
@@ -354,12 +354,53 @@ def test_su4_rank3_critical_values():
 
 @pytest.mark.parametrize("gens", [lambda: su(3), lambda: g2()], ids=["su3", "g2"])
 def test_find_identity_transforms_match_per_monomial_einsum(gens):
+    # Both sides add up the same k d^2 products X_i[a,b] M[b,c] X_i[c,d], in
+    # different orders: the einsum per monomial, the core through
+    # L = sum_i X_i (x) conj(X_i) and one matmul.  A product of two complex
+    # multiplications is off by at most 2 sqrt(5) u < 5u relative
+    # (u = 2^-53), and a sum of n terms, however grouped, by at most
+    # gamma_(n-1) sum |terms| with gamma_n = n u / (1 - n u).  So each side is
+    # within gamma_(k d^2 + 4) S of the exact sum, S = sum_i |X_i| |M| |X_i|
+    # entrywise, and the two within twice that.
     g = gens()
     stack = np.stack(g.generators)
+    u = np.finfo(float).eps / 2
+    n = g.k * g.d * g.d + 4
+    bound = 2 * n * u / (1 - n * u)
     report = ch.find_identity(g, 2)
     for m, t in zip(report._monomials, report._transforms):
         ref = np.einsum("iab,bc,icd->ad", stack, m, stack)
-        assert t.tobytes() == ref.tobytes()
+        scale = np.einsum("iab,bc,icd->ad", np.abs(stack), np.abs(m), np.abs(stack))
+        assert np.all(np.abs(t - ref) <= bound * scale)
+
+
+@pytest.mark.parametrize(
+    "gens, r", [(lambda: su(3), 2), (lambda: g2(), 2), (lambda: spin(3), 3)],
+    ids=["su3_r2", "g2_r2", "spin3_2_r3"],
+)
+def test_find_identity_fit_matches_per_monomial_loop(gens, r):
+    # The fit used to run monomial by monomial; the batched arithmetic sums
+    # in another order, so agreement is to round-off (1e-12 on entries of
+    # order 1), with identical informative flags.
+    g = gens()
+    report = ch.find_identity(g, r)
+    d, eye = g.d, np.eye(g.d)
+    worst = 0.0
+    for ms, m, t, informative in zip(report.multisets, report._monomials, report._transforms,
+                                     report.informative):
+        tr_m, tr_t = np.trace(m).real, np.trace(t).real
+        m0 = m - (tr_m / d) * eye
+        norm0 = float(np.vdot(m0, m0).real)
+        assert informative == (norm0 > 1e-16 * max(1.0, float(np.vdot(m, m).real)))
+        gm = float(np.vdot(m0, t - (tr_t / d) * eye).real) / norm0 if informative else 0.0
+        fm = (tr_t - gm * tr_m) / d
+        worst = max(worst, mc.max_abs(t - fm * eye - gm * m))
+        assert report.f_tensor[ms] == pytest.approx(fm, abs=1e-12)
+        if informative:
+            assert report.g_tensor[ms] == pytest.approx(gm, abs=1e-12)
+        else:
+            assert np.isnan(report.g_tensor[ms])
+    assert report.residual == pytest.approx(worst, abs=1e-12)
 
 
 def test_critical_values_rejects_rank_out_of_range():
@@ -369,7 +410,7 @@ def test_critical_values_rejects_rank_out_of_range():
 
 
 def test_spin1_critical_values():
-    decomp = ch.critical_values(spin(2), max_rank=2, seed=16)
+    decomp = ch.critical_values(spin(2), max_rank=2)
     e1, e2 = decomp.entry(1), decomp.entry(2)
     assert e1.p_value == pytest.approx(2.0)
     assert not e1.in_range and e1.verified is None
@@ -392,7 +433,7 @@ def test_spin1_critical_rank2_output_is_bloch():
 
 
 def test_g2_critical_value_is_one():
-    decomp = ch.critical_values(g2(), max_rank=1, seed=18)
+    decomp = ch.critical_values(g2(), max_rank=1)
     entry = decomp.entry(1)
     assert entry.p_value == pytest.approx(1.0)
     assert not entry.in_range          # g = 0 sits on the boundary

@@ -2,9 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import liechan
 from liechan import bloch as bl
@@ -281,6 +284,52 @@ def test_malformed_rho_exits_2_without_traceback(tmp_path, text):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"v": {"a": 1}}',
+        '{"v": [0, 0, 0], "w": {"data": [1, 0, 0, 0, 1, 0, 0, 0, 1], "shape": "ab"}}',
+    ],
+)
+def test_malformed_vw_rho_exits_2_without_traceback(tmp_path, text):
+    rho_file = tmp_path / "rho.json"
+    rho_file.write_text(text)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(liechan.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "liechan.cli", "apply", "--algebra", "spin", "--two-s", "2",
+         "--p", "0.1", "--rho", str(rho_file)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+# Arbitrary JSON for `apply --rho`, with the keys the input forms use made
+# likely, so that the raw-matrix, {v} and {v, w} paths all see malformed data.
+_JSON_KEYS = st.sampled_from(["v", "w", "dim", "entries", "data", "shape"]) | st.text(max_size=3)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=10) | st.dictionaries(_JSON_KEYS, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(obj=_JSON, algebra=st.sampled_from([["su", "--n", "2"], ["spin", "--two-s", "2"]]))
+@example(obj={"v": [10**400, 0, 0]}, algebra=["spin", "--two-s", "2"])
+@example(obj={"v": [0, 0, 0], "w": [[10**400] * 3] * 3}, algebra=["spin", "--two-s", "2"])
+@example(obj={"dim": 2, "entries": [[10**400, 0]] * 4}, algebra=["su", "--n", "2"])
+def test_apply_any_json_rho_returns_exit_code(obj, algebra):
+    with tempfile.TemporaryDirectory() as tmp:
+        rho_file = os.path.join(tmp, "rho.json")
+        with open(rho_file, "w") as fh:
+            json.dump(obj, fh)
+        code = main(["apply", "--algebra", *algebra, "--p", "0.3", "--rho", rho_file,
+                     "--out", os.path.join(tmp, "out.json")])
+    assert code in (0, 1, 2)
 
 
 SEED_MESSAGE = "error: --seed (or LIECHAN_SEED) must be >= 0\n"
