@@ -19,7 +19,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .channel import generator_action
+from .channel import generator_action, spin_vw_input
 from .matcore import (
     as_complex_matrix,
     char_poly_coeffs,
@@ -33,7 +33,7 @@ from .repgen import (
     GeneratorSet,
     StructureTensors,
     g2_rep,
-    spin_rep,
+    require_spin,
     structure_tensors,
 )
 
@@ -162,24 +162,14 @@ def sym_pair(a, b) -> np.ndarray:
     return sym_product([a, b])
 
 
-def rho_vw(two_s: int, v, w) -> np.ndarray:
-    """rho = v.J + sum_ab w_ab J_(a J_b) for the spin-s generators.
+def rho_vw(g: GeneratorSet, v, w) -> np.ndarray:
+    """rho = v.J + sum_ab w_ab J_(a J_b) for the spin-s set g.
 
     The trace comes entirely from the w term; unit trace requires
     tr(w) = 3/(d lam) with lam = s(s+1), which is enforced here.
     Positivity is not guaranteed.
     """
-    g = spin_rep(two_s)
-    d = g.d
-    lam = g.Z
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if v.shape != (3,) or w.shape != (3, 3):
-        raise ValueError("expected a 3-vector v and 3x3 tensor w")
-    if max_abs(w - w.T) > 1e-10:
-        raise ValueError("w must be symmetric")
-    if abs(np.trace(w) - 3.0 / (d * lam)) > 1e-10:
-        raise ValueError(f"tr(w) must equal 3/(d lam) = {3.0 / (d * lam)}")
+    v, w = spin_vw_input(g, v, w)
     return _rho_from_vw(g.generators, v, w)
 
 
@@ -194,7 +184,7 @@ def _rho_from_vw(gens, v, w) -> np.ndarray:
     return acc
 
 
-def extract_vw(rho, two_s: int, check: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def extract_vw(rho, g: GeneratorSet, check: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Invert rho = v.J + sum w_ab J_(a J_b) for a unit-trace rho:
 
         v_a  = (3/(d lam)) tr(rho J_a)
@@ -206,9 +196,8 @@ def extract_vw(rho, two_s: int, check: bool = True) -> tuple[np.ndarray, np.ndar
     ``check=True`` a reconstruction residual above 1e-8 raises
     SpanDeficientError, signaling a rho outside the (v, w) span.
     """
-    if two_s < 2:
+    if require_spin(g).d < 3:
         raise ValueError("extract_vw requires two_s >= 2 (dimension >= 3)")
-    g = spin_rep(two_s)
     m = as_complex_matrix(rho)
     if m.shape != (g.d, g.d):
         raise ValueError("dimension mismatch")
@@ -595,14 +584,13 @@ def spin_vw_pure_weight(two_s: int) -> float:
                      for l in range(3, two_s + 1)))
 
 
-def spin_vw_purity_search(two_s: int) -> float:
+def spin_vw_purity_search(g: GeneratorSet) -> float:
     """Measured weight ||(1 - P) vec(psi psi^dag)||^2 of the coherent state
     psi = |s, s> outside span{I, J_a, J_(a J_b)}, the minimum over pure
     states (:func:`spin_vw_pure_weight`).  The span is the l = 0, 1, 2
     eigenspaces of L (eigenvalue s(s+1) - l(l+1)/2 on rank l), and P projects
-    onto it through their orthonormal eigenvectors."""
-    g = spin_rep(two_s)
-    evals, evecs = np.linalg.eigh(generator_action(g))
+    onto it through their orthonormal eigenvectors; g is the spin-s set."""
+    evals, evecs = np.linalg.eigh(generator_action(require_spin(g)))
     span = evecs[:, evals > g.Z - 4.5]   # l = 2 sits at Z - 3, l = 3 at Z - 6
     rest = -span @ span[0].conj()         # -P vec(|s, s><s, s|), as J_3 = diag(s, ..., -s)
     rest[0] += 1.0

@@ -35,7 +35,7 @@ from .matcore import (
     readonly_copy,
     sym_monomials,
 )
-from .repgen import GeneratorSet, clifford_gamma
+from .repgen import GeneratorSet, clifford_gamma, require_spin
 
 NORMALIZATION_TOL = 1e-9
 DEPOLARIZING_FIT_TOL = 1e-8
@@ -169,29 +169,50 @@ def su_n_critical(n: int) -> float:
     return 1.0 - 1.0 / (n * n)
 
 
+def depolarizing_superoperator(d: int, lam: float) -> np.ndarray:
+    """T = lam I + ((1 - lam)/d) vec(I) vec(I)^T, the superoperator of
+    M -> lam M + (1 - lam) tr(M) I/d on row-major vec(M)."""
+    vec_eye = np.eye(d).ravel()
+    return lam * np.eye(d * d) + ((1.0 - lam) / d) * np.outer(vec_eye, vec_eye)
+
+
 def detect_depolarizing(ch: KrausChannel) -> float | None:
     """lambda with ch(M) = lambda M + (1 - lambda) tr(M) I/d for all M, or None.
 
     Decided from the superoperator S = sum_k K (x) conj(K): lambda =
     (tr S - 1)/(d^2 - 1), and the channel is depolarizing when every entry
-    of S is within DEPOLARIZING_FIT_TOL = 1e-8 of lambda I + ((1 - lambda)/d)
-    vec(I) vec(I)^T.
+    of S is within DEPOLARIZING_FIT_TOL = 1e-8 of
+    :func:`depolarizing_superoperator` at lambda.
     """
     d = ch.dim
     if d == 1:
         return None   # the only 1 x 1 channel is the identity: lambda is undetermined
     s = superoperator(ch.ops)
     lam = (float(np.trace(s).real) - 1.0) / (d * d - 1.0)
-    vec_eye = np.eye(d).ravel()
-    target = lam * np.eye(d * d) + ((1.0 - lam) / d) * np.outer(vec_eye, vec_eye)
-    return lam if max_abs(s - target) <= DEPOLARIZING_FIT_TOL else None
+    return lam if max_abs(s - depolarizing_superoperator(d, lam)) <= DEPOLARIZING_FIT_TOL else None
 
 
 # ---------------------------------------------------------------------------
 # Closed-form spin-s action on (v, w) coefficients.
 
-def spin_channel_vw(two_s: int, p: float, v, w) -> tuple[np.ndarray, np.ndarray]:
-    """Action of the spin-s channel on rho = v.J + sum w_ab J_(a J_b):
+def spin_vw_input(g: GeneratorSet, v, w) -> tuple[np.ndarray, np.ndarray]:
+    """(v, w) as float arrays for the spin set g, or ValueError unless v is a
+    3-vector and w a symmetric 3x3 tensor with the unit-trace normalization
+    tr(w) = 3/(d lam), lam = s(s+1)."""
+    require_spin(g)
+    v = np.asarray(v, dtype=float)
+    w = np.asarray(w, dtype=float)
+    if v.shape != (3,) or w.shape != (3, 3):
+        raise ValueError("expected a 3-vector v and 3x3 tensor w")
+    if max_abs(w - w.T) > 1e-10:
+        raise ValueError("w must be symmetric")
+    if abs(np.trace(w) - 3.0 / (g.d * g.Z)) > 1e-10:
+        raise ValueError(f"tr(w) must equal 3/(d lam) = {3.0 / (g.d * g.Z)}")
+    return v, w
+
+
+def spin_channel_vw(g: GeneratorSet, p: float, v, w) -> tuple[np.ndarray, np.ndarray]:
+    """Action of the channel of the spin-s set g on rho = v.J + sum w_ab J_(a J_b):
 
         v  -> (1 - p/lam) v
         w  -> (1 - 3p/lam) w + (p tr(w)/lam) delta
@@ -200,26 +221,12 @@ def spin_channel_vw(two_s: int, p: float, v, w) -> tuple[np.ndarray, np.ndarray]
     normalization; for s = 1 this specializes to v' = (1 - p/2) v and
     w' = (1 - 3p/2) w + (p/4) delta.
     """
-    if two_s < 1:
-        raise ValueError("two_s must be >= 1")
     if not 0.0 <= p <= 1.0:
         raise POutOfRangeError(f"p = {p} lies outside [0, 1]")
-    d = two_s + 1
-    s = two_s / 2.0
-    lam = s * (s + 1.0)
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if v.shape != (3,) or w.shape != (3, 3):
-        raise ValueError("expected a 3-vector v and a 3x3 tensor w")
-    if max_abs(w - w.T) > 1e-10:
-        raise ValueError("w must be symmetric")
-    trw = float(np.trace(w))
-    if abs(trw - 3.0 / (d * lam)) > 1e-10:
-        raise ValueError(
-            f"tr(w) = {trw} violates the unit-trace condition 3/(d lam) = {3.0 / (d * lam)}"
-        )
+    v, w = spin_vw_input(g, v, w)
+    lam = g.Z
     v2 = (1.0 - p / lam) * v
-    w2 = (1.0 - 3.0 * p / lam) * w + (p * trw / lam) * np.eye(3)
+    w2 = (1.0 - 3.0 * p / lam) * w + (p * float(np.trace(w)) / lam) * np.eye(3)
     return v2, w2
 
 

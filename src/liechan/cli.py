@@ -90,7 +90,7 @@ def _real_array(obj, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be a (nested) list of real numbers") from None
 
 
-def _load_rho(path: str, cfg: RunConfig, g: rg.GeneratorSet) -> mc.DensityMatrix:
+def _load_rho(path: str, g: rg.GeneratorSet) -> mc.DensityMatrix:
     with open(path) as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):
@@ -103,9 +103,7 @@ def _load_rho(path: str, cfg: RunConfig, g: rg.GeneratorSet) -> mc.DensityMatrix
                 if w.get("shape") != [3, 3]:
                     raise ValueError("w 'shape' must be [3, 3]")
                 w = _real_array(w.get("data"), "w 'data'").reshape(3, 3)
-            if cfg.algebra != "spin":
-                raise ValueError("(v, w) input requires --algebra spin")
-            return mc.DensityMatrix(bl.rho_vw(cfg.two_s, v, _real_array(w, "w")))
+            return mc.DensityMatrix(bl.rho_vw(g, v, _real_array(w, "w")))
         return mc.DensityMatrix(bl.bloch_rho(g, v))
     return mc.DensityMatrix(mc.matrix_from_json(obj))
 
@@ -113,7 +111,7 @@ def _load_rho(path: str, cfg: RunConfig, g: rg.GeneratorSet) -> mc.DensityMatrix
 def cmd_apply(cfg: RunConfig, rho_path: str) -> int:
     g = _genset(cfg)
     channel = ch.build_channel(g, cfg.p)
-    rho = _load_rho(rho_path, cfg, g)
+    rho = _load_rho(rho_path, g)
     out = ch.apply(channel, rho)
     lam = ch.detect_depolarizing(channel)
     report = {
@@ -125,9 +123,9 @@ def cmd_apply(cfg: RunConfig, rho_path: str) -> int:
         "min_eigenvalue": mc.min_eigenvalue(out.matrix),
         "depolarizing_lambda": lam,
     }
-    if cfg.algebra == "spin" and cfg.two_s >= 2:
+    if g.algebra == rg.SU2_SPIN and g.d >= 3:
         try:
-            v2, w2 = bl.extract_vw(out.matrix, cfg.two_s)
+            v2, w2 = bl.extract_vw(out.matrix, g)
             report["vw_out"] = {
                 "v": [float(x) for x in v2],
                 "w": {"shape": [3, 3], "data": [float(x) for x in w2.ravel()]},
@@ -142,7 +140,7 @@ def cmd_apply(cfg: RunConfig, rho_path: str) -> int:
 # verify
 
 def cmd_verify(cfg: RunConfig) -> int:
-    checks, info = verify.run_suite(cfg.algebra, cfg.n, cfg.two_s, cfg.seed, cfg.samples)
+    checks, info = verify.run_suite(cfg.algebra, cfg.n, cfg.two_s, cfg.seed)
     passed = all(c["pass"] for c in checks)
     report = {
         "algebra": cfg.algebra,
@@ -222,12 +220,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_apply)
     p_apply.add_argument("--p", type=float, default=0.0, help="error probability")
     p_apply.add_argument("--rho", required=True, help="density matrix JSON file")
-    p_verify = sub.add_parser("verify", help="run the identity suite")
-    common(p_verify)
+    common(sub.add_parser("verify", help="run the identity suite"))
     p_scan = sub.add_parser("bloch-scan", help="sample Bloch manifold membership")
     common(p_scan)
-    for p in (p_verify, p_scan):
-        p.add_argument("--samples", type=int, default=1000)
+    p_scan.add_argument("--samples", type=int, default=1000)
     p_scan.add_argument("--format", dest="fmt", choices=("json", "csv"), default="csv")
     p_crit = sub.add_parser("critical", help="critical error probabilities")
     common(p_crit)

@@ -43,18 +43,6 @@ def max_abs(m) -> float:
     return float(np.abs(m).max()) if np.asarray(m).size else 0.0
 
 
-def mat_mul(a, b) -> np.ndarray:
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b
-
-
-def dagger(m) -> np.ndarray:
-    return as_complex_matrix(m).conj().T
-
-
 def trace(m) -> complex:
     return complex(np.trace(as_complex_matrix(m)))
 

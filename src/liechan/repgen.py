@@ -81,18 +81,6 @@ def casimir_z(generators: Sequence) -> float:
     return float(z)
 
 
-def trace_form_constant(generators: Sequence) -> float:
-    """N with tr(X_a X_b) = N d delta_ab, or ValueError if not of that form."""
-    mats = [as_complex_matrix(g) for g in generators]
-    d = mats[0].shape[0]
-    gram = _gram(mats)
-    n = gram[0, 0].real / d
-    dev = max_abs(gram - n * d * np.eye(len(mats)))
-    if dev > TRACE_FORM_TOL:
-        raise ValueError(f"trace form is not N*d*delta: deviation {dev:.3e}")
-    return float(n)
-
-
 def generator_residuals(generators: Sequence, Z: float, N: float) -> dict:
     """Max-norm residuals of the four generator-set invariants: Hermiticity,
     tracelessness, sum_i X_i^2 = Z I and tr(X_a X_b) = N d delta_ab."""
@@ -144,11 +132,15 @@ class GeneratorSet:
 
     @classmethod
     def from_generators(cls, generators: Sequence, algebra: str = CUSTOM) -> "GeneratorSet":
+        """The set with N = tr(X_1^2)/d and Z = sum_i tr(X_i^2)/d, the
+        constants the invariants force; the constructor checks them."""
         mats = [as_complex_matrix(g) for g in generators]
+        if not mats:
+            raise ValueError("a generator set needs at least one generator")
         d = mats[0].shape[0]
-        z = casimir_z(mats)
-        n = trace_form_constant(mats)
-        return cls(algebra=algebra, d=d, k=len(mats), generators=tuple(mats), N=n, Z=z)
+        sq = [np.einsum("ij,ji->", m, m).real / d for m in mats]
+        return cls(algebra=algebra, d=d, k=len(mats), generators=tuple(mats),
+                   N=float(sq[0]), Z=float(sum(sq)))
 
     def to_json(self) -> dict:
         return {
@@ -325,6 +317,13 @@ def spin_rep(two_s: int) -> GeneratorSet:
         N=lam / 3.0,
         Z=lam,
     )
+
+
+def require_spin(g: GeneratorSet) -> GeneratorSet:
+    """g, or ValueError unless it is a spin-s set (:func:`spin_rep`)."""
+    if g.algebra != SU2_SPIN:
+        raise ValueError(f"expected a spin generator set ({SU2_SPIN}), got {g.algebra!r}")
+    return g
 
 
 # ---------------------------------------------------------------------------

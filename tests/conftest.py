@@ -33,6 +33,24 @@ def su_tensors(n):
 
 
 @pytest.fixture
+def spin_rep_calls(monkeypatch):
+    """The two_s of every repgen.spin_rep call made during the test (also
+    where a module imported the name)."""
+    from liechan import bloch
+
+    calls = []
+    original = repgen.spin_rep
+
+    def counted(two_s):
+        calls.append(two_s)
+        return original(two_s)
+
+    monkeypatch.setattr(repgen, "spin_rep", counted)
+    monkeypatch.setattr(bloch, "spin_rep", counted, raising=False)
+    return calls
+
+
+@pytest.fixture
 def reps():
     """Accessor bundle so tests can grab cached representations."""
     return {

@@ -77,14 +77,14 @@ def test_c03_spin_closed_form():
             rng = mc.derived_rng(103, 10 * two_s + i)
             p = rng.uniform(0.0, 1.0)
             v, w = random_unit_trace_vw(two_s, rng)
-            v2, w2 = ch.spin_channel_vw(two_s, p, v, w)
-            direct = ch.apply_matrix(ch.build_channel(g, p), bl.rho_vw(two_s, v, w))
-            assert mc.max_abs(direct - bl.rho_vw(two_s, v2, w2)) <= 1e-8
+            v2, w2 = ch.spin_channel_vw(spin(two_s), p, v, w)
+            direct = ch.apply_matrix(ch.build_channel(g, p), bl.rho_vw(spin(two_s), v, w))
+            assert mc.max_abs(direct - bl.rho_vw(spin(two_s), v2, w2)) <= 1e-8
     # spin-1 specialization
     rng = np.random.default_rng(104)
     v, w = random_unit_trace_vw(2, rng)
     for p in (0.0, 0.3, 0.7, 1.0):
-        v2, w2 = ch.spin_channel_vw(2, p, v, w)
+        v2, w2 = ch.spin_channel_vw(spin(2), p, v, w)
         assert mc.max_abs(v2 - (1.0 - p / 2.0) * v) <= 1e-12
         assert mc.max_abs(w2 - ((1.0 - 1.5 * p) * w + (p / 4.0) * np.eye(3))) <= 1e-12
     _report("3 spin-s closed form")
@@ -99,13 +99,13 @@ def test_c04_iteration_formula():
         rng = mc.derived_rng(105, i)
         p = rng.uniform(0.0, 1.0)
         _, w = random_unit_trace_vw(2, rng)
-        rho = bl.rho_vw(2, np.zeros(3), w)
+        rho = bl.rho_vw(spin(2), np.zeros(3), w)
         channel = ch.build_channel(g, p)
         acc = rho.copy()
         for n in range(1, 7):
             acc = ch.apply_matrix(channel, acc)
             wn = ch.iterate_w_polynomial(p, n).apply_to(w)
-            dev = mc.max_abs(acc - bl.rho_vw(2, np.zeros(3), wn))
+            dev = mc.max_abs(acc - bl.rho_vw(spin(2), np.zeros(3), wn))
             assert dev <= 1e-9, f"p={p} n={n} deviation {dev:.2e}"
     _report("4 iteration formula")
 

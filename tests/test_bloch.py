@@ -206,7 +206,7 @@ def test_spin1_extraction_coefficients():
     g = spin(2)
     rng = np.random.default_rng(10)
     rho = mc.random_density(3, rng).matrix
-    v, w = bl.extract_vw(rho, 2)
+    v, w = bl.extract_vw(rho, spin(2))
     for a in range(3):
         assert v[a] == pytest.approx(0.5 * np.trace(rho @ g.generators[a]).real, abs=1e-12)
         for b in range(3):
@@ -223,25 +223,25 @@ def test_rho_vw_round_trip_spin1():
     dw -= np.eye(3) * np.trace(dw) / 3.0
     v = rng.normal(size=3) * 0.05
     w = base + dw
-    v2, w2 = bl.extract_vw(bl.rho_vw(2, v, w), 2)
+    v2, w2 = bl.extract_vw(bl.rho_vw(spin(2), v, w), spin(2))
     np.testing.assert_allclose(v2, v, atol=1e-10)
     np.testing.assert_allclose(w2, w, atol=1e-10)
 
 
 def test_rho_vw_trace_precondition():
     with pytest.raises(ValueError):
-        bl.rho_vw(2, np.zeros(3), np.eye(3))
+        bl.rho_vw(spin(2), np.zeros(3), np.eye(3))
 
 
 def test_extract_vw_rejects_spin_half():
     with pytest.raises(ValueError):
-        bl.extract_vw(np.eye(2) / 2.0, 1)
+        bl.extract_vw(np.eye(2) / 2.0, spin(1))
 
 
 def test_extract_vw_spin32_outside_span():
     rho = mc.random_density(4, np.random.default_rng(12)).matrix
     with pytest.raises(bl.SpanDeficientError):
-        bl.extract_vw(rho, 3)
+        bl.extract_vw(rho, spin(3))
 
 
 def test_extract_vw_spin32_inside_span():
@@ -252,8 +252,8 @@ def test_extract_vw_spin32_inside_span():
     dw = (dw + dw.T) / 2.0
     dw -= np.eye(3) * np.trace(dw) / 3.0
     v = rng.normal(size=3) * 0.02
-    rho = bl.rho_vw(3, v, base + dw)
-    v2, w2 = bl.extract_vw(rho, 3)
+    rho = bl.rho_vw(spin(3), v, base + dw)
+    v2, w2 = bl.extract_vw(rho, spin(3))
     np.testing.assert_allclose(v2, v, atol=1e-10)
     np.testing.assert_allclose(w2, base + dw, atol=1e-10)
 
@@ -475,11 +475,11 @@ def test_sample_bloch_vectors_deterministic():
 
 def test_spin_vw_purity_search_spin1_finds_pure():
     # spin-1: pure states exist in the (v, w) span, so the residual is tiny
-    best = bl.spin_vw_purity_search(2)
+    best = bl.spin_vw_purity_search(spin(2))
     assert best < 1e-3
 
 
 def test_spin_vw_purity_search_spin32_stays_large():
     # observed empirically: no (v, w) state of spin 3/2 gets close to pure
-    best = bl.spin_vw_purity_search(3)
+    best = bl.spin_vw_purity_search(spin(3))
     assert best > 1e-3

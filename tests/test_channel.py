@@ -19,7 +19,7 @@ def random_unit_trace_vw(two_s, rng, scale=0.15):
     dw = (dw + dw.T) / 2.0
     dw -= np.eye(3) * np.trace(dw) / 3.0
     v = rng.normal(size=3) * scale
-    rho = bl.rho_vw(two_s, v, base + dw)
+    rho = bl.rho_vw(spin(two_s), v, base + dw)
     lo = float(np.linalg.eigvalsh(rho).min())
     if lo < 0.05 / d:
         shrink = 0.5 * (1.0 / d) / (1.0 / d - lo)
@@ -143,7 +143,7 @@ def test_spin1_vw_closed_form_exact():
     rng = np.random.default_rng(8)
     v, w = random_unit_trace_vw(2, rng)
     for p in (0.0, 0.3, 1.0):
-        v2, w2 = ch.spin_channel_vw(2, p, v, w)
+        v2, w2 = ch.spin_channel_vw(spin(2), p, v, w)
         np.testing.assert_allclose(v2, (1.0 - p / 2.0) * v, atol=1e-14)
         np.testing.assert_allclose(
             w2, (1.0 - 1.5 * p) * w + (p / 4.0) * np.eye(3), atol=1e-14
@@ -153,7 +153,7 @@ def test_spin1_vw_closed_form_exact():
 def test_spin1_w_fixed_point():
     w = np.eye(3) / 6.0
     for p in (0.2, 0.9):
-        _, w2 = ch.spin_channel_vw(2, p, np.zeros(3), w)
+        _, w2 = ch.spin_channel_vw(spin(2), p, np.zeros(3), w)
         np.testing.assert_allclose(w2, w, atol=1e-14)
 
 
@@ -164,14 +164,26 @@ def test_spin_vw_matches_direct_application(two_s):
         rng = mc.derived_rng(9, 10 * two_s + i)
         p = rng.uniform(0.0, 1.0)
         v, w = random_unit_trace_vw(two_s, rng)
-        v2, w2 = ch.spin_channel_vw(two_s, p, v, w)
-        direct = ch.apply_matrix(ch.build_channel(g, p), bl.rho_vw(two_s, v, w))
-        assert mc.max_abs(direct - bl.rho_vw(two_s, v2, w2)) < 1e-8
+        v2, w2 = ch.spin_channel_vw(spin(two_s), p, v, w)
+        direct = ch.apply_matrix(ch.build_channel(g, p), bl.rho_vw(spin(two_s), v, w))
+        assert mc.max_abs(direct - bl.rho_vw(spin(two_s), v2, w2)) < 1e-8
+
+
+def test_spin_vw_helpers_reject_non_spin_sets():
+    w = np.eye(3) / 8.0
+    with pytest.raises(ValueError, match="spin generator set"):
+        ch.spin_channel_vw(su(3), 0.5, np.zeros(3), w)
+    with pytest.raises(ValueError, match="spin generator set"):
+        bl.rho_vw(su(3), np.zeros(3), w)
+    with pytest.raises(ValueError, match="spin generator set"):
+        bl.extract_vw(np.eye(3) / 3.0, su(3))
+    with pytest.raises(ValueError, match="spin generator set"):
+        bl.spin_vw_purity_search(su(2))
 
 
 def test_spin_vw_trace_precondition():
     with pytest.raises(ValueError):
-        ch.spin_channel_vw(2, 0.5, np.zeros(3), np.eye(3))  # tr w = 3 != 1/2
+        ch.spin_channel_vw(spin(2), 0.5, np.zeros(3), np.eye(3))  # tr w = 3 != 1/2
 
 
 def test_iterate_w_polynomial_base_matches_one_application():
@@ -180,7 +192,7 @@ def test_iterate_w_polynomial_base_matches_one_application():
     it = ch.iterate_w_polynomial(p, 1)
     rng = np.random.default_rng(10)
     _, w = random_unit_trace_vw(2, rng)
-    _, w_direct = ch.spin_channel_vw(2, p, np.zeros(3), w)
+    _, w_direct = ch.spin_channel_vw(spin(2), p, np.zeros(3), w)
     np.testing.assert_allclose(it.apply_to(w), w_direct, atol=1e-14)
     assert it.value == pytest.approx(p / 4.0)
 
@@ -200,13 +212,13 @@ def test_iterate_w_matches_repeated_application():
     rng = np.random.default_rng(11)
     p = 0.4
     _, w = random_unit_trace_vw(2, rng)
-    rho = bl.rho_vw(2, np.zeros(3), w)
+    rho = bl.rho_vw(spin(2), np.zeros(3), w)
     channel = ch.build_channel(g, p)
     acc = rho.copy()
     for n in range(1, 4):
         acc = ch.apply_matrix(channel, acc)
     wn = ch.iterate_w_polynomial(p, 3).apply_to(w)
-    assert mc.max_abs(acc - bl.rho_vw(2, np.zeros(3), wn)) < 1e-9
+    assert mc.max_abs(acc - bl.rho_vw(spin(2), np.zeros(3), wn)) < 1e-9
 
 
 def test_iterate_w_rejects_nonpositive_n():
@@ -425,7 +437,7 @@ def test_spin1_critical_rank2_output_is_bloch():
     channel = ch.build_channel(g, lam / 3.0)
     rng = np.random.default_rng(17)
     v, w = random_unit_trace_vw(2, rng)
-    out = ch.apply_matrix(channel, bl.rho_vw(2, v, w))
+    out = ch.apply_matrix(channel, bl.rho_vw(spin(2), v, w))
     expect = np.eye(3) / 3.0 + (2.0 / 3.0) * sum(
         vi * ji for vi, ji in zip(v, g.generators)
     )

@@ -89,6 +89,24 @@ def test_apply_spin1_vw_report(tmp_path):
     np.testing.assert_allclose(got_v, (1.0 - p / 2.0) * v, atol=1e-9)
 
 
+def test_apply_spin_vw_builds_the_spin_set_once(tmp_path, spin_rep_calls):
+    rho_file = tmp_path / "rho.json"
+    rho_file.write_text(json.dumps({"v": [0.1, 0.0, -0.1], "w": (np.eye(3) / 6.0).tolist()}))
+    code, text = run(
+        tmp_path, "apply", "--algebra", "spin", "--two-s", "2", "--p", "0.2",
+        "--rho", str(rho_file),
+    )
+    assert code == 0 and json.loads(text)["vw_out"] is not None
+    assert spin_rep_calls == [2]
+
+
+def test_apply_vw_input_needs_spin_algebra(tmp_path):
+    rho_file = tmp_path / "rho.json"
+    rho_file.write_text(json.dumps({"v": [0.0, 0.0, 0.0], "w": (np.eye(3) / 6.0).tolist()}))
+    code, _ = run(tmp_path, "apply", "--algebra", "su", "--n", "3", "--rho", str(rho_file))
+    assert code == 2
+
+
 def test_apply_bloch_vector_input(tmp_path):
     g = su(2)
     rho_file = tmp_path / "rho.json"
@@ -256,6 +274,7 @@ def test_generator_dump_reloads(tmp_path):
         ["critical", "--algebra", "su", "--n", "3", "--samples", "5"],
         ["gen", "--algebra", "su", "--n", "3", "--p", "0.5"],
         ["verify", "--algebra", "su", "--n", "3", "--format", "csv"],
+        ["verify", "--algebra", "su", "--n", "3", "--samples", "5"],
     ],
 )
 def test_unread_flag_exits_2(argv):

@@ -13,45 +13,6 @@ PAULI = [
 ]
 
 
-def test_mat_mul_identity():
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    np.testing.assert_array_equal(mc.mat_mul(np.eye(3), a), a)
-
-
-def test_mat_mul_pauli():
-    np.testing.assert_allclose(mc.mat_mul(PAULI[0], PAULI[1]), 1j * PAULI[2], atol=1e-15)
-
-
-def test_mat_mul_matches_triple_loop_oracle():
-    rng = np.random.default_rng(1)
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    expected = np.zeros((3, 3), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                expected[i, j] += a[i, k] * b[k, j]
-    np.testing.assert_allclose(mc.mat_mul(a, b), expected, atol=1e-12)
-
-
-def test_mat_mul_dimension_mismatch():
-    with pytest.raises(ValueError):
-        mc.mat_mul(np.eye(2), np.eye(3))
-
-
-def test_mat_mul_rejects_nonfinite():
-    bad = np.array([[np.nan, 0], [0, 1]], dtype=complex)
-    with pytest.raises(ValueError):
-        mc.mat_mul(bad, np.eye(2))
-
-
-def test_mat_mul_accepts_transposed_views():
-    rng = np.random.default_rng(42)
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    np.testing.assert_allclose(mc.mat_mul(a.conj().T, a), a.conj().T @ a, atol=1e-12)
-
-
 def test_hermitian_eigenvalues_sorted():
     np.testing.assert_allclose(
         mc.hermitian_eigenvalues(np.diag([3.0, 1.0, 2.0])), [1, 2, 3], atol=1e-12
@@ -197,11 +158,6 @@ def test_anticommutator_pauli():
 def test_commutator_spin1():
     j = spin(2).generators
     np.testing.assert_allclose(mc.commutator(j[0], j[1]), 1j * j[2], atol=1e-14)
-
-
-def test_dagger():
-    a = np.array([[1, 2j], [3, 4]], dtype=complex)
-    np.testing.assert_array_equal(mc.dagger(a), a.conj().T)
 
 
 def test_density_matrix_trace_one():

@@ -324,6 +324,33 @@ def test_from_generators_pauli():
     assert g.Z == pytest.approx(3.0)
 
 
+def test_from_generators_empty_raises_value_error():
+    with pytest.raises(ValueError, match="at least one generator"):
+        rg.GeneratorSet.from_generators([])
+
+
+def test_from_generators_unequal_blocks_not_scalar():
+    a, b = spin(2).generators, spin(1).generators
+    combined = [np.block([[x, np.zeros((3, 2))], [np.zeros((2, 3)), y]]) for x, y in zip(a, b)]
+    with pytest.raises(rg.NotScalarError):
+        rg.GeneratorSet.from_generators(combined)
+
+
+def test_from_generators_measures_once(monkeypatch):
+    calls = {"_square_sum": 0, "_gram": 0}
+    for name in calls:
+        original = getattr(rg, name)
+
+        def counted(mats, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(mats)
+
+        monkeypatch.setattr(rg, name, counted)
+    g = rg.GeneratorSet.from_generators(su(3).generators)
+    assert calls == {"_square_sum": 1, "_gram": 1}
+    assert g.Z == pytest.approx(su(3).Z, abs=1e-14) and g.N == pytest.approx(su(3).N, abs=1e-14)
+
+
 def test_rotate_basis_preserves_invariants():
     g = su(3)
     rng = np.random.default_rng(14)

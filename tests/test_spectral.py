@@ -89,7 +89,7 @@ def test_spin_channel_vw_factors_are_rank_1_and_2_eigenvalues(two_s):
     v = np.array([0.1, -0.2, 0.05])
     w = np.eye(3) / (g.d * lam)
     w0 = np.array([[0.02, 0.01, 0.0], [0.01, -0.03, 0.02], [0.0, 0.02, 0.01]])
-    v2, w2 = ch.spin_channel_vw(two_s, p, v, w + w0)
+    v2, w2 = ch.spin_channel_vw(spin(two_s), p, v, w + w0)
     rank1 = 1 - p + p * spectrum[0][0] / lam            # l = 1
     assert rank1 == pytest.approx(1 - p / lam, abs=1e-12)
     assert mc.max_abs(v2 - rank1 * v) < 1e-12
@@ -107,7 +107,7 @@ def test_iterate_w_polynomial_is_power_of_spin1_rank2_factor(n):
     assert rank2[1] == 5
     w0 = np.array([[0.05, 0.02, -0.01], [0.02, -0.03, 0.04], [-0.01, 0.04, -0.02]])
     w = np.eye(3) / 6.0 + w0
-    rho = bl.rho_vw(2, np.zeros(3), w)
+    rho = bl.rho_vw(spin(2), np.zeros(3), w)
     for p in (0.1, 0.5, 0.9):
         factor = 1 - p + p * rank2[0] / g.Z
         it = ch.iterate_w_polynomial(p, n)
@@ -116,7 +116,7 @@ def test_iterate_w_polynomial_is_power_of_spin1_rank2_factor(n):
         assert mc.max_abs(wn - (np.eye(3) / 6.0 + factor**n * w0)) < 1e-12
         s = ch.superoperator(ch.build_channel(g, p).ops)
         out = (np.linalg.matrix_power(s, n) @ rho.ravel()).reshape(3, 3)
-        assert mc.max_abs(out - bl.rho_vw(2, np.zeros(3), wn)) < 1e-12
+        assert mc.max_abs(out - bl.rho_vw(spin(2), np.zeros(3), wn)) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -176,7 +176,7 @@ def test_traceless_basis_is_orthonormal_eigenbasis(build, rank, dim):
 )
 def test_spin_vw_pure_weight_values(two_s, exact):
     assert bl.spin_vw_pure_weight(two_s) == pytest.approx(exact, abs=1e-15)
-    assert bl.spin_vw_purity_search(two_s) == pytest.approx(exact, abs=1e-12)
+    assert bl.spin_vw_purity_search(spin(two_s)) == pytest.approx(exact, abs=1e-12)
 
 
 @pytest.mark.parametrize("two_s", range(3, 8))

@@ -1,7 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
+from liechan import channel as ch
+from liechan import matcore as mc
+from liechan import repgen as rg
 from liechan import verify
 from liechan.cli import main
 
@@ -75,3 +79,60 @@ def test_spin_suite_reports_exact_pure_weight():
         assert by_name["vw_pure_weight_witness"]["tolerance"] == 1e-12
         assert info["vw_pure_weight_min"] == bl.spin_vw_pure_weight(two_s)
         assert "vw_purity_search_min" not in info
+
+
+@pytest.mark.parametrize("algebra, size", [("su", {"n": 2}), ("su", {"n": 4}), ("clifford", {})])
+def test_su_and_clifford_suites_draw_no_random_density(monkeypatch, algebra, size):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the suite drew a random density matrix")
+
+    monkeypatch.setattr(mc, "random_density", refuse)
+    checks, _ = verify.run_suite(algebra, seed=3, **size)
+    assert all(c["pass"] for c in checks)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_su_depolarizing_residual_is_row_sum_norm(n):
+    g = rg.gell_mann(n)
+    vec_eye = np.eye(n).ravel()
+    worst = 0.0
+    for p in (0.0, 0.25, 0.5, 0.75, 1.0):
+        s = ch.superoperator(ch.build_channel(g, p).ops)
+        ops = [np.sqrt(1.0 - p) * np.eye(n)] + [np.sqrt(p / g.Z) * x for x in g.generators]
+        assert mc.max_abs(s - sum(np.kron(k, k.conj()) for k in ops)) <= 1e-15
+        lam = ((1.0 - p) * n * n - 1.0) / (n * n - 1.0)
+        target = lam * np.eye(n * n) + (1.0 - lam) / n * np.outer(vec_eye, vec_eye)
+        worst = max(worst, np.linalg.norm(s - target, np.inf))
+    checks, _ = verify.run_suite("su", n=n)
+    by_name = {c["name"]: c for c in checks}
+    assert by_name["depolarizing_factor"]["residual"] == worst
+    assert by_name["depolarizing_factor"]["tolerance"] == 1e-9
+    assert by_name["critical_map_to_uniform"]["tolerance"] == 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_su_depolarizing_factor_off_by_1e7_fails(monkeypatch, n):
+    original = ch.su_n_factor
+    monkeypatch.setattr(ch, "su_n_factor", lambda p, n: original(p, n) + 1e-7)
+    checks, _ = verify.run_suite("su", n=n)
+    by_name = {c["name"]: c for c in checks}
+    assert not by_name["depolarizing_factor"]["pass"]
+    # S - T = -1e-7 (I - vec(I) vec(I)^T/n), whose largest row sum is 2 (n - 1)/n
+    assert by_name["depolarizing_factor"]["residual"] == pytest.approx(2e-7 * (n - 1) / n, rel=1e-6)
+    assert by_name["critical_map_to_uniform"]["pass"]
+
+
+def test_spin_suite_builds_the_spin_set_once(spin_rep_calls):
+    checks, _ = verify.run_suite("spin", two_s=2)
+    assert all(c["pass"] for c in checks)
+    assert spin_rep_calls == [2]
+
+
+def test_g2_cubic_identity_is_exact_superoperator_residual():
+    g = rg.g2_rep()
+    stack = np.stack(g.generators)
+    direct = max(mc.max_abs(np.einsum("iab,bc,icd->ad", stack, b, stack)) for b in g.generators)
+    checks, _ = verify.run_suite("g2")
+    by_name = {c["name"]: c for c in checks}
+    assert by_name["cubic_identity"]["residual"] == pytest.approx(direct, abs=1e-14)
+    assert by_name["cubic_identity"]["residual"] <= 1e-12
