@@ -71,11 +71,33 @@ def membership_eig(g: GeneratorSet, v) -> bool:
     return bool(ev[0] >= -MEMBERSHIP_TOL)
 
 
+# The charpoly oracle reads the coefficients b_k = e_k(mu) of N = rho/||rho||_F.
+# Its eigenvalues mu have sum mu^2 = 1, so |mu| <= 1 and every power trace
+# p_q = tr N^q of the Newton recursion in char_poly_coeffs has |p_q| <= 1
+# for q >= 2 (p_1 <= sqrt(d)).  With u = eps/2 the unit roundoff and
+# B = max_k |b_k| (>= b_0 = 1), the recursion's errors are:
+# * data: p_q takes q - 1 products of matrices with entries bounded by 1,
+#   each entry a length-d dot product, and a d-term trace, so
+#   |dp_q| <= q d^2 u.  Since sum_k b_k t^k = exp(sum_q (-1)^(q-1) p_q t^q/q),
+#   db_k/dp_q = (-1)^(q-1) b_(k-q)/q exactly, and b_k moves by at most
+#   sum_(q<=k) d^2 u |b_(k-q)| <= d^3 u B to first order;
+# * rounding: step k sums k products of size at most B (sqrt(d) for q = 1)
+#   and divides by k, O(d u B), below the data term for d >= 2.
+# So b_k >= -2 d^3 u B = -d^3 eps B accepts every PSD rho, to first order
+# with a factor two to spare (measured errors on low-rank su(n) states up to
+# d = 8 stay below 1e-15 B).  Scaling by ||rho||_F, not d, keeps the p_q bounded: the
+# eigenvalues of d*rho reach d on pure states, where the terms of the
+# recursion grow like d^d.
+CHARPOLY_EPS = float(np.finfo(float).eps)
+
+
 def membership_charpoly(g: GeneratorSet, v) -> bool:
     """Same membership decided by Descartes' rule of signs: all
-    characteristic-polynomial coefficients of rho(v) nonnegative."""
-    coeffs = char_poly_coeffs(bloch_rho(g, v))
-    return bool(coeffs.min() >= -MEMBERSHIP_TOL)
+    characteristic-polynomial coefficients of rho(v) nonnegative, read on
+    rho/||rho||_F to within the recursion's rounding, d^3 eps max_k |b_k|."""
+    rho = bloch_rho(g, v)
+    b = char_poly_coeffs(rho / np.linalg.norm(rho))
+    return bool(b.min() >= -g.d ** 3 * CHARPOLY_EPS * np.abs(b).max())
 
 
 def norm_bound(g: GeneratorSet) -> float:

@@ -31,6 +31,24 @@ from . import repgen as rg
 from . import verify
 
 
+# Size limits, checked before anything is built or sampled.  Each keeps the
+# largest array its flag can size within ARRAY_BUDGET (256 MiB):
+# * --n: `critical --max-rank 3` on su(n) holds C(k+2, 3) rank-3 monomials
+#   of n x n complex128 (16 byte) entries, k = n^2 - 1: 267 MB at n = 10,
+#   572 MB at n = 11.  The other su(n) arrays (the k^2 n^2 products of
+#   structure_tensors, the n^2 x n^2 superoperator) are smaller.
+# * --two-s: the spin superoperator and its eigenvectors are d^2 x d^2
+#   complex128, d = two_s + 1: 16 d^4 bytes, 256 MiB at d = 64.
+# * --samples: a scan keeps each sample's k <= MAX_N^2 - 1 coordinates as a
+#   float64, a Python float and report text, at most SCAN_BYTES_PER_COORD
+#   in all (tracemalloc measured 171 bytes for a JSON su(10) scan).
+ARRAY_BUDGET = 2 ** 28
+SCAN_BYTES_PER_COORD = 256
+MAX_N = 10
+MAX_TWO_S = 63
+MAX_SAMPLES = ARRAY_BUDGET // (SCAN_BYTES_PER_COORD * (MAX_N ** 2 - 1))
+
+
 @dataclass(frozen=True)
 class RunConfig:
     algebra: str | None
@@ -45,6 +63,10 @@ class RunConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("--samples must be >= 1")
+        for flag, value, bound in (("--n", self.n, MAX_N), ("--two-s", self.two_s, MAX_TWO_S),
+                                   ("--samples", self.samples, MAX_SAMPLES)):
+            if value is not None and value > bound:
+                raise ValueError(f"{flag} must be <= {bound} (the {ARRAY_BUDGET >> 20} MiB array budget)")
         if self.seed < 0:
             raise ValueError("--seed (or LIECHAN_SEED) must be >= 0")
 

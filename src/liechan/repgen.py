@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from functools import reduce
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
 from .matcore import (
     as_complex_matrix,
-    is_hermitian,
     matrix_from_json,
     matrix_to_json,
     max_abs,
@@ -54,31 +54,9 @@ class NotScalarError(ValueError):
     """
 
 
-def _square_sum(mats) -> np.ndarray:
-    d = mats[0].shape[0]
-    total = np.zeros((d, d), dtype=np.complex128)
-    for m in mats:
-        total += m @ m
-    return total
-
-
 def _gram(mats) -> np.ndarray:
     stack = np.stack(mats)
     return np.einsum("aij,bji->ab", stack, stack)
-
-
-def casimir_z(generators: Sequence) -> float:
-    """Z with sum_i X_i^2 = Z * identity, or NotScalarError if no such Z."""
-    mats = [as_complex_matrix(g) for g in generators]
-    d = mats[0].shape[0]
-    total = _square_sum(mats)
-    z = np.trace(total).real / d
-    dev = max_abs(total - z * np.eye(d))
-    if dev > CASIMIR_TOL:
-        raise NotScalarError(
-            f"sum of squared generators deviates from a scalar by {dev:.3e}"
-        )
-    return float(z)
 
 
 def generator_residuals(generators: Sequence, Z: float, N: float) -> dict:
@@ -88,7 +66,7 @@ def generator_residuals(generators: Sequence, Z: float, N: float) -> dict:
     return {
         "hermiticity": max(max_abs(x - x.conj().T) for x in generators),
         "traceless": max(abs(np.trace(x)) for x in generators),
-        "casimir_deviation": max_abs(_square_sum(generators) - Z * np.eye(d)),
+        "casimir_deviation": max_abs(sum(x @ x for x in generators) - Z * np.eye(d)),
         "trace_form_deviation": max_abs(_gram(generators) - N * d * np.eye(len(generators))),
     }
 
@@ -364,6 +342,20 @@ def octonion_multiply(x, y, table: np.ndarray | None = None) -> np.ndarray:
     return np.einsum("i,j,ijk->k", np.asarray(x, dtype=float), np.asarray(y, dtype=float), t)
 
 
+def _derivation_tensor(t: np.ndarray) -> np.ndarray:
+    """Every derivation D(e_p, e_q) of the algebra with multiplication tensor
+    t, as D[p, q] = the 8x8 matrix of a -> [[e_p,e_q],a] - 3[e_p,e_q,a].
+
+    With c = t - t^T (so [e_i, e_j] = sum_k c[i, j, k] e_k) the commutator
+    term is sum_m c[p,q,m] c[m,a,k] and the associator
+    [e_p,e_q,e_a] = (e_p e_q) e_a - e_p (e_q e_a) is
+    sum_m t[p,q,m] t[m,a,k] - t[q,a,m] t[p,m,k]; row k, column a.
+    """
+    c = t - t.transpose(1, 0, 2)
+    assoc = np.einsum("pqm,mak->pqka", t, t) - np.einsum("qam,pmk->pqka", t, t)
+    return np.einsum("pqm,mak->pqka", c, c) - 3.0 * assoc
+
+
 def octonion_derivation(x, y, table: np.ndarray | None = None) -> np.ndarray:
     """The derivation D(x, y): a -> [[x,y],a] - 3[x,y,a] as an 8x8 matrix.
 
@@ -371,36 +363,9 @@ def octonion_derivation(x, y, table: np.ndarray | None = None) -> np.ndarray:
     octonions makes D(x, y) a derivation of the algebra.
     """
     t = octonion_table() if table is None else table
-
-    def mul(u, v):
-        return np.einsum("i,j,ijk->k", u, v, t)
-
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    com = mul(x, y) - mul(y, x)
-    xy = mul(x, y)
-    out = np.zeros((8, 8))
-    eye = np.eye(8)
-    for j in range(8):
-        a = eye[j]
-        term1 = mul(com, a) - mul(a, com)
-        assoc = mul(xy, a) - mul(x, mul(y, a))
-        out[:, j] = term1 - 3.0 * assoc
-    return out
-
-
-def _check_leibniz(dmat: np.ndarray, table: np.ndarray) -> None:
-    eye = np.eye(8)
-    for a in range(8):
-        for b in range(8):
-            prod = np.einsum("i,j,ijk->k", eye[a], eye[b], table)
-            lhs = dmat @ prod
-            rhs = (
-                np.einsum("i,j,ijk->k", dmat @ eye[a], eye[b], table)
-                + np.einsum("i,j,ijk->k", eye[a], dmat @ eye[b], table)
-            )
-            if max_abs(lhs - rhs) > 1e-10:
-                raise ArithmeticError("derivation property D(ab) = D(a)b + a D(b) failed")
+    return np.einsum("p,q,pqka->ka", x, y, _derivation_tensor(t))
 
 
 def g2_rep() -> GeneratorSet:
@@ -421,18 +386,18 @@ def g2_rep() -> GeneratorSet:
     tr((v.beta)^4) = v^4/16 = (tr (v.beta)^2)^2/4.
     """
     table = octonion_table()
-
-    def dpair(i, j):
-        m = octonion_derivation(np.eye(8)[i], np.eye(8)[j], table)
-        _check_leibniz(m, table)
-        if max_abs(m[0, :]) > 1e-12 or max_abs(m[:, 0]) > 1e-12:
-            raise ArithmeticError("derivation does not preserve the imaginary subspace")
-        return 0.5 * m[1:, 1:]
-
-    d = {}
-    for i, j in [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7),
-                 (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (4, 5), (4, 6), (4, 7)]:
-        d[(i, j)] = dpair(i, j)
+    pairs = [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7),
+             (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (4, 5), (4, 6), (4, 7)]
+    p, q = np.transpose(pairs)
+    raw = _derivation_tensor(table)[p, q]
+    # Leibniz rule D(e_a e_b) = D(e_a) e_b + e_a D(e_b) for all 14 and all (a, b)
+    lhs = np.einsum("nkl,abl->nabk", raw, table)
+    rhs = np.einsum("nma,mbk->nabk", raw, table) + np.einsum("nmb,amk->nabk", raw, table)
+    if max_abs(lhs - rhs) > 1e-10:
+        raise ArithmeticError("derivation property D(ab) = D(a)b + a D(b) failed")
+    if max_abs(raw[:, 0, :]) > 1e-12 or max_abs(raw[:, :, 0]) > 1e-12:
+        raise ArithmeticError("derivation does not preserve the imaginary subspace")
+    d = dict(zip(pairs, 0.5 * raw[:, 1:, 1:]))
 
     m_basis = [d[(1, i)] for i in range(2, 8)]
     h_basis = [
@@ -447,10 +412,9 @@ def g2_rep() -> GeneratorSet:
     ]
     scale_m = 1j / math.sqrt(24.0)
     scale_h = 1j / math.sqrt(72.0)
-    betas = [scale_m * b for b in m_basis] + [scale_h * b for b in h_basis]
-    for b in betas:
-        if not is_hermitian(b, 1e-12):
-            raise ArithmeticError("scaled derivation failed to be Hermitian")
+    betas = np.stack([scale_m * b for b in m_basis] + [scale_h * b for b in h_basis])
+    if max_abs(betas - betas.conj().transpose(0, 2, 1)) > 1e-12:
+        raise ArithmeticError("scaled derivation failed to be Hermitian")
     return GeneratorSet(
         algebra=G2_FUNDAMENTAL,
         d=7,
@@ -479,7 +443,10 @@ def clifford_weyl() -> tuple[GeneratorSet, GammaBasis]:
 
     The block (Weyl) form is used: gamma_j = offdiag(-i sigma_j, i sigma_j)
     for j = 1..3 and gamma_4 = offdiag(I, I), so gamma_mu^2 = I and distinct
-    gammas anticommute.
+    gammas anticommute.  Anticommuting factors make every signed reordering
+    of a product of distinct gammas equal to the ordered product, so the
+    antisymmetrized product of gamma_i1 .. gamma_ir (i1 < .. < ir) is the
+    ordered product itself.
     """
     s = [
         np.array([[0, 1], [1, 0]], dtype=np.complex128),
@@ -502,7 +469,7 @@ def clifford_weyl() -> tuple[GeneratorSet, GammaBasis]:
     basis = [np.eye(4, dtype=np.complex128)] + list(gammas)
     for r in (2, 3, 4):
         for idx in combinations(range(4), r):
-            basis.append(_antisymmetrized([gammas[i] for i in idx]))
+            basis.append(reduce(np.matmul, [gammas[i] for i in idx]))
     basis = GammaBasis(basis)
     basis.rank = basis_rank(basis)
     if basis.rank != 16:
@@ -522,35 +489,6 @@ def clifford_gamma(x, genset: GeneratorSet) -> np.ndarray:
     if x.shape != (genset.k,):
         raise ValueError(f"expected a length-{genset.k} vector")
     return np.einsum("i,iab->ab", x, np.stack(genset.generators))
-
-
-def _antisymmetrized(mats) -> np.ndarray:
-    d = mats[0].shape[0]
-    total = np.zeros((d, d), dtype=np.complex128)
-    for perm in permutations(range(len(mats))):
-        sign = _perm_sign(perm)
-        acc = mats[perm[0]]
-        for i in perm[1:]:
-            acc = acc @ mats[i]
-        total += sign * acc
-    return total / math.factorial(len(mats))
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 # Convenience dispatcher used by the CLI.

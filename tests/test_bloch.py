@@ -78,6 +78,40 @@ def test_membership_oracles_agree_at_radius_two_su3():
         assert bl.membership_eig(g, v) == bl.membership_charpoly(g, v) == False  # noqa: E712
 
 
+BOUNDARY_SETS = {
+    "su3": lambda: su(3), "su6": lambda: su(6), "su8": lambda: su(8),
+    "spin3_2": lambda: spin(3), "spin7_2": lambda: spin(7), "g2": g2,
+}
+
+
+@pytest.mark.parametrize("delta", [1e-3, -1e-3, 1e-6, -1e-6])
+@pytest.mark.parametrize("name", sorted(BOUNDARY_SETS))
+def test_membership_oracles_agree_on_boundary_rays(name, delta):
+    # v = r(u) (1 + delta) u with r(u) = -1/lambda_min(u.X): rho(v) has least
+    # eigenvalue -delta/d, outside the manifold for delta > 0 and inside for
+    # delta < 0, however close to the boundary
+    g = BOUNDARY_SETS[name]()
+    x = np.stack(g.generators)
+    rng = np.random.default_rng(40)
+    for _ in range(100):
+        u = rng.normal(size=g.k)
+        u /= np.linalg.norm(u)
+        r = -1.0 / np.linalg.eigvalsh(np.einsum("a,aij->ij", u, x))[0]
+        v = r * (1.0 + delta) * u
+        assert bl.membership_eig(g, v) == bl.membership_charpoly(g, v) == (delta < 0)
+
+
+def test_membership_charpoly_accepts_pure_su_n_states():
+    # d*rho has eigenvalue d on a pure state; the recursion must not turn
+    # the d - 1 zero eigenvalues into a rejection
+    for n in (2, 3, 6, 8):
+        g = su(n)
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            psi = mc.random_pure_statevector(n, rng)
+            assert bl.membership_charpoly(g, bl.bloch_vector(g, np.outer(psi, psi.conj())))
+
+
 def test_charpoly_a2_equals_norm_condition():
     # a_2 >= 0 is exactly v^2 <= n(n-1)/2 for the su(n) Bloch state
     g = su(3)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -220,6 +221,49 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
 def test_invalid_samples_exits_2(tmp_path):
     code, _ = run(tmp_path, "bloch-scan", "--algebra", "su", "--n", "2", "--samples", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["critical", "--algebra", "su", "--max-rank", "3", "--n"], "--n"),
+        (["verify", "--algebra", "spin", "--two-s"], "--two-s"),
+        (["bloch-scan", "--algebra", "su", "--n", "3", "--samples"], "--samples"),
+    ],
+)
+def test_size_flag_over_bound_exits_2_before_allocating(tmp_path, monkeypatch, capsys, argv, flag):
+    from liechan import cli
+    from liechan import repgen as rg
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached a factory past the size bound")
+
+    for module, name in [(rg, "gell_mann"), (rg, "spin_rep"), (rg, "g2_rep"),
+                         (rg, "clifford_weyl"), (rg, "structure_tensors"),
+                         (bl, "sample_bloch_vectors")]:
+        monkeypatch.setattr(module, name, unreachable)
+    bound = {"--n": cli.MAX_N, "--two-s": cli.MAX_TWO_S, "--samples": cli.MAX_SAMPLES}[flag]
+    code, _ = run(tmp_path, *argv, str(bound + 1))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {flag} must be <= {bound} (the 256 MiB array budget)\n"
+    cfg = dict(algebra="su", n=None, two_s=None, p=0.0, seed=0, samples=1, output_path=None, fmt="csv")
+    cfg[{"--n": "n", "--two-s": "two_s", "--samples": "samples"}[flag]] = bound
+    cli.RunConfig(**cfg)
+
+
+def test_size_bounds_fit_the_budget_and_every_size_in_use():
+    from liechan import cli
+
+    # su(8), spin-7/2 and 1000-sample scans are the largest the tests and
+    # the benchmark workloads run
+    assert cli.MAX_N >= 8 and cli.MAX_TWO_S >= 7 and cli.MAX_SAMPLES >= 1000
+
+    # each bound is the largest size whose array fits the budget
+    def monomial_bytes(n):
+        return 16 * math.comb(n * n + 1, 3) * n * n
+
+    assert monomial_bytes(cli.MAX_N) <= cli.ARRAY_BUDGET < monomial_bytes(cli.MAX_N + 1)
+    assert 16 * (cli.MAX_TWO_S + 1) ** 4 <= cli.ARRAY_BUDGET < 16 * (cli.MAX_TWO_S + 2) ** 4
 
 
 @pytest.mark.parametrize("max_rank", ["0", "4"])

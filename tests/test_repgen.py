@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -255,6 +258,54 @@ def test_g2_commutators_close_in_span():
     assert worst < 1e-8
 
 
+def _reference_derivation(x, y, t):
+    """D(x, y) column by column: [[x,y],a] - 3((xy)a - x(ya)) for a = e_j."""
+    def mul(u, w):
+        return rg.octonion_multiply(u, w, t)
+
+    com = mul(x, y) - mul(y, x)
+    out = np.zeros((8, 8))
+    for j, a in enumerate(np.eye(8)):
+        out[:, j] = mul(com, a) - mul(a, com) - 3.0 * (mul(mul(x, y), a) - mul(x, mul(y, a)))
+    return out
+
+
+def test_g2_generators_bitwise_equal_to_column_construction():
+    t = rg.octonion_table()
+    e = np.eye(8)
+    d = {(i, j): 0.5 * _reference_derivation(e[i], e[j], t)[1:, 1:]
+         for i in range(1, 8) for j in range(i + 1, 8)}
+    m_basis = [d[(1, i)] for i in range(2, 8)]
+    h_basis = [
+        d[(1, 2)] + 2 * d[(4, 7)], d[(1, 3)] - 2 * d[(4, 6)], d[(1, 4)] - 2 * d[(2, 7)],
+        d[(1, 5)] + 2 * d[(2, 6)], d[(1, 6)] - 2 * d[(2, 5)], d[(1, 7)] + 2 * d[(2, 4)],
+        math.sqrt(3.0) * d[(2, 3)], d[(2, 3)] + 2 * d[(4, 5)],
+    ]
+    expect = ([(1j / math.sqrt(24.0)) * b for b in m_basis]
+              + [(1j / math.sqrt(72.0)) * b for b in h_basis])
+    g = rg.g2_rep()
+    assert [b.tobytes() for b in g.generators] == [
+        np.asarray(b, dtype=np.complex128).tobytes() for b in expect]
+    assert (g.N, g.Z) == (1.0 / 14.0, 1.0)
+
+
+def test_octonion_derivation_matches_column_construction():
+    t = rg.octonion_table()
+    rng = np.random.default_rng(15)
+    for _ in range(5):
+        x, y = rng.normal(size=8), rng.normal(size=8)
+        np.testing.assert_allclose(rg.octonion_derivation(x, y, t),
+                                   _reference_derivation(x, y, t), atol=1e-12)
+
+
+def test_g2_leibniz_check_rejects_a_flipped_sign(monkeypatch):
+    t = rg.octonion_table()
+    t[1, 2, 3] = -t[1, 2, 3]  # e_1 e_2 = -e_3 = e_2 e_1: no longer alternative
+    monkeypatch.setattr(rg, "octonion_table", lambda: t)
+    with pytest.raises(ArithmeticError, match="D\\(ab\\)"):
+        rg.g2_rep()
+
+
 # ---------------------------------------------------------------------------
 # Clifford algebra
 
@@ -285,6 +336,26 @@ def test_antisymmetrized_basis_independent():
     assert np.linalg.matrix_rank(gram, tol=1e-8) == 16
 
 
+def test_clifford_basis_bitwise_equal_to_signed_permutation_average():
+    g, basis = clifford()
+    gammas = g.generators
+
+    def antisymmetrized(mats):
+        total = np.zeros((4, 4), dtype=np.complex128)
+        for perm in itertools.permutations(range(len(mats))):
+            inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(perm)), 2))
+            acc = mats[perm[0]]
+            for i in perm[1:]:
+                acc = acc @ mats[i]
+            total += (-1) ** inversions * acc
+        return total / math.factorial(len(mats))
+
+    expect = [np.eye(4, dtype=np.complex128)] + list(gammas) + [
+        antisymmetrized([gammas[i] for i in idx])
+        for r in (2, 3, 4) for idx in itertools.combinations(range(4), r)]
+    assert [b.tobytes() for b in basis] == [b.tobytes() for b in expect]
+
+
 def test_basis_rank_sees_dependent_element():
     _, basis = clifford()
     assert rg.basis_rank(basis) == 16
@@ -294,27 +365,10 @@ def test_basis_rank_sees_dependent_element():
 # ---------------------------------------------------------------------------
 # Casimir constant
 
-def test_casimir_su2():
-    assert rg.casimir_z(PAULI) == pytest.approx(3.0)
-
-
 @pytest.mark.parametrize("two_s", [1, 2, 3, 4, 6])
 def test_casimir_spin(two_s):
     s = two_s / 2.0
-    assert rg.casimir_z(spin(two_s).generators) == pytest.approx(s * (s + 1.0))
-
-
-def test_casimir_unequal_blocks_rejected():
-    a = spin(2).generators  # spin-1, Z = 2
-    b = spin(1).generators  # spin-1/2, Z = 3/4
-    combined = []
-    for x, y in zip(a, b):
-        m = np.zeros((5, 5), dtype=complex)
-        m[:3, :3] = x
-        m[3:, 3:] = y
-        combined.append(m)
-    with pytest.raises(rg.NotScalarError):
-        rg.casimir_z(combined)
+    assert rg.GeneratorSet.from_generators(spin(two_s).generators).Z == pytest.approx(s * (s + 1.0))
 
 
 def test_from_generators_pauli():
@@ -337,17 +391,17 @@ def test_from_generators_unequal_blocks_not_scalar():
 
 
 def test_from_generators_measures_once(monkeypatch):
-    calls = {"_square_sum": 0, "_gram": 0}
+    calls = {"generator_residuals": 0, "_gram": 0}
     for name in calls:
         original = getattr(rg, name)
 
-        def counted(mats, _name=name, _original=original):
+        def counted(*args, _name=name, _original=original):
             calls[_name] += 1
-            return _original(mats)
+            return _original(*args)
 
         monkeypatch.setattr(rg, name, counted)
     g = rg.GeneratorSet.from_generators(su(3).generators)
-    assert calls == {"_square_sum": 1, "_gram": 1}
+    assert calls == {"generator_residuals": 1, "_gram": 1}
     assert g.Z == pytest.approx(su(3).Z, abs=1e-14) and g.N == pytest.approx(su(3).N, abs=1e-14)
 
 
