@@ -46,15 +46,35 @@ class SpanDeficientError(ValueError):
     raise max_rank."""
 
 
-def bloch_rho(g: GeneratorSet, v) -> np.ndarray:
-    """rho(v) = (I + sum_i v_i X_i)/d.  Hermitian with unit trace for any
-    real v; positive semidefiniteness is exactly membership of v in the
-    Bloch manifold and is not checked here."""
+def _coefficients(v, k: int) -> np.ndarray:
+    """v as float, either one length-k vector or an (n, k) stack of them."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (g.k,):
-        raise ValueError(f"expected a length-{g.k} coefficient vector")
+    if v.ndim not in (1, 2) or v.shape[-1] != k:
+        raise ValueError(f"expected a length-{k} coefficient vector or an (n, {k}) stack of them")
+    return v
+
+
+def _squares(x) -> np.ndarray:
+    """sum_i x_i^2 along the last axis, formed per row as np.dot forms it."""
+    return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
+
+
+def _flags(x) -> bool | np.ndarray:
+    """A Python bool for one input, the boolean array for a stack."""
+    return bool(x) if x.ndim == 0 else x
+
+
+def bloch_rho(g: GeneratorSet, v) -> np.ndarray:
+    """rho(v) = (I + sum_i v_i X_i)/d, or the (n, d, d) stack of them for an
+    (n, k) stack of v.  Hermitian with unit trace for any real v; positive
+    semidefiniteness is exactly membership of v in the Bloch manifold and is
+    not checked here."""
+    v = _coefficients(v, g.k)
+    # generator i's coefficients: a scalar for one v, an (n, 1, 1) column for
+    # a stack; the sum runs over i in the same order either way
+    columns = v.T.reshape(v.shape[::-1] + (1, 1) * (v.ndim - 1))
     acc = np.eye(g.d, dtype=np.complex128)
-    for vi, x in zip(v, g.generators):
+    for vi, x in zip(columns, g.generators):
         acc = acc + vi * x
     return acc / g.d
 
@@ -65,10 +85,16 @@ def bloch_vector(g: GeneratorSet, rho) -> np.ndarray:
     return np.array([np.trace(m @ x).real / g.N for x in g.generators])
 
 
-def membership_eig(g: GeneratorSet, v) -> bool:
-    """v is a valid Bloch vector iff min eig of rho(v) >= -1e-10."""
-    ev = np.linalg.eigvalsh(bloch_rho(g, v))
-    return bool(ev[0] >= -MEMBERSHIP_TOL)
+def psd_by_eigenvalues(ev) -> bool | np.ndarray:
+    """The eig oracle's rule on the ascending eigenvalues of rho(v), shape
+    (d,) or (n, d): the least one is >= -1e-10."""
+    return _flags(np.asarray(ev).T[0] >= -MEMBERSHIP_TOL)
+
+
+def membership_eig(g: GeneratorSet, v) -> bool | np.ndarray:
+    """v is a valid Bloch vector iff min eig of rho(v) >= -1e-10; one bool
+    per row for an (n, k) stack."""
+    return psd_by_eigenvalues(np.linalg.eigvalsh(bloch_rho(g, v)))
 
 
 # The charpoly oracle reads the coefficients b_k = e_k(mu) of N = rho/||rho||_F.
@@ -91,13 +117,24 @@ def membership_eig(g: GeneratorSet, v) -> bool:
 CHARPOLY_EPS = float(np.finfo(float).eps)
 
 
-def membership_charpoly(g: GeneratorSet, v) -> bool:
-    """Same membership decided by Descartes' rule of signs: all
-    characteristic-polynomial coefficients of rho(v) nonnegative, read on
-    rho/||rho||_F to within the recursion's rounding, d^3 eps max_k |b_k|."""
-    rho = bloch_rho(g, v)
-    b = char_poly_coeffs(rho / np.linalg.norm(rho))
-    return bool(b.min() >= -g.d ** 3 * CHARPOLY_EPS * np.abs(b).max())
+def psd_by_charpoly(rho) -> bool | np.ndarray:
+    """The charpoly oracle's rule on rho(v), shape (d, d) or (n, d, d):
+    Descartes' rule of signs, all characteristic-polynomial coefficients
+    nonnegative, read on rho/||rho||_F to within the recursion's rounding,
+    d^3 eps max_k |b_k|."""
+    rho = np.asarray(rho)
+    d = rho.shape[-1]
+    # ||rho||_F as np.linalg.norm forms it for one matrix
+    flat = rho.reshape(rho.shape[:-2] + (d * d,))
+    norm = np.sqrt(_squares(flat.real) + _squares(flat.imag))
+    b = char_poly_coeffs(rho / norm[..., None, None])
+    return _flags(b.min(axis=0) >= -d ** 3 * CHARPOLY_EPS * np.abs(b).max(axis=0))
+
+
+def membership_charpoly(g: GeneratorSet, v) -> bool | np.ndarray:
+    """Same membership decided by the characteristic-polynomial signs of
+    rho(v) (:func:`psd_by_charpoly`); one bool per row for an (n, k) stack."""
+    return psd_by_charpoly(bloch_rho(g, v))
 
 
 def norm_bound(g: GeneratorSet) -> float:
@@ -105,16 +142,16 @@ def norm_bound(g: GeneratorSet) -> float:
     return (g.d - 1) / g.N
 
 
-def su3_membership_closed(v, tensors: StructureTensors | None = None) -> bool:
+def su3_membership_closed(v, tensors: StructureTensors | None = None) -> bool | np.ndarray:
     """Exact su(3) Bloch manifold: v^2 <= min(3, 1 + det(v.lambda)), with
-    det(v.lambda) = (2/3) d_ijk v_i v_j v_k."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (8,):
-        raise ValueError("expected a length-8 vector")
+    det(v.lambda) = (2/3) d_ijk v_i v_j v_k; one bool per row for an (n, 8)
+    stack."""
+    v = _coefficients(v, 8)
     t = tensors if tensors is not None else _su3_tensors()
-    det = (2.0 / 3.0) * float(np.einsum("ijk,i,j,k->", t.d_sym, v, v, v))
-    vv = float(v @ v)
-    return vv <= min(3.0, 1.0 + det) + MEMBERSHIP_TOL
+    det = (2.0 / 3.0) * np.einsum("ijk,...i,...j,...k->...", t.d_sym, v, v, v)
+    vv = _squares(v)
+    # vv <= min(3, 1 + det) + tol, as two comparisons (adding tol is monotone)
+    return _flags((vv <= 3.0 + MEMBERSHIP_TOL) & (vv <= 1.0 + det + MEMBERSHIP_TOL))
 
 
 _SU3_TENSORS: StructureTensors | None = None

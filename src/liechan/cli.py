@@ -42,11 +42,24 @@ from . import verify
 # * --samples: a scan keeps each sample's k <= MAX_N^2 - 1 coordinates as a
 #   float64, a Python float and report text, at most SCAN_BYTES_PER_COORD
 #   in all (tracemalloc measured 171 bytes for a JSON su(10) scan).
+# * the scan's stack term: the oracles run on (n, d, d) complex128 stacks,
+#   16 d^2 bytes per sample and stack, and at most SCAN_LIVE_STACKS of them
+#   are alive at once (tracemalloc: 4 to 5.2 in the charpoly oracle, rho
+#   included, for d = 8 to 64).  The scan feeds them blocks of
+#   _scan_block(d) samples, so that the stacks stay within the budget at any
+#   --samples: 682 samples a block at d = 64.
 ARRAY_BUDGET = 2 ** 28
 SCAN_BYTES_PER_COORD = 256
+SCAN_LIVE_STACKS = 6
 MAX_N = 10
 MAX_TWO_S = 63
 MAX_SAMPLES = ARRAY_BUDGET // (SCAN_BYTES_PER_COORD * (MAX_N ** 2 - 1))
+
+
+def _scan_block(d: int) -> int:
+    """Samples per oracle block: SCAN_LIVE_STACKS (n, d, d) complex128
+    stacks fit ARRAY_BUDGET."""
+    return max(1, ARRAY_BUDGET // (SCAN_LIVE_STACKS * 16 * d * d))
 
 
 @dataclass(frozen=True)
@@ -186,18 +199,18 @@ def cmd_bloch_scan(cfg: RunConfig) -> int:
     tensors = rg.structure_tensors(3) if su3 else None
     flags = ["member_eig", "member_charpoly"] + (["member_closed_form"] if su3 else [])
     vs = bl.sample_bloch_vectors(g, cfg.samples, seed=cfg.seed)
-    rows = []
-    for v in vs:
-        rho = bl.bloch_rho(g, v)
-        lo = float(np.linalg.eigvalsh(rho).min())
-        row = {
-            "min_eigenvalue": lo,
-            "member_eig": bl.membership_eig(g, v),
-            "member_charpoly": bl.membership_charpoly(g, v),
-        }
+    columns = {name: [] for name in ["min_eigenvalue"] + flags}
+    block = _scan_block(g.d)
+    for start in range(0, len(vs), block):
+        part = vs[start:start + block]
+        rho = bl.bloch_rho(g, part)
+        ev = np.linalg.eigvalsh(rho)
+        columns["min_eigenvalue"] += ev.min(axis=-1).tolist()
+        columns["member_eig"] += bl.psd_by_eigenvalues(ev).tolist()
+        columns["member_charpoly"] += bl.psd_by_charpoly(rho).tolist()
         if su3:
-            row["member_closed_form"] = bl.su3_membership_closed(v, tensors)
-        rows.append((v, row))
+            columns["member_closed_form"] += bl.su3_membership_closed(part, tensors).tolist()
+    rows = [(v, dict(zip(columns, cells))) for v, cells in zip(vs, zip(*columns.values()))]
     if cfg.fmt == "json":
         _dump_json([{"v": [float(x) for x in v], **row} for v, row in rows], cfg.output_path)
         return 0

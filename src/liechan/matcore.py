@@ -64,8 +64,10 @@ def anticommutator(a, b) -> np.ndarray:
 
 
 def is_hermitian(m, tol: float = HERMITIAN_TOL) -> bool:
+    """Every matrix of ``m`` (one matrix, or a stack over leading axes) is
+    self-adjoint within ``tol`` in max-norm."""
     m = np.asarray(m)
-    return max_abs(m - m.conj().T) <= tol
+    return max_abs(m - m.conj().swapaxes(-1, -2)) <= tol
 
 
 def sym_product(mats: Sequence) -> np.ndarray:
@@ -155,17 +157,25 @@ def char_poly_coeffs(m) -> np.ndarray:
     Hermitian matrix the a_j are the elementary symmetric polynomials of
     the (real) eigenvalues, so all of them are nonnegative exactly when the
     matrix is positive semidefinite.
+
+    ``m`` is one (d, d) matrix or an (n, d, d) stack; the result is (d + 1,)
+    or (d + 1, n), the sample axis last, and each column is bitwise what the
+    matrix alone gives.
     """
-    m = as_complex_matrix(m)
+    m = np.asarray(m, dtype=np.complex128)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix or an (n, d, d) stack, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite (no NaN/Inf)")
     if not is_hermitian(m, EIG_INPUT_TOL):
         raise ValueError("char_poly_coeffs expects a Hermitian matrix")
-    d = m.shape[0]
-    c = np.empty(d + 1)
+    d = m.shape[-1]
+    c = np.empty((d + 1,) + m.shape[:-2])
     power = np.eye(d, dtype=np.complex128)
     for q in range(1, d + 1):
         power = power @ m
-        c[q] = np.trace(power).real
-    a = np.empty(d + 1)
+        c[q] = power.trace(axis1=-2, axis2=-1).real
+    a = np.empty_like(c)
     a[0] = 1.0
     for k in range(1, d + 1):
         a[k] = sum((-1) ** (q - 1) * c[q] * a[k - q] for q in range(1, k + 1)) / k
