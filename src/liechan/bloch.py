@@ -55,8 +55,9 @@ def _coefficients(v, k: int) -> np.ndarray:
 
 
 def _squares(x) -> np.ndarray:
-    """sum_i x_i^2 along the last axis, formed per row as np.dot forms it."""
-    return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
+    """sum_i x_i^2 along the last axis, formed per row as np.dot forms it
+    (a numpy scalar for one row)."""
+    return (x[..., None, :] @ x[..., :, None])[..., 0, 0][()]
 
 
 def _flags(x) -> bool | np.ndarray:
@@ -72,7 +73,7 @@ def bloch_rho(g: GeneratorSet, v) -> np.ndarray:
     v = _coefficients(v, g.k)
     # generator i's coefficients: a scalar for one v, an (n, 1, 1) column for
     # a stack; the sum runs over i in the same order either way
-    columns = v.T.reshape(v.shape[::-1] + (1, 1) * (v.ndim - 1))
+    columns = v if v.ndim == 1 else v.T[:, :, None, None]
     acc = np.eye(g.d, dtype=np.complex128)
     for vi, x in zip(columns, g.generators):
         acc = acc + vi * x
