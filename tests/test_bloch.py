@@ -5,7 +5,7 @@ import pytest
 
 from liechan import bloch as bl
 from liechan import matcore as mc
-from tests.conftest import g2, spin, su, su_tensors
+from tests.conftest import clifford, g2, spin, su, su_tensors
 
 
 # ---------------------------------------------------------------------------
@@ -84,21 +84,80 @@ BOUNDARY_SETS = {
 }
 
 
-@pytest.mark.parametrize("delta", [1e-3, -1e-3, 1e-6, -1e-6])
-@pytest.mark.parametrize("name", sorted(BOUNDARY_SETS))
-def test_membership_oracles_agree_on_boundary_rays(name, delta):
+def boundary_rays(g, delta, count=100):
     # v = r(u) (1 + delta) u with r(u) = -1/lambda_min(u.X): rho(v) has least
     # eigenvalue -delta/d, outside the manifold for delta > 0 and inside for
     # delta < 0, however close to the boundary
-    g = BOUNDARY_SETS[name]()
     x = np.stack(g.generators)
     rng = np.random.default_rng(40)
-    for _ in range(100):
+    out = np.empty((count, g.k))
+    for i in range(count):
         u = rng.normal(size=g.k)
         u /= np.linalg.norm(u)
         r = -1.0 / np.linalg.eigvalsh(np.einsum("a,aij->ij", u, x))[0]
-        v = r * (1.0 + delta) * u
+        out[i] = r * (1.0 + delta) * u
+    return out
+
+
+@pytest.mark.parametrize("delta", [1e-3, -1e-3, 1e-6, -1e-6])
+@pytest.mark.parametrize("name", sorted(BOUNDARY_SETS))
+def test_membership_oracles_agree_on_boundary_rays(name, delta):
+    g = BOUNDARY_SETS[name]()
+    for v in boundary_rays(g, delta):
         assert bl.membership_eig(g, v) == bl.membership_charpoly(g, v) == (delta < 0)
+
+
+STACK_SETS = {
+    "su3": lambda: su(3), "spin3_2": lambda: spin(3), "g2": g2, "su8": lambda: su(8),
+    "clifford": lambda: clifford()[0],
+}
+
+
+def stack_inputs(g):
+    """Ball samples plus boundary rays on both sides at 1e-3 and 1e-6."""
+    parts = [bl.sample_bloch_vectors(g, 40, seed=8)]
+    parts += [boundary_rays(g, delta, 15) for delta in (1e-3, -1e-3, 1e-6, -1e-6)]
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("name", sorted(STACK_SETS))
+def test_stacked_oracles_bitwise_equal_per_vector_loop(name):
+    g = STACK_SETS[name]()
+    vs = stack_inputs(g)
+    rho = bl.bloch_rho(g, vs)
+    assert rho.shape == (len(vs), g.d, g.d)
+    assert rho.tobytes() == np.array([bl.bloch_rho(g, v) for v in vs]).tobytes()
+    coeffs = mc.char_poly_coeffs(rho)
+    assert coeffs.shape == (g.d + 1, len(vs))
+    assert coeffs.tobytes() == np.array([mc.char_poly_coeffs(m) for m in rho]).T.tobytes()
+    oracles = [bl.membership_eig, bl.membership_charpoly]
+    if name == "su3":
+        oracles.append(lambda g, v: bl.su3_membership_closed(v))
+    for oracle in oracles:
+        flags = oracle(g, vs)
+        assert flags.dtype == bool and flags.shape == (len(vs),)
+        assert flags.tolist() == [oracle(g, v) for v in vs]
+        assert flags[-15:].all() and not flags[-60:-45].any()  # the -1e-6 and +1e-3 rays
+
+
+@pytest.mark.parametrize("name", sorted(STACK_SETS))
+def test_oracles_return_python_bool_for_one_vector(name):
+    g = STACK_SETS[name]()
+    v = stack_inputs(g)[0]
+    assert type(bl.membership_eig(g, v)) is bool
+    assert type(bl.membership_charpoly(g, v)) is bool
+    if name == "su3":
+        assert type(bl.su3_membership_closed(v)) is bool
+
+
+@pytest.mark.parametrize("shape", [(7,), (9,), (2, 7), (2, 9), (2, 3, 8), (), (0,)])
+def test_oracles_reject_coefficients_of_the_wrong_shape(shape):
+    g = su(3)
+    v = np.zeros(shape)
+    for call in (lambda: bl.bloch_rho(g, v), lambda: bl.membership_eig(g, v),
+                 lambda: bl.membership_charpoly(g, v), lambda: bl.su3_membership_closed(v)):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_membership_charpoly_accepts_pure_su_n_states():

@@ -207,6 +207,89 @@ def test_bloch_scan_json_format(tmp_path):
     assert {"v", "min_eigenvalue", "member_eig", "member_charpoly"} <= set(rows[0])
 
 
+SCAN_ALGEBRAS = {  # name: (algebra, n, two_s)
+    "su3": ("su", 3, None), "spin3_2": ("spin", None, 3), "g2": ("g2", None, None),
+    "su8": ("su", 8, None),
+}
+
+
+def reference_scan(algebra, n, two_s, samples, seed, fmt):
+    """The bloch-scan report built one vector at a time from the library's
+    per-vector calls, with the row assembly of the per-vector scan."""
+    from liechan import repgen as rg
+
+    g = rg.build_algebra(algebra, n=n, two_s=two_s)
+    su3 = algebra == "su" and n == 3
+    tensors = rg.structure_tensors(3) if su3 else None
+    flags = ["member_eig", "member_charpoly"] + (["member_closed_form"] if su3 else [])
+    rows = []
+    for v in bl.sample_bloch_vectors(g, samples, seed=seed):
+        rho = bl.bloch_rho(g, v)
+        row = {
+            "min_eigenvalue": float(np.linalg.eigvalsh(rho).min()),
+            "member_eig": bl.membership_eig(g, v),
+            "member_charpoly": bl.membership_charpoly(g, v),
+        }
+        if su3:
+            row["member_closed_form"] = bl.su3_membership_closed(v, tensors)
+        rows.append((v, row))
+    if fmt == "json":
+        return json.dumps([{"v": [float(x) for x in v], **row} for v, row in rows],
+                          sort_keys=True, indent=2)
+    lines = [",".join([f"v_{i}" for i in range(g.k)] + ["min_eigenvalue"] + flags)]
+    for v, row in rows:
+        cells = [format(float(x), ".17g") for x in v] + [format(row["min_eigenvalue"], ".17g")]
+        cells += ["true" if row[f] else "false" for f in flags]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("seed", [5, 23])
+@pytest.mark.parametrize("name", sorted(SCAN_ALGEBRAS))
+def test_bloch_scan_matches_the_per_vector_report(tmp_path, name, seed, fmt):
+    algebra, n, two_s = SCAN_ALGEBRAS[name]
+    argv = ["--algebra", algebra] + (["--n", str(n)] if n else []) + (["--two-s", str(two_s)] if two_s else [])
+    code, text = run(tmp_path, "bloch-scan", *argv, "--samples", "60", "--seed", str(seed),
+                     "--format", fmt)
+    assert code == 0
+    assert text == reference_scan(algebra, n, two_s, 60, seed, fmt)
+
+
+def _counted(monkeypatch, module, name, calls):
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("block, blocks", [(7, 8), (1, 50), (49, 2), (50, 1)])
+def test_bloch_scan_blocks_from_the_budget_give_the_one_block_report(
+        tmp_path, monkeypatch, fmt, block, blocks):
+    from liechan import cli
+
+    argv = ["bloch-scan", "--algebra", "su", "--n", "3", "--samples", "50", "--seed", "9",
+            "--format", fmt]
+    code, whole = run(tmp_path, *argv)
+    assert code == 0
+    # su(3) has d = 3: `block` samples fill SCAN_LIVE_STACKS stacks of 16 * 9 bytes each
+    monkeypatch.setattr(cli, "ARRAY_BUDGET", cli.SCAN_LIVE_STACKS * 16 * 9 * block)
+    assert cli._scan_block(3) == block
+    calls = {}
+    _counted(monkeypatch, np.linalg, "eigvalsh", calls)
+    for name in ("bloch_rho", "char_poly_coeffs", "su3_membership_closed"):
+        _counted(monkeypatch, bl, name, calls)
+    code, text = run(tmp_path, *argv)
+    assert code == 0
+    assert text == whole
+    assert calls == {"eigvalsh": blocks, "bloch_rho": blocks, "char_poly_coeffs": blocks,
+                     "su3_membership_closed": blocks}
+
+
 def test_seed_env_fallback(tmp_path, monkeypatch):
     argv = ["bloch-scan", "--algebra", "su", "--n", "2", "--samples", "5"]
     monkeypatch.setenv("LIECHAN_SEED", "99")
@@ -264,6 +347,11 @@ def test_size_bounds_fit_the_budget_and_every_size_in_use():
 
     assert monomial_bytes(cli.MAX_N) <= cli.ARRAY_BUDGET < monomial_bytes(cli.MAX_N + 1)
     assert 16 * (cli.MAX_TWO_S + 1) ** 4 <= cli.ARRAY_BUDGET < 16 * (cli.MAX_TWO_S + 2) ** 4
+    # a scan block is the most samples whose oracle stacks fit the budget
+    for d in (2, 8, cli.MAX_N, cli.MAX_TWO_S + 1):
+        per_sample = cli.SCAN_LIVE_STACKS * 16 * d * d
+        block = cli._scan_block(d)
+        assert per_sample * block <= cli.ARRAY_BUDGET < per_sample * (block + 1)
 
 
 @pytest.mark.parametrize("max_rank", ["0", "4"])

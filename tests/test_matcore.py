@@ -132,6 +132,35 @@ def test_char_poly_random_dims_vs_oracle(dim):
         assert np.max(np.abs(coeffs - expected) / scale) < 1e-7
 
 
+def _hermitian_stack(d, n, seed):
+    rng = np.random.default_rng(seed)
+    return np.array([mc.random_hermitian(d, rng) for _ in range(n)])
+
+
+@pytest.mark.parametrize("dim", [2, 3, 7, 8, 16])
+def test_char_poly_stack_bitwise_equal_per_matrix(dim):
+    stack = _hermitian_stack(dim, 9, dim)
+    coeffs = mc.char_poly_coeffs(stack)
+    assert coeffs.shape == (dim + 1, 9)
+    assert coeffs.tobytes() == np.array([mc.char_poly_coeffs(m) for m in stack]).T.tobytes()
+    assert mc.char_poly_coeffs(stack[:1]).tobytes() == mc.char_poly_coeffs(stack[0])[:, None].tobytes()
+
+
+@pytest.mark.parametrize("entry", [0.5, np.nan, np.inf])
+def test_char_poly_stack_checks_every_matrix(entry):
+    # one bad matrix in the middle of the stack: non-Hermitian or non-finite
+    stack = _hermitian_stack(4, 5, 1)
+    stack[2, 0, 1] += entry
+    with pytest.raises(ValueError):
+        mc.char_poly_coeffs(stack)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 3, 4), (2, 2, 3, 3), ()])
+def test_char_poly_rejects_non_square_shapes(shape):
+    with pytest.raises(ValueError):
+        mc.char_poly_coeffs(np.zeros(shape))
+
+
 def test_eigenvalue_sum_is_trace():
     rng = np.random.default_rng(6)
     for dim in (2, 5, 8):
