@@ -15,9 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .channel import generator_action, spin_vw_input
 from .matcore import (
@@ -25,8 +25,9 @@ from .matcore import (
     char_poly_coeffs,
     derived_rng,
     max_abs,
+    newton_recursion,
     sym_monomials,
-    sym_product,
+    symmetric_tensor,
 )
 from .repgen import (
     SU_N_DEFINING,
@@ -217,11 +218,6 @@ def embed_cartan(g: GeneratorSet, v_cartan, indices=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Second-order (v, w) parameterization for spin representations.
 
-def sym_pair(a, b) -> np.ndarray:
-    """J_(a J_b) = (J_a J_b + J_b J_a)/2."""
-    return sym_product([a, b])
-
-
 def rho_vw(g: GeneratorSet, v, w) -> np.ndarray:
     """rho = v.J + sum_ab w_ab J_(a J_b) for the spin-s set g.
 
@@ -230,17 +226,23 @@ def rho_vw(g: GeneratorSet, v, w) -> np.ndarray:
     Positivity is not guaranteed.
     """
     v, w = spin_vw_input(g, v, w)
-    return _rho_from_vw(g.generators, v, w)
+    return _contract(g.generators, v, w)
 
 
-def _rho_from_vw(gens, v, w) -> np.ndarray:
-    d = gens[0].shape[0]
-    acc = np.zeros((d, d), dtype=np.complex128)
-    for a in range(3):
-        acc += v[a] * gens[a]
+def _contract(gens, v, w=None, u=None) -> np.ndarray:
+    """sum_a v_a X_a + sum_ab w_ab X_a X_b + sum_abc u_abc X_a X_b X_c over
+    the generators X; w enters through its symmetric part, and an absent
+    higher-rank tensor is skipped."""
+    acc = np.zeros(gens[0].shape, dtype=np.complex128)
+    for va, x in zip(v, gens):
+        acc += va * x
+    if w is None:
+        return acc
     stack = np.stack(gens)
     prods = np.einsum("aij,bjk->abik", stack, stack)
-    acc += np.einsum("ab,abik->ik", (np.asarray(w) + np.asarray(w).T) / 2.0, prods)
+    acc += np.einsum("ab,abik->ik", (w + w.T) / 2.0, prods)
+    if u is not None:
+        acc += np.einsum("abc,abcil->il", u, np.einsum("abij,cjl->abcil", prods, stack))
     return acc
 
 
@@ -265,16 +267,12 @@ def extract_vw(rho, g: GeneratorSet, check: bool = True) -> tuple[np.ndarray, np
     lam = g.Z
     v = np.array([(3.0 / (d * lam)) * np.trace(m @ j).real for j in g.generators])
     trw = 3.0 / (d * lam) * np.trace(m).real
-    w = np.empty((3, 3))
-    for j in range(3):
-        for k in range(j, 3):
-            pair = sym_pair(g.generators[j], g.generators[k])
-            val = (30.0 / (lam * d * (d * d - 4.0))) * np.trace(m @ pair).real
-            if j == k:
-                val -= (2.0 * lam + 1.0) / (d * d - 4.0) * trw
-            w[j, k] = w[k, j] = val
+    pairs, products = sym_monomials(g.generators, 2)
+    vals = np.array([(30.0 / (lam * d * (d * d - 4.0))) * np.trace(m @ x).real for x in products])
+    vals[[j == k for j, k in pairs]] -= (2.0 * lam + 1.0) / (d * d - 4.0) * trw
+    w = symmetric_tensor(pairs, vals, 3)
     if check:
-        resid = max_abs(m - _rho_from_vw(g.generators, v, w))
+        resid = max_abs(m - _contract(g.generators, v, w))
         if resid > SPAN_TOL:
             raise SpanDeficientError(
                 f"rho lies outside the span of {{J_a, J_(a J_b)}} (residual {resid:.3e})"
@@ -334,8 +332,7 @@ def decompose_density(rho, g: GeneratorSet, max_rank: int = 2) -> BlochState:
         raise ValueError("dimension mismatch")
     target = m - (np.trace(m) / g.d) * np.eye(g.d)
     monomials = {r: sym_monomials(g.generators, r) for r in range(1, max_rank + 1)}
-    keys = [ms for multisets, _ in monomials.values() for ms in multisets]
-    # columns are the flattened monomials, in key order
+    # columns are the flattened monomials, rank by rank
     a = np.concatenate([stack.reshape(len(stack), -1) for _, stack in monomials.values()]).T.copy()
     design = np.vstack([a.real, a.imag])
     rhs = np.concatenate([target.ravel().real, target.ravel().imag])
@@ -347,21 +344,16 @@ def decompose_density(rho, g: GeneratorSet, max_rank: int = 2) -> BlochState:
             f"rank <= {max_rank} monomials do not span the target "
             f"(residual {residual:.3e}); raise max_rank"
         )
-    tensors: dict[int, np.ndarray] = {}
-    for r in range(1, max_rank + 1):
-        tensors[r] = np.zeros((g.k,) * r)
-    trace_parts: dict[int, float] = {r: 0.0 for r in range(1, max_rank + 1)}
-    for (ms, c) in zip(keys, coeffs):
-        r = len(ms)
-        perms = set(permutations(ms))
-        for perm in perms:
-            tensors[r][perm] = c / len(perms)
+    tensors, trace_parts = {}, {}
+    start = 0
     for r, (multisets, stack) in monomials.items():
-        term = np.zeros((g.d, g.d), dtype=np.complex128)
-        for ms, mono in zip(multisets, stack):
-            perms = set(permutations(ms))
-            term += tensors[r][ms] * len(perms) * mono
-        trace_parts[r] = float(np.trace(term).real / g.d)
+        c = coeffs[start:start + len(multisets)]
+        start += len(multisets)
+        # a multiset's coefficient is shared by its distinct index orderings
+        orbits = [math.factorial(r) // math.prod(math.factorial(ms.count(i)) for i in set(ms))
+                  for ms in multisets]
+        tensors[r] = symmetric_tensor(multisets, c / np.array(orbits), g.k)
+        trace_parts[r] = float(c @ np.trace(stack, axis1=1, axis2=2).real / g.d)
     return BlochState(
         algebra=g.algebra,
         d=g.d,
@@ -376,16 +368,7 @@ def decompose_density(rho, g: GeneratorSet, max_rank: int = 2) -> BlochState:
 
 def reconstruct(state: BlochState, g: GeneratorSet) -> np.ndarray:
     """I/d plus the tensor contractions of the BlochState coefficients."""
-    out = np.eye(g.d, dtype=np.complex128) / g.d
-    stack = np.stack(g.generators)
-    out += np.einsum("a,aij->ij", state.v, stack)
-    if state.w is not None:
-        prods = np.einsum("aij,bjk->abik", stack, stack)
-        out += np.einsum("ab,abik->ik", state.w, prods)
-    if state.u is not None:
-        prods3 = np.einsum("aij,bjk,ckl->abcil", stack, stack, stack)
-        out += np.einsum("abc,abcil->il", state.u, prods3)
-    return out
+    return np.eye(g.d) / g.d + _contract(g.generators, state.v, state.w, state.u)
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +466,8 @@ def pure_from_psi(psi) -> tuple[np.ndarray, np.ndarray]:
     psi = np.asarray(psi, dtype=np.complex128).ravel()
     if psi.shape != (3,):
         raise ValueError("expected a 3-component state vector")
+    if not np.isfinite(psi).all():
+        raise ValueError("psi entries must be finite (no NaN/Inf)")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ValueError("psi must be normalized")
     w = 0.5 * np.eye(3) - np.real(np.outer(psi, psi.conj()))
@@ -492,7 +477,7 @@ def pure_from_psi(psi) -> tuple[np.ndarray, np.ndarray]:
 
 def rho_vw_s_basis(v, w) -> np.ndarray:
     """rho = v.S + sum w_ab S_(a S_b) in the antisymmetric spin-1 basis."""
-    return _rho_from_vw(spin1_s_basis(), np.asarray(v, float), np.asarray(w, float))
+    return _contract(spin1_s_basis(), np.asarray(v, float), np.asarray(w, float))
 
 
 # ---------------------------------------------------------------------------
@@ -518,37 +503,15 @@ def g2_bound_refine(g: GeneratorSet | None = None) -> list[RadiusBound]:
     if gset.d != 7 or gset.k != 14:
         raise ValueError("expected the 7-dimensional g2 generator set")
     kappa2, kappa4 = _measured_trace_ratios(gset)
-    d = 7
-    # c_q(x) = 7^{-q} sum_j binom(q, j) t_j(x), t_0 = 7, t_2 = kappa2 x,
-    # t_4 = kappa4 x^2, odd traces zero.
-    tpolys = {
-        0: [Fraction(7)],
-        1: [Fraction(0)],
-        2: [Fraction(0), kappa2],
-        3: [Fraction(0)],
-        4: [Fraction(0), Fraction(0), kappa4],
-    }
-    cpolys = {}
-    for q in range(1, 5):
-        poly = [Fraction(0)] * 3
-        for j in range(0, q + 1):
-            tj = tpolys.get(j, [Fraction(0)])
-            coef = Fraction(math.comb(q, j), d**q)
-            for power, val in enumerate(tj):
-                poly[power] += coef * val
-        cpolys[q] = poly
-    apolys = {0: [Fraction(1)]}
-    for k in range(1, 5):
-        acc = [Fraction(0)] * 3
-        for q in range(1, k + 1):
-            term = _poly_mul(cpolys[q], apolys[k - q])
-            sign = 1 if (q - 1) % 2 == 0 else -1
-            for power in range(3):
-                acc[power] += sign * term[power]
-        apolys[k] = [x / k for x in acc]
+    # c_q(x) = 7^{-q} sum_j binom(q, j) t_j(x), exact polynomials in x, with
+    # t_0 = 7, t_2 = kappa2 x, t_4 = kappa4 x^2 and the odd traces zero; c_q
+    # has degree q/2, so a_k has degree at most k/2 <= 2
+    c = [Polynomial([Fraction(7), math.comb(q, 2) * kappa2, math.comb(q, 4) * kappa4]) / 7**q
+         for q in range(1, 5)]
+    a = newton_recursion(c)
     bounds = []
     for k in (2, 3, 4):
-        x_max = _largest_nonneg_root(apolys[k])
+        x_max = _largest_nonneg_root(list(a[k].coef))
         bounds.append(
             RadiusBound(
                 coefficient_index=k,
@@ -582,20 +545,6 @@ def _measured_trace_ratios(gset: GeneratorSet) -> tuple[Fraction, Fraction]:
     if abs(float(k2) - np.mean(r2s)) > 1e-9 or abs(float(k4) - np.mean(r4s)) > 1e-9:
         raise ArithmeticError("trace ratios are not simple rationals")
     return k2, k4
-
-
-def _poly_mul(a, b):
-    # polynomials in x = v^2 up to degree 2; higher terms never arise for
-    # the coefficient chain a_2..a_4 and would signal a bookkeeping bug
-    out = [Fraction(0)] * 3
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            if ai * bj == 0:
-                continue
-            if i + j >= 3:
-                raise ArithmeticError("unexpected degree in radius-bound recursion")
-            out[i + j] += ai * bj
-    return out
 
 
 def _largest_nonneg_root(poly) -> float:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import permutations
 from typing import Sequence
 
 import numpy as np
@@ -34,6 +33,7 @@ from .matcore import (
     random_pure_statevector,
     readonly_copy,
     sym_monomials,
+    symmetric_tensor,
 )
 from .repgen import GeneratorSet, clifford_gamma, require_spin
 
@@ -204,6 +204,8 @@ def spin_vw_input(g: GeneratorSet, v, w) -> tuple[np.ndarray, np.ndarray]:
     w = np.asarray(w, dtype=float)
     if v.shape != (3,) or w.shape != (3, 3):
         raise ValueError("expected a 3-vector v and 3x3 tensor w")
+    if not (np.isfinite(v).all() and np.isfinite(w).all()):
+        raise ValueError("v and w must be finite (no NaN/Inf)")
     if max_abs(w - w.T) > 1e-10:
         raise ValueError("w must be symmetric")
     if abs(np.trace(w) - 3.0 / (g.d * g.Z)) > 1e-10:
@@ -416,12 +418,8 @@ def find_identity(g: GeneratorSet, r: int) -> IdentityReport:
     misfit -= transforms
     misfit[:, np.arange(d), np.arange(d)] += f_m[:, None]
     residual = max_abs(misfit)
-    f_tensor = np.zeros((k,) * r)
-    g_tensor = np.full((k,) * r, np.nan)
-    for ms, fm, gm, is_informative in zip(multisets, f_m, g_m, informative):
-        for perm in set(permutations(ms)):
-            f_tensor[perm] = fm
-            g_tensor[perm] = gm if is_informative else np.nan
+    f_tensor = symmetric_tensor(multisets, f_m, k)
+    g_tensor = symmetric_tensor(multisets, np.where(informative, g_m, np.nan), k)
     g_values = g_m[informative]
     if g_values.size:
         spread = float(g_values.max() - g_values.min())

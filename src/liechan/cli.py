@@ -84,10 +84,6 @@ class RunConfig:
             raise ValueError("--seed (or LIECHAN_SEED) must be >= 0")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _write(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -210,15 +206,15 @@ def cmd_bloch_scan(cfg: RunConfig) -> int:
         columns["member_charpoly"] += bl.psd_by_charpoly(rho).tolist()
         if su3:
             columns["member_closed_form"] += bl.su3_membership_closed(part, tensors).tolist()
-    rows = [(v, dict(zip(columns, cells))) for v, cells in zip(vs, zip(*columns.values()))]
+    rows = zip(vs.tolist(), *columns.values())
     if cfg.fmt == "json":
-        _dump_json([{"v": [float(x) for x in v], **row} for v, row in rows], cfg.output_path)
+        _dump_json([dict(zip(["v", *columns], row)) for row in rows], cfg.output_path)
         return 0
+    # '%.17g' % x is format(x, '.17g') for every float, signed zeros and
+    # non-finite values included
+    row_fmt = ",".join(["%.17g"] * (g.k + 1) + ["%s"] * len(flags))
     lines = [",".join([f"v_{i}" for i in range(g.k)] + ["min_eigenvalue"] + flags)]
-    for v, row in rows:
-        cells = [_fmt(x) for x in v] + [_fmt(row["min_eigenvalue"])]
-        cells += ["true" if row[f] else "false" for f in flags]
-        lines.append(",".join(cells))
+    lines += [row_fmt % (*v, ev, *["true" if f else "false" for f in fl]) for v, ev, *fl in rows]
     _write("\n".join(lines) + "\n", cfg.output_path)
     return 0
 

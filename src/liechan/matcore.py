@@ -75,7 +75,8 @@ def sym_product(mats: Sequence) -> np.ndarray:
 
     For two factors this is (AB + BA)/2; one factor is returned as is (a
     copy, signed zeros included).  The result is invariant under any
-    reordering of the input list.
+    reordering of the input list: it is the one-multiset case of the fold
+    :func:`sym_monomials` runs.
     """
     ms = [as_complex_matrix(m) for m in mats]
     if not ms:
@@ -85,17 +86,7 @@ def sym_product(mats: Sequence) -> np.ndarray:
         raise ValueError("dimension mismatch in sym_product")
     if len(ms) == 1:
         return ms[0].copy()
-    # Sort by a content key first so the sum is performed in an
-    # order-independent way and the result is bitwise reproducible.
-    order = sorted(range(len(ms)), key=lambda i: ms[i].tobytes())
-    ms = [ms[i] for i in order]
-    total = np.zeros((d, d), dtype=np.complex128)
-    for perm in permutations(range(len(ms))):
-        acc = ms[perm[0]]
-        for i in perm[1:]:
-            acc = acc @ ms[i]
-        total += acc
-    return total / math.factorial(len(ms))
+    return _sym_fold(np.stack(ms), [tuple(range(len(ms)))])[0]
 
 
 def sym_monomials(mats: Sequence, r: int) -> tuple[tuple, np.ndarray]:
@@ -103,30 +94,45 @@ def sym_monomials(mats: Sequence, r: int) -> tuple[tuple, np.ndarray]:
 
     Returns the multisets in ``combinations_with_replacement`` order and a
     ``(C(k+r-1, r), d, d)`` array whose slice ``j`` is bitwise equal to
-    ``sym_product([mats[i] for i in multisets[j]])``: each multiset's
-    factors are ordered by the same content key, the permutations are
-    summed in the same order, each as a left fold, and the sum is divided
-    by r! last.  For r = 1 the slices are the matrices as given.
+    ``sym_product([mats[i] for i in multisets[j]])``, since both run the
+    same fold.  For r = 1 the slices are the matrices as given.
     """
     if r < 1:
         raise ValueError("rank r must be >= 1")
-    ms = [as_complex_matrix(m) for m in mats]
-    stack = np.stack(ms)  # ValueError for no matrices or mixed shapes
-    multisets = tuple(combinations_with_replacement(range(len(ms)), r))
-    if r == 1:
-        return multisets, stack
-    d = stack.shape[1]
-    keys = [m.tobytes() for m in ms]
-    # factors[j] lists the generator indices of multiset j in key order
+    stack = np.stack([as_complex_matrix(m) for m in mats])  # ValueError for none or mixed shapes
+    multisets = tuple(combinations_with_replacement(range(len(stack)), r))
+    return multisets, (stack if r == 1 else _sym_fold(stack, multisets))
+
+
+def _sym_fold(stack: np.ndarray, multisets) -> np.ndarray:
+    """Symmetrized products of the stacked matrices over each index multiset:
+    the factors in content-key order, so the result is bitwise reproducible
+    under any reordering, the permutations summed in ``permutations()`` order
+    as left folds, and the sum divided by r! last."""
+    keys = [m.tobytes() for m in stack]
+    # factors[j] lists the indices of multiset j in key order
     factors = np.array([sorted(s, key=keys.__getitem__) for s in multisets], dtype=np.intp)
-    total = np.zeros((len(multisets), d, d), dtype=np.complex128)
+    r = factors.shape[1]
+    total = np.zeros((len(factors),) + stack.shape[1:], dtype=np.complex128)
     for perm in permutations(range(r)):
         acc = stack[factors[:, perm[0]]]
         for i in perm[1:]:
             acc = acc @ stack[factors[:, i]]
         total += acc
     total /= math.factorial(r)
-    return multisets, total
+    return total
+
+
+def symmetric_tensor(multisets, values, k: int) -> np.ndarray:
+    """The fully symmetric ``(k,) * r`` tensor holding ``values[j]`` at every
+    index permutation of ``multisets[j]``, for rank-r multisets that cover
+    every index tuple (all of ``combinations_with_replacement(range(k), r)``)."""
+    idx = np.array(multisets, dtype=np.intp)
+    r = idx.shape[1]
+    out = np.empty((k,) * r)
+    for perm in permutations(range(r)):
+        out[tuple(idx[:, perm].T)] = values
+    return out
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:
@@ -152,9 +158,8 @@ def min_eigenvalue(m) -> float:
 def char_poly_coeffs(m) -> np.ndarray:
     """Coefficients a_0..a_d of det(xI - m) = sum_j (-1)^j a_j x^(d-j).
 
-    Computed from the power traces c_q = tr(m^q) by the Newton recursion
-    a_k = (1/k) sum_{q=1..k} (-1)^(q-1) c_q a_{k-q}, with a_0 = 1.  For a
-    Hermitian matrix the a_j are the elementary symmetric polynomials of
+    Computed from the power traces c_q = tr(m^q) by :func:`newton_recursion`.
+    For a Hermitian matrix the a_j are the elementary symmetric polynomials of
     the (real) eigenvalues, so all of them are nonnegative exactly when the
     matrix is positive semidefinite.
 
@@ -169,16 +174,25 @@ def char_poly_coeffs(m) -> np.ndarray:
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     if not is_hermitian(m, EIG_INPUT_TOL):
         raise ValueError("char_poly_coeffs expects a Hermitian matrix")
-    d = m.shape[-1]
-    c = np.empty((d + 1,) + m.shape[:-2])
-    power = np.eye(d, dtype=np.complex128)
-    for q in range(1, d + 1):
+    c, power = [], np.eye(m.shape[-1], dtype=np.complex128)
+    for _ in range(m.shape[-1]):
         power = power @ m
-        c[q] = power.trace(axis1=-2, axis2=-1).real
-    a = np.empty_like(c)
+        c.append(power.trace(axis1=-2, axis2=-1).real)
+    a = np.empty((len(c) + 1,) + m.shape[:-2])
     a[0] = 1.0
-    for k in range(1, d + 1):
-        a[k] = sum((-1) ** (q - 1) * c[q] * a[k - q] for q in range(1, k + 1)) / k
+    a[1:] = newton_recursion(c)[1:]
+    return a
+
+
+def newton_recursion(c: Sequence) -> list:
+    """a_0 = 1 (an int), a_1, ..., a_n from the power sums c_1..c_n, given as
+    ``c[q - 1]``, by Newton's identities a_k = (1/k) sum_{q=1..k} (-1)^(q-1)
+    c_q a_{k-q}.  The c_q may be numbers, float arrays (one recursion per
+    entry) or ``Polynomial`` objects with ``Fraction`` coefficients (exact)."""
+    signed = [cq if q % 2 == 0 else -cq for q, cq in enumerate(c)]   # (-1)^(q-1) c_q
+    a = [1]
+    for k in range(1, len(c) + 1):
+        a.append(sum(signed[q - 1] * a[k - q] for q in range(1, k + 1)) / k)
     return a
 
 

@@ -1,4 +1,6 @@
 import math
+from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -290,7 +292,7 @@ def test_cartan_rejects_non_diagonal_slots():
 def test_spin1_pair_trace_value():
     # tr(J_(1 J_2))^2 = 1/2 for spin 1, fixing the extraction normalization
     j = spin(2).generators
-    pair = bl.sym_pair(j[0], j[1])
+    pair = mc.sym_product([j[0], j[1]])
     assert np.trace(pair @ pair).real == pytest.approx(0.5)
 
 
@@ -303,7 +305,7 @@ def test_spin1_extraction_coefficients():
     for a in range(3):
         assert v[a] == pytest.approx(0.5 * np.trace(rho @ g.generators[a]).real, abs=1e-12)
         for b in range(3):
-            pair = bl.sym_pair(g.generators[a], g.generators[b])
+            pair = mc.sym_product([g.generators[a], g.generators[b]])
             expect = np.trace(rho @ pair).real - 0.5 * (a == b)
             assert w[a, b] == pytest.approx(expect, abs=1e-12)
 
@@ -576,3 +578,144 @@ def test_spin_vw_purity_search_spin32_stays_large():
     # observed empirically: no (v, w) state of spin 3/2 gets close to pure
     best = bl.spin_vw_purity_search(spin(3))
     assert best > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# The shared fill, contraction and Newton recursion against the per-term
+# loops they replaced, bit for bit.
+
+def _rho_vw_by_loop(gens, v, w):
+    acc = np.zeros(gens[0].shape, dtype=np.complex128)
+    for a in range(3):
+        acc += v[a] * gens[a]
+    stack = np.stack(gens)
+    prods = np.einsum("aij,bjk->abik", stack, stack)
+    acc += np.einsum("ab,abik->ik", (np.asarray(w) + np.asarray(w).T) / 2.0, prods)
+    return acc
+
+
+def _unit_trace_vw(g, rng):
+    dw = rng.normal(size=(3, 3)) * 0.1
+    dw = (dw + dw.T) / 2.0
+    dw -= np.eye(3) * np.trace(dw) / 3.0
+    dw[0, 1] += 1e-12   # within the symmetry tolerance, so only (w + w^T)/2 enters
+    return rng.normal(size=3) * 0.1, np.eye(3) / (g.d * g.Z) + dw
+
+
+@pytest.mark.parametrize("two_s", [2, 3, 7])
+def test_rho_vw_bitwise_equal_to_loop(two_s):
+    g = spin(two_s)
+    rng = np.random.default_rng(60 + two_s)
+    for _ in range(4):
+        v, w = _unit_trace_vw(g, rng)
+        assert bl.rho_vw(g, v, w).tobytes() == _rho_vw_by_loop(g.generators, v, w).tobytes()
+    v, w = bl.pure_from_psi(mc.random_pure_statevector(3, rng))
+    assert bl.rho_vw_s_basis(v, w).tobytes() == _rho_vw_by_loop(bl.spin1_s_basis(), v, w).tobytes()
+
+
+def _extract_vw_by_loop(m, g):
+    d, lam = g.d, g.Z
+    v = np.array([(3.0 / (d * lam)) * np.trace(m @ j).real for j in g.generators])
+    trw = 3.0 / (d * lam) * np.trace(m).real
+    w = np.empty((3, 3))
+    for j in range(3):
+        for k in range(j, 3):
+            pair = mc.sym_product([g.generators[j], g.generators[k]])
+            val = (30.0 / (lam * d * (d * d - 4.0))) * np.trace(m @ pair).real
+            if j == k:
+                val -= (2.0 * lam + 1.0) / (d * d - 4.0) * trw
+            w[j, k] = w[k, j] = val
+    return v, w
+
+
+@pytest.mark.parametrize("two_s", [2, 3, 7])
+def test_extract_vw_bitwise_equal_to_pair_loop(two_s):
+    g = spin(two_s)
+    rng = np.random.default_rng(70 + two_s)
+    for rho in (bl.rho_vw(g, *_unit_trace_vw(g, rng)), mc.random_density(g.d, rng).matrix):
+        v, w = bl.extract_vw(rho, g, check=False)
+        v0, w0 = _extract_vw_by_loop(rho, g)
+        assert v.tobytes() == v0.tobytes() and w.tobytes() == w0.tobytes()
+
+
+def _decompose_by_loop(rho, g, max_rank):
+    # the scatter loops decompose_density ran per coefficient and monomial
+    target = rho - (np.trace(rho) / g.d) * np.eye(g.d)
+    monomials = {r: mc.sym_monomials(g.generators, r) for r in range(1, max_rank + 1)}
+    keys = [ms for multisets, _ in monomials.values() for ms in multisets]
+    a = np.concatenate([stack.reshape(len(stack), -1) for _, stack in monomials.values()]).T.copy()
+    coeffs, *_ = np.linalg.lstsq(np.vstack([a.real, a.imag]),
+                                 np.concatenate([target.ravel().real, target.ravel().imag]),
+                                 rcond=None)
+    tensors = {r: np.zeros((g.k,) * r) for r in range(1, max_rank + 1)}
+    for ms, c in zip(keys, coeffs):
+        perms = set(permutations(ms))
+        for perm in perms:
+            tensors[len(ms)][perm] = c / len(perms)
+    trace_parts = {}
+    for r, (multisets, stack) in monomials.items():
+        term = np.zeros((g.d, g.d), dtype=np.complex128)
+        for ms, mono in zip(multisets, stack):
+            term += tensors[r][ms] * len(set(permutations(ms))) * mono
+        trace_parts[r] = float(np.trace(term).real / g.d)
+    return tensors, trace_parts
+
+
+@pytest.mark.parametrize("build, max_rank", [
+    (lambda: spin(2), 2), (lambda: spin(3), 3), (lambda: su(3), 1), (lambda: su(3), 3),
+], ids=["spin1_r2", "spin3_2_r3", "su3_r1", "su3_r3"])
+def test_decompose_density_tensors_bitwise_equal_to_scatter_loop(build, max_rank):
+    g = build()
+    rho = mc.random_density(g.d, np.random.default_rng(80 + max_rank)).matrix
+    state = bl.decompose_density(rho, g, max_rank=max_rank)
+    tensors, trace_parts = _decompose_by_loop(rho, g, max_rank)
+    got = {1: state.v, 2: state.w, 3: state.u}
+    for r, t in tensors.items():
+        assert got[r].tobytes() == t.tobytes()
+    # trace_parts sums coefficient times monomial trace directly now; only
+    # its last digits may differ from the matrix loop's
+    assert state.trace_parts == pytest.approx(trace_parts, abs=1e-14)
+    assert mc.max_abs(bl.reconstruct(state, g) - rho) < 1e-9
+
+
+def _g2_bounds_by_fraction_lists(kappa2, kappa4):
+    # the hand-rolled exact polynomial recursion, coefficient lists in x = v^2
+    def mul(a, b):
+        out = [Fraction(0)] * 3
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                if ai * bj != 0:
+                    out[i + j] += ai * bj
+        return out
+
+    t = {0: [Fraction(7)], 2: [Fraction(0), kappa2], 4: [Fraction(0), Fraction(0), kappa4]}
+    c = {}
+    for q in range(1, 5):
+        c[q] = [Fraction(0)] * 3
+        for j, tj in t.items():
+            if j <= q:
+                for power, val in enumerate(tj):
+                    c[q][power] += Fraction(math.comb(q, j), 7**q) * val
+    a = {0: [Fraction(1)]}
+    for k in range(1, 5):
+        acc = [Fraction(0)] * 3
+        for q in range(1, k + 1):
+            for power, val in enumerate(mul(c[q], a[k - q])):
+                acc[power] += (-1) ** (q - 1) * val
+        a[k] = [x / k for x in acc]
+    return [bl._largest_nonneg_root(a[k]) for k in (2, 3, 4)]
+
+
+def test_g2_bound_refine_equal_to_fraction_list_recursion():
+    kappa2, kappa4 = bl._measured_trace_ratios(g2())
+    expect = _g2_bounds_by_fraction_lists(kappa2, kappa4)
+    assert [b.v_squared_bound for b in bl.g2_bound_refine(g2())] == expect
+    assert [b.v_bound for b in bl.g2_bound_refine(g2())] == [math.sqrt(x) for x in expect]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.nan, -1j * np.inf])
+def test_pure_from_psi_rejects_non_finite(bad):
+    psi = np.array([1.0, 0.0, 0.0], dtype=complex)
+    psi[1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        bl.pure_from_psi(psi)

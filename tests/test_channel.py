@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -614,3 +615,49 @@ def test_identity_report_json_serializable():
     report = ch.find_identity(spin(1), 2)  # has unidentifiable entries
     text = json.dumps(report.to_json())
     assert "NaN" not in text
+
+
+@pytest.mark.parametrize("build, r", [
+    (lambda: su(3), 2), (lambda: su(4), 3), (lambda: spin(2), 3), (lambda: clifford()[0], 2),
+    (lambda: clifford()[0], 3),
+], ids=["su3_r2", "su4_r3", "spin1_r3", "clifford_r2", "clifford_r3"])
+def test_find_identity_tensors_bitwise_equal_to_scatter_loop(build, r):
+    g = build()
+    rep = ch.find_identity(g, r)
+    f_m = [rep.f_tensor[ms] for ms in rep.multisets]
+    g_m = [rep.g_tensor[ms] for ms in rep.multisets]
+    # the scatter loop find_identity ran per multiset, NaN where g is not pinned
+    f_tensor = np.zeros((g.k,) * r)
+    g_tensor = np.full((g.k,) * r, np.nan)
+    for ms, fm, gm, informative in zip(rep.multisets, f_m, g_m, rep.informative):
+        for perm in set(itertools.permutations(ms)):
+            f_tensor[perm] = fm
+            g_tensor[perm] = gm if informative else np.nan
+    assert rep.f_tensor.tobytes() == f_tensor.tobytes()
+    assert rep.g_tensor.tobytes() == g_tensor.tobytes()
+    assert np.isnan(g_m).tolist() == [not x for x in rep.informative]
+
+
+def _spin1_w():
+    return np.eye(3) / 6.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spin_vw_helpers_reject_non_finite_v(bad):
+    v = np.array([bad, 0.0, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        ch.spin_channel_vw(spin(2), 0.5, v, _spin1_w())
+    with pytest.raises(ValueError, match="finite"):
+        bl.rho_vw(spin(2), v, _spin1_w())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spin_vw_helpers_reject_non_finite_symmetric_w(bad):
+    # a symmetric pair off the diagonal leaves tr(w) alone, and w - w^T is
+    # NaN there, which no '>' comparison catches
+    w = _spin1_w()
+    w[0, 1] = w[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ch.spin_channel_vw(spin(2), 0.5, np.zeros(3), w)
+    with pytest.raises(ValueError, match="finite"):
+        bl.rho_vw(spin(2), np.zeros(3), w)

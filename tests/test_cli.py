@@ -90,6 +90,21 @@ def test_apply_spin1_vw_report(tmp_path):
     np.testing.assert_allclose(got_v, (1.0 - p / 2.0) * v, atol=1e-9)
 
 
+@pytest.mark.parametrize("text", [
+    '{"v": [NaN, 0, 0], "w": [[0.25, 0, 0], [0, 0.125, 0], [0, 0, 0.125]]}',
+    '{"v": [0, 0, 0], "w": [[0.2, Infinity, 0], [Infinity, 0.2, 0], [0, 0, 0.1]]}',
+    '{"v": [0, 0, 0], "w": [[0.2, NaN, 0], [NaN, 0.2, 0], [0, 0, 0.1]]}',
+])
+def test_apply_non_finite_vw_exits_2(tmp_path, capsys, text):
+    rho_file = tmp_path / "rho.json"
+    rho_file.write_text(text)
+    code, _ = run(tmp_path, "apply", "--algebra", "spin", "--two-s", "2", "--p", "0.1",
+                  "--rho", str(rho_file))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+
+
 def test_apply_spin_vw_builds_the_spin_set_once(tmp_path, spin_rep_calls):
     rho_file = tmp_path / "rho.json"
     rho_file.write_text(json.dumps({"v": [0.1, 0.0, -0.1], "w": (np.eye(3) / 6.0).tolist()}))

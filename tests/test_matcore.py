@@ -1,7 +1,9 @@
-from itertools import combinations_with_replacement
+from fractions import Fraction
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from liechan import matcore as mc
 from tests.conftest import clifford, g2, spin, su
@@ -244,3 +246,64 @@ def test_density_json_round_trip():
     rho = mc.random_density(3, np.random.default_rng(10))
     again = mc.DensityMatrix.from_json(rho.to_json())
     np.testing.assert_array_equal(again.matrix, rho.matrix)
+
+
+# ---------------------------------------------------------------------------
+# Shared primitives against the loops they replaced, bit for bit.
+
+def _scatter(multisets, values, k):
+    # one assignment per distinct index permutation of each multiset
+    out = np.full((k,) * len(multisets[0]), np.nan)
+    for ms, value in zip(multisets, values):
+        for perm in set(permutations(ms)):
+            out[perm] = value
+    return out
+
+
+@pytest.mark.parametrize("k, r", [(3, 1), (4, 2), (5, 3), (8, 3)])
+def test_symmetric_tensor_equals_scatter_loop(k, r):
+    multisets = tuple(combinations_with_replacement(range(k), r))
+    values = np.random.default_rng(k * r).normal(size=len(multisets))
+    values[::3] = np.nan
+    values[1::5] = -0.0
+    t = mc.symmetric_tensor(multisets, values, k)
+    assert t.tobytes() == _scatter(multisets, values, k).tobytes()
+    for perm in permutations(range(r)):
+        np.testing.assert_array_equal(t, t.transpose(perm))
+
+
+def _char_poly_by_loop(m):
+    # the per-coefficient Newton loop char_poly_coeffs ran on its own
+    m = np.asarray(m, dtype=np.complex128)
+    d = m.shape[-1]
+    c = np.empty((d + 1,) + m.shape[:-2])
+    power = np.eye(d, dtype=np.complex128)
+    for q in range(1, d + 1):
+        power = power @ m
+        c[q] = power.trace(axis1=-2, axis2=-1).real
+    a = np.empty_like(c)
+    a[0] = 1.0
+    for k in range(1, d + 1):
+        a[k] = sum((-1) ** (q - 1) * c[q] * a[k - q] for q in range(1, k + 1)) / k
+    return a
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+def test_char_poly_coeffs_bitwise_equal_to_newton_loop(dim):
+    rng = np.random.default_rng(40 + dim)
+    stack = np.array([mc.random_hermitian(dim, rng) for _ in range(6)])
+    stack[0] = 0.0   # zero power sums: signed zeros must match too
+    stack[1] = mc.random_density(dim, rng).matrix
+    for m in stack:
+        assert mc.char_poly_coeffs(m).tobytes() == _char_poly_by_loop(m).tobytes()
+    assert mc.char_poly_coeffs(stack).tobytes() == _char_poly_by_loop(stack).tobytes()
+
+
+def test_newton_recursion_numbers_and_exact_polynomials():
+    # roots 1, 2, 3: power sums 6, 14, 36; e = 1, 6, 11, 6
+    assert mc.newton_recursion([Fraction(6), Fraction(14), Fraction(36)]) == [1, 6, 11, 6]
+    # roots x and 1: p_q = x^q + 1, so e_1 = x + 1 and e_2 = x, exactly
+    x = Polynomial([Fraction(0), Fraction(1)])
+    a = mc.newton_recursion([x + 1, x**2 + 1])
+    assert list(a[1].coef) == [1, 1] and list(a[2].coef) == [0, 1]
+    assert all(type(c) is Fraction for c in a[2].coef)
