@@ -30,6 +30,7 @@ from .matcore import (
     symmetric_tensor,
 )
 from .repgen import (
+    SU2_SPIN,
     SU_N_DEFINING,
     GeneratorSet,
     StructureTensors,
@@ -468,16 +469,21 @@ def pure_from_psi(psi) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("expected a 3-component state vector")
     if not np.isfinite(psi).all():
         raise ValueError("psi entries must be finite (no NaN/Inf)")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
+    norm = np.linalg.norm(psi)
+    if abs(norm - 1.0) > 1e-10:
         raise ValueError("psi must be normalized")
+    # rescaled, so that tr(w) = 1/2 holds to rounding, as rho_vw_s_basis checks
+    psi = psi / norm
     w = 0.5 * np.eye(3) - np.real(np.outer(psi, psi.conj()))
     v = np.cross(psi.real, psi.imag)
     return v, w
 
 
 def rho_vw_s_basis(v, w) -> np.ndarray:
-    """rho = v.S + sum w_ab S_(a S_b) in the antisymmetric spin-1 basis."""
-    return _contract(spin1_s_basis(), np.asarray(v, float), np.asarray(w, float))
+    """rho = v.S + sum w_ab S_(a S_b) in the antisymmetric spin-1 basis:
+    :func:`rho_vw` on the spin-1 set of the S_a, with its input checks
+    (tr(w) = 3/(d lam) = 1/2)."""
+    return rho_vw(GeneratorSet.from_generators(spin1_s_basis(), algebra=SU2_SPIN), v, w)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -98,8 +99,19 @@ def _dump_json(obj, path: str | None) -> None:
     _write(json.dumps(obj, sort_keys=True, indent=2), path)
 
 
+# Generator sets built by this process, keyed on the flags that size them.
+# A set is frozen with read-only arrays, so requests can share it.  The caps
+# on --n and --two-s bound the memo to 9 su(n), 63 spin, g2 and Clifford sets
+# (under 5 MB); a failed build raises and is not stored.
+_GENSETS: dict = {}
+
+
 def _genset(cfg: RunConfig) -> rg.GeneratorSet:
-    return rg.build_algebra(cfg.algebra, n=cfg.n, two_s=cfg.two_s)
+    key = (cfg.algebra, cfg.n if cfg.algebra == "su" else None,
+           cfg.two_s if cfg.algebra == "spin" else None)
+    if key not in _GENSETS:
+        _GENSETS[key] = rg.build_algebra(cfg.algebra, n=cfg.n, two_s=cfg.two_s)
+    return _GENSETS[key]
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +119,7 @@ def _genset(cfg: RunConfig) -> rg.GeneratorSet:
 
 def cmd_gen(cfg: RunConfig) -> int:
     g = _genset(cfg)
-    _dump_json({"generator_set": g.to_json(), "checks": g.residuals}, cfg.output_path)
+    _dump_json({"generator_set": g.to_json(), "checks": dict(g.residuals)}, cfg.output_path)
     return 0
 
 
@@ -231,7 +243,10 @@ def cmd_critical(cfg: RunConfig, max_rank: int) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first request of a process and
+    reused by later ones (parse_args keeps its state in a fresh namespace)."""
     parser = argparse.ArgumentParser(
         prog="liechan",
         description="Quantum channels from Lie algebra representations",

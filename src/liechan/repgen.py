@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations
+from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
@@ -74,7 +75,8 @@ def generator_residuals(generators: Sequence, Z: float, N: float) -> dict:
 @dataclass(frozen=True, eq=False)
 class GeneratorSet:
     """k Hermitian d x d matrices plus N and Z; ``residuals`` holds their
-    :func:`generator_residuals`, measured and enforced on construction."""
+    :func:`generator_residuals`, measured and enforced on construction, as a
+    read-only mapping."""
 
     algebra: str
     d: int
@@ -82,7 +84,7 @@ class GeneratorSet:
     generators: tuple = field(repr=False)
     N: float
     Z: float
-    residuals: dict = field(init=False, repr=False)
+    residuals: MappingProxyType = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.algebra not in ALGEBRA_TAGS:
@@ -95,7 +97,7 @@ class GeneratorSet:
             raise ValueError(f"expected {self.k} generators, got {len(gens)}")
         if any(g.shape != (self.d, self.d) for g in gens):
             raise ValueError("generator dimension mismatch")
-        res = generator_residuals(gens, self.Z, self.N)
+        res = MappingProxyType(generator_residuals(gens, self.Z, self.N))
         object.__setattr__(self, "residuals", res)
         if not res["hermiticity"] <= GENERATOR_HERM_TOL:
             raise ValueError("generator is not Hermitian within 1e-10")

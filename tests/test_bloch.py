@@ -509,6 +509,29 @@ def test_pure_from_psi_reconstruction():
         assert mc.max_abs(rho - np.outer(psi, psi.conj())) < 1e-9
 
 
+@pytest.mark.parametrize("v, w, match", [
+    ([np.nan, 0.0, 0.0], np.eye(3) / 6.0, "finite"),
+    ([0.0, 0.0, 0.0], np.diag([np.inf, 0.25, 0.25]), "finite"),
+    ([0.0, 0.0], np.eye(3) / 6.0, "3-vector"),
+    ([0.0, 0.0, 0.0], np.eye(2) / 4.0, "3-vector"),
+    ([0.0, 0.0, 0.0], np.eye(3) / 6.0 + np.triu(np.ones((3, 3)), 1) * 0.1, "symmetric"),
+    ([0.0, 0.0, 0.0], np.eye(3) / 4.0, "tr\\(w\\)"),
+])
+def test_rho_vw_s_basis_checks_its_input(v, w, match):
+    with pytest.raises(ValueError, match=match):
+        bl.rho_vw_s_basis(v, w)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.0 - 9e-11, 1.0 + 9e-11])
+def test_pure_from_psi_meets_the_s_basis_trace(scale):
+    for i in range(20):
+        psi = mc.random_pure_statevector(3, mc.derived_rng(21, i)) * scale
+        v, w = bl.pure_from_psi(psi)
+        assert abs(np.trace(w) - 0.5) < 1e-15
+        rho = bl.rho_vw_s_basis(v, w)
+        assert mc.max_abs(rho - np.outer(psi, psi.conj()) / scale ** 2) < 1e-9
+
+
 def test_pure_from_psi_norm_check():
     with pytest.raises(ValueError):
         bl.pure_from_psi(np.array([1.0, 1.0, 0.0], dtype=complex))

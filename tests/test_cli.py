@@ -106,14 +106,63 @@ def test_apply_non_finite_vw_exits_2(tmp_path, capsys, text):
 
 
 def test_apply_spin_vw_builds_the_spin_set_once(tmp_path, spin_rep_calls):
+    from liechan import cli
+
+    cli._GENSETS.clear()
     rho_file = tmp_path / "rho.json"
     rho_file.write_text(json.dumps({"v": [0.1, 0.0, -0.1], "w": (np.eye(3) / 6.0).tolist()}))
-    code, text = run(
-        tmp_path, "apply", "--algebra", "spin", "--two-s", "2", "--p", "0.2",
-        "--rho", str(rho_file),
-    )
-    assert code == 0 and json.loads(text)["vw_out"] is not None
+    for p in ("0.2", "0.3"):
+        code, text = run(
+            tmp_path, "apply", "--algebra", "spin", "--two-s", "2", "--p", p,
+            "--rho", str(rho_file),
+        )
+        assert code == 0 and json.loads(text)["vw_out"] is not None
     assert spin_rep_calls == [2]
+
+
+def test_genset_memo_keys_on_the_sizing_flag_only():
+    from liechan import cli
+
+    def cfg(algebra, n=None, two_s=None):
+        return cli.RunConfig(algebra=algebra, n=n, two_s=two_s, p=0.0, seed=0, samples=1,
+                             output_path=None, fmt="json")
+
+    assert cli._genset(cfg("g2")) is cli._genset(cfg("g2", n=5, two_s=3))
+    assert cli._genset(cfg("su", n=3)) is cli._genset(cfg("su", n=3, two_s=7))
+    assert cli._genset(cfg("spin", n=4, two_s=2)) is cli._genset(cfg("spin", two_s=2))
+    assert cli._genset(cfg("su", n=3)) is not cli._genset(cfg("su", n=4))
+
+
+def test_repeated_request_gives_identical_bytes(tmp_path):
+    rho_file = tmp_path / "rho.json"
+    rho_file.write_text(json.dumps({"v": [0.1, 0.0, -0.1], "w": (np.eye(3) / 6.0).tolist()}))
+    for argv in (["apply", "--algebra", "spin", "--two-s", "2", "--p", "0.2", "--rho", str(rho_file)],
+                 ["gen", "--algebra", "su", "--n", "3"]):
+        first = run(tmp_path, *argv)
+        assert first[0] == 0
+        assert run(tmp_path, *argv) == first
+
+
+def test_usage_error_leaves_no_parser_state(tmp_path, capsys):
+    argv = ["apply", "--algebra", "su", "--n", "2", "--p", "0.3", "--rho"]
+    rho_file = tmp_path / "rho.json"
+    rho_file.write_text(json.dumps({"v": [0.0, 0.0, 0.5]}))
+    before = run(tmp_path, *argv, str(rho_file))
+    with pytest.raises(SystemExit) as exc:
+        main(["apply", "--algebra", "su", "--n", "2", "--p", "often", "--rho", str(rho_file)])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(tmp_path, *argv, str(rho_file)) == before
+    assert before[0] == 0 and capsys.readouterr().err == ""
+
+
+def test_failed_build_is_not_cached(tmp_path, capsys):
+    errs = []
+    for _ in range(2):
+        code, _ = run(tmp_path, "gen", "--algebra", "su")
+        assert code == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == "error: --n is required for the su algebra\n"
 
 
 def test_apply_vw_input_needs_spin_algebra(tmp_path):

@@ -438,6 +438,13 @@ def test_generator_residuals_stored_on_construction(build):
     assert max(g.residuals.values()) <= 1e-9
 
 
+def test_generator_residuals_are_read_only():
+    g = su(3)
+    with pytest.raises(TypeError):
+        g.residuals["casimir_deviation"] = 0.0
+    assert dict(g.residuals) == rg.generator_residuals(g.generators, g.Z, g.N)
+
+
 def test_scaled_generator_breaks_casimir():
     g = su(3)
     gens = list(g.generators)
