@@ -576,15 +576,21 @@ def _largest_nonneg_root(poly) -> float:
 # Sampling and empirical searches.
 
 def sample_bloch_vectors(g: GeneratorSet, n: int, seed: int = 0) -> np.ndarray:
-    """n vectors uniform in the bounding ball of radius sqrt((d-1)/N),
-    which is guaranteed to contain the whole Bloch manifold."""
-    radius = math.sqrt(norm_bound(g))
-    out = np.empty((n, g.k))
-    for i in range(n):
-        rng = derived_rng(seed, i)
-        direction = rng.normal(size=g.k)
-        direction /= np.linalg.norm(direction)
-        out[i] = radius * rng.uniform() ** (1.0 / g.k) * direction
+    """n vectors uniform in the bounding ball of radius R = sqrt((d-1)/N),
+    which is guaranteed to contain the whole Bloch manifold.
+
+    The whole draw is one call into one ``np.random.default_rng(seed)``: an
+    (n, k + 2) array z of standard normals.  Row i is R z_i[:k] / |z_i|, the
+    first k coordinates of a uniform point on the sphere S^(k+1) scaled by R;
+    dropping two coordinates of a uniform point on S^(k+1) leaves a uniform
+    point in the k-ball (Voelker, Gosmann & Stewart, "Efficiently sampling
+    vectors and coordinates from the n-sphere and n-ball", CTN tech. report,
+    2017).  numpy fills z row by row, so the first m rows of an n-sample draw
+    are bitwise the m-sample draw at the same seed."""
+    z = np.random.default_rng(seed).normal(size=(n, g.k + 2))
+    norms = np.linalg.norm(z, axis=1)   # before out, so z * z is freed first
+    out = z[:, :g.k] * math.sqrt(norm_bound(g))
+    out /= norms[:, None]
     return out
 
 

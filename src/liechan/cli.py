@@ -42,7 +42,9 @@ from . import verify
 #   complex128, d = two_s + 1: 16 d^4 bytes, 256 MiB at d = 64.
 # * --samples: a scan keeps each sample's k <= MAX_N^2 - 1 coordinates as a
 #   float64, a Python float and report text, at most SCAN_BYTES_PER_COORD
-#   in all (tracemalloc measured 171 bytes for a JSON su(10) scan).
+#   in all (tracemalloc: a JSON su(10) scan peaks at 180 bytes, while it
+#   writes the report; the sampler's (n, k + 2) normal draw peaks at 16 and
+#   is freed before).
 # * the scan's stack term: the oracles run on (n, d, d) complex128 stacks,
 #   16 d^2 bytes per sample and stack, and at most SCAN_LIVE_STACKS of them
 #   are alive at once (tracemalloc: 4 to 5.2 in the charpoly oracle, rho
@@ -204,7 +206,6 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_bloch_scan(cfg: RunConfig) -> int:
     g = _genset(cfg)
     su3 = cfg.algebra == "su" and cfg.n == 3
-    tensors = rg.structure_tensors(3) if su3 else None
     flags = ["member_eig", "member_charpoly"] + (["member_closed_form"] if su3 else [])
     vs = bl.sample_bloch_vectors(g, cfg.samples, seed=cfg.seed)
     columns = {name: [] for name in ["min_eigenvalue"] + flags}
@@ -217,7 +218,7 @@ def cmd_bloch_scan(cfg: RunConfig) -> int:
         columns["member_eig"] += bl.psd_by_eigenvalues(ev).tolist()
         columns["member_charpoly"] += bl.psd_by_charpoly(rho).tolist()
         if su3:
-            columns["member_closed_form"] += bl.su3_membership_closed(part, tensors).tolist()
+            columns["member_closed_form"] += bl.su3_membership_closed(part).tolist()
     rows = zip(vs.tolist(), *columns.values())
     if cfg.fmt == "json":
         _dump_json([dict(zip(["v", *columns], row)) for row in rows], cfg.output_path)

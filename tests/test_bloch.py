@@ -591,6 +591,42 @@ def test_sample_bloch_vectors_deterministic():
     np.testing.assert_array_equal(a, b)
 
 
+SAMPLER_SETS = {
+    "su2": lambda: su(2), "su3": lambda: su(3), "spin3_2": lambda: spin(3), "g2": g2,
+    "su8": lambda: su(8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLER_SETS))
+def test_sample_bloch_vectors_prefix_is_the_shorter_draw(name):
+    g = SAMPLER_SETS[name]()
+    whole = bl.sample_bloch_vectors(g, 300, seed=12)
+    for m in (1, 2, 99, 100, 299):
+        assert bl.sample_bloch_vectors(g, m, seed=12).tobytes() == whole[:m].tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLER_SETS))
+def test_sample_bloch_vectors_stay_in_the_bounding_ball(name):
+    g = SAMPLER_SETS[name]()
+    vs = bl.sample_bloch_vectors(g, 2000, seed=13)
+    assert vs.shape == (2000, g.k)
+    assert (np.linalg.norm(vs, axis=1) <= math.sqrt(bl.norm_bound(g))).all()
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLER_SETS))
+def test_sample_bloch_vectors_are_uniform_in_the_ball(name):
+    # uniform in the k-ball of radius R: (|v|/R)^k is uniform on [0, 1]
+    # (mean 1/2, sd 1/sqrt(12)), and each coordinate has mean 0 and
+    # sd R/sqrt(k + 2)
+    g = SAMPLER_SETS[name]()
+    n = 20_000
+    radius = math.sqrt(bl.norm_bound(g))
+    vs = bl.sample_bloch_vectors(g, n, seed=14)
+    volume_fraction = (np.linalg.norm(vs, axis=1) / radius) ** g.k
+    assert abs(volume_fraction.mean() - 0.5) <= 5.0 / math.sqrt(12 * n)
+    assert np.abs(vs.mean(axis=0)).max() <= 5.0 * radius / math.sqrt((g.k + 2) * n)
+
+
 def test_spin_vw_purity_search_spin1_finds_pure():
     # spin-1: pure states exist in the (v, w) span, so the residual is tiny
     best = bl.spin_vw_purity_search(spin(2))

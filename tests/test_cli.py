@@ -354,6 +354,33 @@ def test_bloch_scan_blocks_from_the_budget_give_the_one_block_report(
                      "su3_membership_closed": blocks}
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_bloch_scan_prefix_is_the_shorter_scan(tmp_path, fmt):
+    argv = ["bloch-scan", "--algebra", "su", "--n", "3", "--seed", "7", "--format", fmt]
+    code, short = run(tmp_path, *argv, "--samples", "100")
+    assert code == 0
+    code, long = run(tmp_path, *argv, "--samples", "300")
+    assert code == 0
+    if fmt == "csv":
+        assert short.splitlines(keepends=True) == long.splitlines(keepends=True)[:101]
+    else:
+        assert json.loads(short) == json.loads(long)[:100]
+
+
+def test_su3_scans_share_one_structure_tensor_build(tmp_path, monkeypatch):
+    from liechan import repgen as rg
+
+    monkeypatch.setattr(bl, "_SU3_TENSORS", None)
+    calls = {}
+    _counted(monkeypatch, rg, "structure_tensors", calls)
+    monkeypatch.setattr(bl, "structure_tensors", rg.structure_tensors)
+    for seed in ("1", "2"):
+        code, _ = run(tmp_path, "bloch-scan", "--algebra", "su", "--n", "3", "--samples", "20",
+                      "--seed", seed)
+        assert code == 0
+    assert calls.get("structure_tensors", 0) <= 1
+
+
 def test_seed_env_fallback(tmp_path, monkeypatch):
     argv = ["bloch-scan", "--algebra", "su", "--n", "2", "--samples", "5"]
     monkeypatch.setenv("LIECHAN_SEED", "99")
