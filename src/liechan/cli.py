@@ -43,8 +43,8 @@ from . import verify
 # * --samples: a scan keeps each sample's k <= MAX_N^2 - 1 coordinates as a
 #   float64, a Python float and report text, at most SCAN_BYTES_PER_COORD
 #   in all (tracemalloc: a JSON su(10) scan peaks at 180 bytes, while it
-#   writes the report; the sampler's (n, k + 2) normal draw peaks at 16 and
-#   is freed before).
+#   writes the report; the sampler's (n, k + 2) normal draw peaks at 16
+#   bytes and is freed before).
 # * the scan's stack term: the oracles run on (n, d, d) complex128 stacks,
 #   16 d^2 bytes per sample and stack, and at most SCAN_LIVE_STACKS of them
 #   are alive at once (tracemalloc: 4 to 5.2 in the charpoly oracle, rho
