@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -333,7 +334,8 @@ class IdentityReport:
     (within 1e-8 across the monomials whose g is numerically identifiable);
     ``g`` is that scalar, or None if no monomial pins it down.  ``residual``
     is the worst per-monomial max-norm fit error.  ``f_tensor``/``g_tensor``
-    hold the per-monomial coefficients at every index permutation.
+    hold the per-monomial coefficients at every index permutation; they are
+    filled on first read, since the critical values need neither.
     """
 
     rank: int
@@ -341,12 +343,20 @@ class IdentityReport:
     special: bool
     g: float | None
     residual: float
-    f_tensor: np.ndarray = field(repr=False)
-    g_tensor: np.ndarray = field(repr=False)
     multisets: tuple = field(repr=False)
     informative: tuple = field(repr=False)
+    _f: np.ndarray = field(repr=False)            # f_M per monomial
+    _g: np.ndarray = field(repr=False)            # g_M per monomial, NaN where not pinned
     _monomials: np.ndarray = field(repr=False)    # (len(multisets), d, d)
     _transforms: np.ndarray = field(repr=False)   # sum_i X_i M X_i per monomial
+
+    @cached_property
+    def f_tensor(self) -> np.ndarray:
+        return symmetric_tensor(self.multisets, self._f, self.k)
+
+    @cached_property
+    def g_tensor(self) -> np.ndarray:
+        return symmetric_tensor(self.multisets, self._g, self.k)
 
     def residual_with(self, g0: float) -> float:
         """Worst fit error when g is pinned to g0 and only f re-fitted."""
@@ -413,13 +423,12 @@ def find_identity(g: GeneratorSet, r: int) -> IdentityReport:
     informative = norm0 > 1e-16 * np.maximum(1.0, _inner(monomials, monomials))
     # any g fits a monomial that is a multiple of I; pick 0 so f absorbs it
     g_m = np.where(informative, _inner(m0, transforms) / np.where(informative, norm0, 1.0), 0.0)
+    del m0   # one (n, d, d) stack fewer alive while the misfit is formed
     f_m = (tr_t - g_m * tr_m) / d
     misfit = g_m[:, None, None] * monomials
     misfit -= transforms
     misfit[:, np.arange(d), np.arange(d)] += f_m[:, None]
     residual = max_abs(misfit)
-    f_tensor = symmetric_tensor(multisets, f_m, k)
-    g_tensor = symmetric_tensor(multisets, np.where(informative, g_m, np.nan), k)
     g_values = g_m[informative]
     if g_values.size:
         spread = float(g_values.max() - g_values.min())
@@ -436,10 +445,10 @@ def find_identity(g: GeneratorSet, r: int) -> IdentityReport:
         special=special,
         g=g_scalar,
         residual=residual,
-        f_tensor=f_tensor,
-        g_tensor=g_tensor,
         multisets=multisets,
-        informative=tuple(bool(x) for x in informative),
+        informative=tuple(informative.tolist()),
+        _f=f_m,
+        _g=np.where(informative, g_m, np.nan),
         _monomials=monomials,
         _transforms=transforms,
     )

@@ -34,10 +34,14 @@ from . import verify
 
 # Size limits, checked before anything is built or sampled.  Each keeps the
 # largest array its flag can size within ARRAY_BUDGET (256 MiB):
-# * --n: `critical --max-rank 3` on su(n) holds C(k+2, 3) rank-3 monomials
-#   of n x n complex128 (16 byte) entries, k = n^2 - 1: 267 MB at n = 10,
-#   572 MB at n = 11.  The other su(n) arrays (the k^2 n^2 products of
-#   structure_tensors, the n^2 x n^2 superoperator) are smaller.
+# * --n: `critical --max-rank 3` on su(n) builds a stack of C(k+2, 3) rank-3
+#   monomials of n x n complex128 (16 byte) entries, k = n^2 - 1: 267 MB at
+#   n = 10, 572 MB at n = 11.  The budget bounds that one array; several of
+#   that size are alive at once (tracemalloc peak over one stack, at su(6) /
+#   su(8)): 3.4 / 3.2 in the monomial fold and 4.2 / 4.1 in all of
+#   critical_values, about 1.1 GB at n = 10.  The other su(n) arrays (the
+#   k^2 n^2 pair products of the fold and of structure_tensors, the
+#   n^2 x n^2 superoperator) are smaller.
 # * --two-s: the spin superoperator and its eigenvectors are d^2 x d^2
 #   complex128, d = two_s + 1: 16 d^4 bytes, 256 MiB at d = 64.
 # * --samples: a scan keeps each sample's k <= MAX_N^2 - 1 coordinates as a
@@ -185,7 +189,8 @@ def cmd_apply(cfg: RunConfig, rho_path: str) -> int:
 # verify
 
 def cmd_verify(cfg: RunConfig) -> int:
-    checks, info = verify.run_suite(cfg.algebra, cfg.n, cfg.two_s, cfg.seed)
+    g = None if cfg.algebra == "clifford" else _genset(cfg)
+    checks, info = verify.run_suite(cfg.algebra, cfg.n, cfg.two_s, cfg.seed, g)
     passed = all(c["pass"] for c in checks)
     report = {
         "algebra": cfg.algebra,

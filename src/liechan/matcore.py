@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, permutations
+from itertools import chain, combinations_with_replacement, permutations
 from typing import Sequence
 
 import numpy as np
@@ -95,7 +95,9 @@ def sym_monomials(mats: Sequence, r: int) -> tuple[tuple, np.ndarray]:
     Returns the multisets in ``combinations_with_replacement`` order and a
     ``(C(k+r-1, r), d, d)`` array whose slice ``j`` is bitwise equal to
     ``sym_product([mats[i] for i in multisets[j]])``, since both run the
-    same fold.  For r = 1 the slices are the matrices as given.
+    same fold: first products read from one table of the ordered pair
+    products, each further factor one grouped gemm per generator (see
+    :func:`_sym_fold`).  For r = 1 the slices are the matrices as given.
     """
     if r < 1:
         raise ValueError("rank r must be >= 1")
@@ -105,22 +107,71 @@ def sym_monomials(mats: Sequence, r: int) -> tuple[tuple, np.ndarray]:
 
 
 def _sym_fold(stack: np.ndarray, multisets) -> np.ndarray:
-    """Symmetrized products of the stacked matrices over each index multiset:
-    the factors in content-key order, so the result is bitwise reproducible
-    under any reordering, the permutations summed in ``permutations()`` order
-    as left folds, and the sum divided by r! last."""
-    keys = [m.tobytes() for m in stack]
-    # factors[j] lists the indices of multiset j in key order
-    factors = np.array([sorted(s, key=keys.__getitem__) for s in multisets], dtype=np.intp)
-    r = factors.shape[1]
-    total = np.zeros((len(factors),) + stack.shape[1:], dtype=np.complex128)
+    """Symmetrized products of the stacked matrices over each index multiset
+    of one rank r >= 2: the factors in content-key order, so the result is
+    bitwise reproducible under any reordering, the permutations summed in
+    ``permutations()`` order as left folds onto zeros, and the sum divided
+    by r! last.
+
+    No fold runs a per-matrix product.  One broadcast ``matmul`` builds the
+    table of ordered pair products X_a X_b (k gemms of the stacked matrices
+    against each X_b), and every fold's first product is read from it.  Each
+    further factor is one ``(m d, d) @ X_c`` gemm per matrix c over the m
+    rows it multiplies; the rows are grouped by a stable argsort of that
+    factor's column, taken once per column.  A row of such a gemm is bitwise
+    the lone d x d product, so the result is the per-matrix fold's.  Beside
+    the pair table, three ``(n, d, d)`` arrays are live: the sum and the
+    gemm's input and output, which are gathered and scattered in place.
+    """
+    k, d, _ = stack.shape
+    n, r = len(multisets), len(multisets[0])
+    # the matrices in content-key order (ties only between equal matrices),
+    # and each factor list sorted by that rank: factors[j] is multiset j in key order
+    by_key = np.array(sorted(range(k), key=[m.tobytes() for m in stack].__getitem__), dtype=np.intp)
+    rank = np.empty(k, dtype=np.intp)
+    rank[by_key] = np.arange(k)
+    indices = np.fromiter(chain.from_iterable(multisets), dtype=np.intp, count=n * r).reshape(n, r)
+    factors = by_key[np.sort(rank[indices], axis=1)]
+    pairs = np.matmul(stack.reshape(k * d, d), stack).reshape(k * k, d, d)   # [b k + a] = X_a X_b
+    # take(..., 'clip') writes straight into its out buffer ('raise' would
+    # buffer a full copy first); every index is in range, so nothing clips
+    total = np.zeros((n, d, d), dtype=np.complex128)
+    acc = np.empty_like(total)
+    out = np.empty_like(total) if r > 2 else None
+    groups = [_row_groups(factors, i, stack) for i in range(r)] if r > 2 else None
     for perm in permutations(range(r)):
-        acc = stack[factors[:, perm[0]]]
-        for i in perm[1:]:
-            acc = acc @ stack[factors[:, i]]
-        total += acc
+        # rows in the order that groups the third factor (multiset order at r = 2)
+        order, rows, _ = groups[perm[2]] if r > 2 else (None, factors, None)
+        pairs.take(rows[:, perm[1]] * k + rows[:, perm[0]], 0, acc, "clip")
+        for i in perm[2:]:
+            regroup, _, runs = groups[i]
+            if regroup is not order:   # back to multiset order, then grouped by this factor
+                out[order] = acc
+                out.take(regroup, 0, acc, "clip")
+                order = regroup
+            flat_in, flat_out = acc.reshape(n * d, d), out.reshape(n * d, d)
+            for x, start, stop in runs:
+                np.dot(flat_in[start:stop], x, out=flat_out[start:stop])
+            acc, out = out, acc
+        if order is None:
+            total += acc
+        else:
+            total.take(order, 0, out, "clip")
+            out += acc
+            total[order] = out
     total /= math.factorial(r)
     return total
+
+
+def _row_groups(factors: np.ndarray, i: int, stack: np.ndarray) -> tuple:
+    """The fold's rows grouped by their factor ``i``: the stable sort order
+    of that column, the factor table's rows in that order, and for each
+    matrix c that occurs ``(X_c, start, stop)``, its rows' span in the
+    sorted stack flattened to ``(n d, d)``."""
+    order = np.argsort(factors[:, i], kind="stable")
+    rows = factors[order]
+    bounds = (np.searchsorted(rows[:, i], np.arange(len(stack) + 1)) * stack.shape[1]).tolist()
+    return order, rows, [(x, lo, hi) for x, lo, hi in zip(stack, bounds, bounds[1:]) if lo < hi]
 
 
 def symmetric_tensor(multisets, values, k: int) -> np.ndarray:

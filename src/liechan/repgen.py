@@ -222,10 +222,15 @@ class StructureTensors:
                 raise ValueError(f"{name} tensor has wrong shape {arr.shape}")
 
 
-def structure_tensors(n: int) -> StructureTensors:
+def structure_tensors(n: int, g: GeneratorSet | None = None) -> StructureTensors:
     """f, d and Q tensors of su(n): f_ijk = -(i/4) tr([X_i,X_j] X_k),
-    d_ijk = (1/4) tr({X_i,X_j} X_k), Q = d + i f, beta = 2/n."""
-    g = gell_mann(n)
+    d_ijk = (1/4) tr({X_i,X_j} X_k), Q = d + i f, beta = 2/n.  They are
+    built on ``g``, a ``gell_mann(n)`` set the caller holds, or on a new
+    one when ``g`` is None."""
+    if g is None:
+        g = gell_mann(n)
+    elif g.algebra != SU_N_DEFINING or g.d != n:
+        raise ValueError(f"structure_tensors({n}) needs the su({n}) defining representation")
     x = np.stack(g.generators)
     prod = np.einsum("iab,jbc->ijac", x, x)
     comm = prod - prod.transpose(1, 0, 2, 3)

@@ -26,7 +26,7 @@ def _su(g: rg.GeneratorSet) -> tuple[list, dict]:
         dev = ch.superoperator(ch.build_channel(g, p).ops) - ch.depolarizing_superoperator(n, lam)
         return float(np.abs(dev).sum(axis=1).max())
 
-    checks = [_check(*row) for row in rg.structure_tensors(n).residuals]
+    checks = [_check(*row) for row in rg.structure_tensors(n, g).residuals]
     residual = max(worst(p, ch.su_n_factor(p, n)) for p in (0.0, 0.25, 0.5, 0.75, 1.0))
     checks.append(_check("depolarizing_factor", residual, 1e-9))
     pc = ch.su_n_critical(n)
@@ -93,8 +93,7 @@ def _random_unit_trace_vw(g: rg.GeneratorSet, rng: np.random.Generator):
     return v, w
 
 
-def _g2(seed: int) -> tuple[list, dict]:
-    g = rg.g2_rep()
+def _g2(g: rg.GeneratorSet, seed: int) -> tuple[list, dict]:
     checks = [
         _check("casimir_identity", g.residuals["casimir_deviation"], 1e-9),
         _check("trace_orthonormality", g.residuals["trace_form_deviation"], 1e-9),
@@ -158,15 +157,20 @@ def _clifford(seed: int) -> tuple[list, dict]:
 
 
 def run_suite(algebra: str, n: int | None = None, two_s: int | None = None,
-              seed: int = 0) -> tuple[list, dict]:
+              seed: int = 0, g: rg.GeneratorSet | None = None) -> tuple[list, dict]:
     """``(checks, info)`` of the identity suite of ``algebra`` (su, spin, g2
-    or clifford); ``seed`` draws the sampled checks' inputs."""
-    if algebra == "su":
-        return _su(rg.build_algebra("su", n=n))
-    if algebra == "spin":
-        return _spin(rg.build_algebra("spin", two_s=two_s), seed)
-    if algebra == "g2":
-        return _g2(seed)
+    or clifford); ``seed`` draws the sampled checks' inputs.  ``g`` is the
+    su, spin or g2 generator set to check, when the caller holds it already
+    (``build_algebra(algebra, n=n, two_s=two_s)`` otherwise); the Clifford
+    suite builds its own, since its rank check reads the basis."""
     if algebra == "clifford":
         return _clifford(seed)
-    raise ValueError(f"unknown algebra {algebra!r}")
+    if algebra not in ("su", "spin", "g2"):
+        raise ValueError(f"unknown algebra {algebra!r}")
+    if g is None:
+        g = rg.build_algebra(algebra, n=n, two_s=two_s)
+    if algebra == "su":
+        return _su(g)
+    if algebra == "spin":
+        return _spin(g, seed)
+    return _g2(g, seed)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from liechan import channel as ch
 from liechan import matcore as mc
 from liechan import repgen as rg
 from tests.conftest import clifford, g2, spin, su
+from tests.test_matcore import reference_sym_fold
 
 
 def random_unit_trace_vw(two_s, rng, scale=0.15):
@@ -636,6 +638,60 @@ def test_find_identity_tensors_bitwise_equal_to_scatter_loop(build, r):
     assert rep.f_tensor.tobytes() == f_tensor.tobytes()
     assert rep.g_tensor.tobytes() == g_tensor.tobytes()
     assert np.isnan(g_m).tolist() == [not x for x in rep.informative]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: su(3), lambda: su(5), lambda: g2(), lambda: spin(2), lambda: clifford()[0],
+], ids=["su3", "su5", "g2", "spin1", "clifford"])
+def test_critical_values_report_unchanged_under_reference_fold(monkeypatch, build):
+    g = build()
+    text = json.dumps(ch.critical_values(g, 3).to_json())
+    monkeypatch.setattr(mc, "_sym_fold", reference_sym_fold)
+    assert json.dumps(ch.critical_values(g, 3).to_json()) == text
+
+
+def test_critical_values_fills_no_symmetric_tensor(monkeypatch):
+    calls = []
+    real = ch.symmetric_tensor
+    monkeypatch.setattr(ch, "symmetric_tensor", lambda *a: calls.append(a) or real(*a))
+    for g in (su(3), spin(2), g2()):
+        ch.critical_values(g, 3)
+    assert calls == []
+    rep = ch.find_identity(su(3), 2)
+    assert rep.f_tensor is rep.f_tensor and rep.g_tensor is rep.g_tensor
+    assert len(calls) == 2
+
+
+def _eager_tensors(g, rep):
+    # the fit and fill that find_identity ran before the tensors were lazy
+    monomials, transforms = rep._monomials, rep._transforms
+    tr_m, tr_t = ch._traces(monomials), ch._traces(transforms)
+    m0 = ch._traceless(monomials)
+    norm0 = ch._inner(m0, m0)
+    informative = norm0 > 1e-16 * np.maximum(1.0, ch._inner(monomials, monomials))
+    g_m = np.where(informative, ch._inner(m0, transforms) / np.where(informative, norm0, 1.0), 0.0)
+    f_m = (tr_t - g_m * tr_m) / g.d
+    return (mc.symmetric_tensor(rep.multisets, f_m, g.k),
+            mc.symmetric_tensor(rep.multisets, np.where(informative, g_m, np.nan), g.k))
+
+
+@pytest.mark.parametrize("build, r", [
+    (lambda: su(3), 3), (lambda: spin(1), 2), (lambda: spin(2), 3), (lambda: g2(), 2),
+    (lambda: clifford()[0], 3),
+], ids=["su3_r3", "spin1_2_r2", "spin1_r3", "g2_r2", "clifford_r3"])
+def test_lazy_identity_tensors_bitwise_equal_to_eager_fill(build, r):
+    g = build()
+    rep = ch.find_identity(g, r)
+    f_tensor, g_tensor = _eager_tensors(g, rep)
+    text = json.dumps(rep.to_json())    # reads the tensors first
+    assert rep.f_tensor.tobytes() == f_tensor.tobytes()
+    assert rep.g_tensor.tobytes() == g_tensor.tobytes()
+    expected = {"rank": rep.rank, "k": rep.k, "special": rep.special, "g": rep.g,
+                "residual": rep.residual}
+    for name, t in (("f_tensor", f_tensor), ("g_tensor", g_tensor)):
+        expected[name] = {"shape": list(t.shape),
+                          "data": [None if np.isnan(x) else float(x) for x in t.ravel()]}
+    assert text == json.dumps(expected)
 
 
 def _spin1_w():

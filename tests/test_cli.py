@@ -120,6 +120,22 @@ def test_apply_spin_vw_builds_the_spin_set_once(tmp_path, spin_rep_calls):
     assert spin_rep_calls == [2]
 
 
+def test_verify_su_builds_gell_mann_once(tmp_path, monkeypatch):
+    from liechan import cli
+    from liechan import repgen as rg
+
+    cli._GENSETS.clear()
+    calls = {}
+    _counted(monkeypatch, rg, "gell_mann", calls)
+    reports = []
+    for seed in ("1", "2"):
+        code, text = run(tmp_path, "verify", "--algebra", "su", "--n", "4", "--seed", seed)
+        assert code == 0
+        reports.append(json.loads(text))
+    assert calls == {"gell_mann": 1}
+    assert reports[0]["checks"] == reports[1]["checks"]
+
+
 def test_genset_memo_keys_on_the_sizing_flag_only():
     from liechan import cli
 

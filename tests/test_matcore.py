@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
@@ -85,6 +86,55 @@ def test_sym_monomials_bitwise_equal_to_sym_product(gens, r):
         ref = mc.sym_product([mats[i] for i in ms])
         np.testing.assert_array_equal(mono, ref)
         assert mono.tobytes() == ref.tobytes()  # signed zeros included
+
+
+def reference_sym_fold(stack, multisets):
+    # the per-matrix fold that _sym_fold replaced: the factors in content-key
+    # order, one stacked matmul per factor, permutations summed onto zeros
+    keys = [m.tobytes() for m in stack]
+    factors = np.array([sorted(s, key=keys.__getitem__) for s in multisets], dtype=np.intp)
+    r = factors.shape[1]
+    total = np.zeros((len(factors),) + stack.shape[1:], dtype=np.complex128)
+    for perm in permutations(range(r)):
+        acc = stack[factors[:, perm[0]]]
+        for i in perm[1:]:
+            acc = acc @ stack[factors[:, i]]
+        total += acc
+    total /= math.factorial(r)
+    return total
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize(
+    "gens",
+    [lambda: su(2), lambda: su(3), lambda: su(4), lambda: su(5), lambda: spin(2),
+     lambda: spin(3), lambda: spin(7), lambda: g2(), lambda: clifford()[0]],
+    ids=["su2", "su3", "su4", "su5", "spin1", "spin3_2", "spin7_2", "g2", "clifford"],
+)
+def test_sym_monomials_bitwise_equal_to_reference_fold(gens, r):
+    mats = gens().generators
+    multisets, stack = mc.sym_monomials(mats, r)
+    assert stack.tobytes() == reference_sym_fold(np.stack(mats), multisets).tobytes()
+
+
+def _random_complex(rng, d):
+    return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+
+@pytest.mark.parametrize("r", [4, 5])
+@pytest.mark.parametrize("case", ["repeated", "signed_zeros"])
+def test_sym_product_bitwise_equal_to_reference_fold(r, case):
+    rng = np.random.default_rng(70 + r)
+    ms = [_random_complex(rng, 3) for _ in range(r)]
+    if case == "repeated":
+        ms[2] = ms[0]
+        ms[-1] = ms[0]
+    else:
+        ms[1] = np.array([[-0.0, 1.0, 0.0], [0.0, -0.0, -1.0], [-0.0, 0.0, 2.0]])
+        ms[1] = ms[1] + 1j * np.array([[0.0, -0.0, -0.0], [1.0, 0.0, -0.0], [-0.0, 0.0, -0.0]])
+        ms[3] = -0.0 * ms[0]
+    ref = reference_sym_fold(np.stack(ms), [tuple(range(r))])[0]
+    assert mc.sym_product(ms).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -69,6 +69,30 @@ def test_su_and_clifford_suites_read_stored_measurements(monkeypatch):
     assert {c["name"]: c["residual"] for c in checks}["basis_rank_16"] == 0.0
 
 
+@pytest.mark.parametrize("algebra, size", [("su", {"n": 4}), ("spin", {"two_s": 3}), ("g2", {})])
+def test_run_suite_on_a_given_set_builds_nothing(monkeypatch, algebra, size):
+    g = rg.build_algebra(algebra, **size)
+    expected = verify.run_suite(algebra, seed=5, **size)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the suite built a generator set")
+
+    for name in ("gell_mann", "spin_rep", "g2_rep"):
+        monkeypatch.setattr(rg, name, refuse)
+    assert verify.run_suite(algebra, seed=5, g=g, **size) == expected
+
+
+def test_structure_tensors_on_a_given_set():
+    g = rg.gell_mann(3)
+    t, fresh = rg.structure_tensors(3, g), rg.structure_tensors(3)
+    for name in ("f", "d_sym", "Q"):
+        assert getattr(t, name).tobytes() == getattr(fresh, name).tobytes()
+    assert t.residuals == fresh.residuals
+    for wrong in (rg.gell_mann(4), rg.spin_rep(2)):
+        with pytest.raises(ValueError, match="defining representation"):
+            rg.structure_tensors(3, wrong)
+
+
 def test_spin_suite_reports_exact_pure_weight():
     from liechan import bloch as bl
 
