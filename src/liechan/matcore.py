@@ -133,12 +133,12 @@ def _sym_fold(stack: np.ndarray, multisets) -> np.ndarray:
     indices = np.fromiter(chain.from_iterable(multisets), dtype=np.intp, count=n * r).reshape(n, r)
     factors = by_key[np.sort(rank[indices], axis=1)]
     pairs = np.matmul(stack.reshape(k * d, d), stack).reshape(k * k, d, d)   # [b k + a] = X_a X_b
-    # take(..., 'clip') writes straight into its out buffer ('raise' would
-    # buffer a full copy first); every index is in range, so nothing clips
     total = np.zeros((n, d, d), dtype=np.complex128)
     acc = np.empty_like(total)
     out = np.empty_like(total) if r > 2 else None
-    groups = [_row_groups(factors, i, stack) for i in range(r)] if r > 2 else None
+    groups = _row_groups(factors, stack) if r > 2 else None
+    # take(..., 'clip') writes straight into its out buffer ('raise' would
+    # buffer a full copy first); every index is in range, so nothing clips
     for perm in permutations(range(r)):
         # rows in the order that groups the third factor (multiset order at r = 2)
         order, rows, _ = groups[perm[2]] if r > 2 else (None, factors, None)
@@ -153,25 +153,28 @@ def _sym_fold(stack: np.ndarray, multisets) -> np.ndarray:
             for x, start, stop in runs:
                 np.dot(flat_in[start:stop], x, out=flat_out[start:stop])
             acc, out = out, acc
-        if order is None:
-            total += acc
-        else:
-            total.take(order, 0, out, "clip")
-            out += acc
-            total[order] = out
+        if order is not None:   # back to multiset order
+            out[order] = acc
+            acc, out = out, acc
+        total += acc
     total /= math.factorial(r)
     return total
 
 
-def _row_groups(factors: np.ndarray, i: int, stack: np.ndarray) -> tuple:
-    """The fold's rows grouped by their factor ``i``: the stable sort order
-    of that column, the factor table's rows in that order, and for each
-    matrix c that occurs ``(X_c, start, stop)``, its rows' span in the
-    sorted stack flattened to ``(n d, d)``."""
-    order = np.argsort(factors[:, i], kind="stable")
-    rows = factors[order]
-    bounds = (np.searchsorted(rows[:, i], np.arange(len(stack) + 1)) * stack.shape[1]).tolist()
-    return order, rows, [(x, lo, hi) for x, lo, hi in zip(stack, bounds, bounds[1:]) if lo < hi]
+def _row_groups(factors: np.ndarray, stack: np.ndarray) -> list:
+    """For each factor column of the fold's rows: the rows' stable sort order
+    by that factor, the factor table's rows in that order, and for each
+    matrix c that occurs ``(X_c, start, stop)``, its rows' span in the sorted
+    stack flattened to ``(n d, d)``."""
+    d, groups = stack.shape[1], []
+    for col, order in zip(factors.T, factors.T.argsort(axis=1, kind="stable")):
+        runs, end = [], 0
+        for x, count in zip(stack, np.bincount(col, minlength=len(stack)).tolist()):
+            if count:
+                runs.append((x, end * d, (end + count) * d))
+                end += count
+        groups.append((order, factors[order], runs))
+    return groups
 
 
 def symmetric_tensor(multisets, values, k: int) -> np.ndarray:
