@@ -2,97 +2,9 @@
 
 Generator-set factories (su(n), spin-s, g2, Clifford), the Kraus channels
 they induce, closed-form channel actions and product identities, and
-generalized Bloch manifold tooling.
+generalized Bloch manifold tooling.  The API lives in the submodules
+(``from liechan import channel``): ``matcore``, ``repgen``, ``channel``,
+``bloch``, ``verify`` and ``cli``.
 """
 
-from .matcore import (
-    DensityMatrix,
-    anticommutator,
-    as_complex_matrix,
-    char_poly_coeffs,
-    commutator,
-    hermitian_eigenvalues,
-    matrix_from_json,
-    matrix_to_json,
-    min_eigenvalue,
-    random_density,
-    sym_product,
-    trace,
-)
-from .repgen import (
-    CLIFFORD_WEYL,
-    CUSTOM,
-    G2_FUNDAMENTAL,
-    SU2_SPIN,
-    SU_N_DEFINING,
-    GeneratorSet,
-    NotScalarError,
-    StructureTensors,
-    build_algebra,
-    clifford_bilinear,
-    clifford_gamma,
-    clifford_weyl,
-    g2_rep,
-    gell_mann,
-    octonion_multiply,
-    octonion_table,
-    rotate_basis,
-    spin_rep,
-    structure_tensors,
-)
-from .channel import (
-    CriticalDecomposition,
-    CriticalEntry,
-    IdentityReport,
-    KrausChannel,
-    POutOfRangeError,
-    WIteration,
-    apply,
-    apply_matrix,
-    build_channel,
-    clifford_vector_channel,
-    critical_values,
-    detect_depolarizing,
-    double_channel,
-    extend,
-    find_identity,
-    iterate_w_polynomial,
-    lq_norm,
-    max_lq_norm,
-    min_entropy_su_n,
-    sampled_min_output_entropy,
-    spin_channel_vw,
-    su_n_critical,
-    su_n_factor,
-    werner_holevo,
-)
-from .bloch import (
-    BlochState,
-    RadiusBound,
-    SpanDeficientError,
-    bloch_rho,
-    bloch_vector,
-    cartan_polytope_membership,
-    decompose_density,
-    embed_cartan,
-    extract_vw,
-    g2_bound_refine,
-    membership_charpoly,
-    membership_eig,
-    norm_bound,
-    psd_by_charpoly,
-    psd_by_eigenvalues,
-    pure_bloch_test,
-    pure_from_psi,
-    reconstruct,
-    rho_vw,
-    rho_vw_s_basis,
-    s_to_j_unitary,
-    sample_bloch_vectors,
-    spin1_pure_family,
-    spin1_pure_omega,
-    spin1_s_basis,
-    su3_membership_closed,
-)
-
-__version__ = "0.2.0"
+__version__ = "0.3.0"

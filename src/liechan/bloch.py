@@ -303,23 +303,6 @@ class BlochState:
     residual: float
     trace_parts: dict
 
-    def to_json(self) -> dict:
-        def pack(t):
-            if t is None:
-                return None
-            return {"shape": list(t.shape), "data": [float(x) for x in t.ravel()]}
-
-        return {
-            "algebra": self.algebra,
-            "d": self.d,
-            "k": self.k,
-            "v": pack(self.v),
-            "w": pack(self.w),
-            "u": pack(self.u),
-            "residual": self.residual,
-            "trace_parts": {str(r): val for r, val in self.trace_parts.items()},
-        }
-
 
 def decompose_density(rho, g: GeneratorSet, max_rank: int = 2) -> BlochState:
     """Least-squares coefficients of rho - I/d in the symmetrized monomial

@@ -28,8 +28,6 @@ from .matcore import (
     as_complex_matrix,
     as_density,
     derived_rng,
-    matrix_from_json,
-    matrix_to_json,
     max_abs,
     random_pure_statevector,
     readonly_copy,
@@ -80,21 +78,6 @@ class KrausChannel:
     @property
     def dim(self) -> int:
         return self.ops[0].shape[0]
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "source": self.source,
-            "ops": [matrix_to_json(m) for m in self.ops],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "KrausChannel":
-        return cls(
-            ops=tuple(matrix_from_json(m) for m in obj["ops"]),
-            p=None if obj["p"] is None else float(obj["p"]),
-            source=obj["source"],
-        )
 
 
 def normalization_deviation(ops: Sequence) -> float:
@@ -602,7 +585,12 @@ def sampled_min_output_entropy(ch: KrausChannel, n_samples: int = 10000, seed: i
 
 
 def lq_norm(m, q: float) -> float:
-    """(tr |m|^q)^(1/q) via the eigenvalues of a Hermitian matrix."""
+    """(tr |m|^q)^(1/q) via the eigenvalues of a Hermitian matrix.
+
+    With :func:`max_lq_norm` this reproduces the paper's Werner-Holevo
+    statement: the spin-1 channel at p = 1 is the map :func:`werner_holevo`
+    (up to a unitary change of basis), so their maximal output l_q norms
+    agree."""
     if q < 1.0:
         raise ValueError("q must be >= 1")
     ev = np.abs(np.linalg.eigvalsh(as_complex_matrix(m)))
@@ -614,7 +602,9 @@ def max_lq_norm(ch: KrausChannel, q: float, n_samples: int = 200, seed: int = 0)
 
     Pure states are the extreme points of the density matrices and the norm
     is convex, so the supremum is attained on them; a finite sample still
-    only certifies a lower bound on that supremum.
+    only certifies a lower bound on that supremum.  For the spin-1 channel
+    at p = 1, the Werner-Holevo map of the paper, every pure input gives
+    the same output spectrum {0, 1/2, 1/2}, so any sample attains it.
     """
     if q < 1.0:
         raise ValueError("q must be >= 1")

@@ -141,7 +141,10 @@ def _real_array(obj, name: str) -> np.ndarray:
 
 def _load_rho(path: str, g: rg.GeneratorSet) -> mc.DensityMatrix:
     with open(path) as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise ValueError("--rho JSON is nested too deeply") from None
     if not isinstance(obj, dict):
         raise ValueError("--rho must hold a JSON object")
     if "v" in obj:

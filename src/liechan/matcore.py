@@ -2,7 +2,7 @@
 
 Everything downstream (generator sets, Kraus channels, Bloch scans) works
 with small dense ``numpy`` arrays of dtype complex128.  This module holds
-the shared primitives: products, traces, symmetrized products, Hermitian
+the shared primitives: commutators, symmetrized products, Hermitian
 eigensolves, characteristic-polynomial coefficients via power traces, the
 validated ``DensityMatrix`` wrapper, and the JSON wire format for matrices.
 
@@ -43,24 +43,12 @@ def max_abs(m) -> float:
     return float(np.abs(m).max()) if np.asarray(m).size else 0.0
 
 
-def trace(m) -> complex:
-    return complex(np.trace(as_complex_matrix(m)))
-
-
 def commutator(a, b) -> np.ndarray:
     a = as_complex_matrix(a)
     b = as_complex_matrix(b)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return a @ b - b @ a
-
-
-def anticommutator(a, b) -> np.ndarray:
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b + b @ a
 
 
 def is_hermitian(m, tol: float = HERMITIAN_TOL) -> bool:
@@ -280,24 +268,8 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @classmethod
-    def maximally_mixed(cls, d: int) -> "DensityMatrix":
-        return cls(np.eye(d) / d)
-
-    @classmethod
-    def from_pure(cls, psi) -> "DensityMatrix":
-        v = np.asarray(psi, dtype=np.complex128).ravel()
-        n = np.linalg.norm(v)
-        if abs(n - 1.0) > 1e-10:
-            raise ValueError(f"state vector norm deviates from 1 by {abs(n - 1.0):.3e}")
-        return cls(np.outer(v, v.conj()))
-
     def to_json(self) -> dict:
         return matrix_to_json(self.matrix)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "DensityMatrix":
-        return cls(matrix_from_json(obj))
 
 
 def as_density(rho) -> DensityMatrix:
@@ -340,11 +312,6 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 
 def derived_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(index)])
-
-
-def random_hermitian(d: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return scale * (a + a.conj().T) / 2
 
 
 def random_pure_statevector(d: int, rng: np.random.Generator) -> np.ndarray:

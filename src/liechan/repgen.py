@@ -26,7 +26,6 @@ import numpy as np
 
 from .matcore import (
     as_complex_matrix,
-    matrix_from_json,
     matrix_to_json,
     max_abs,
     readonly_copy,
@@ -131,33 +130,6 @@ class GeneratorSet:
             "Z": self.Z,
             "generators": [matrix_to_json(g) for g in self.generators],
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "GeneratorSet":
-        return cls(
-            algebra=obj["algebra"],
-            d=int(obj["d"]),
-            k=int(obj["k"]),
-            generators=tuple(matrix_from_json(g) for g in obj["generators"]),
-            N=float(obj["N"]),
-            Z=float(obj["Z"]),
-        )
-
-
-def rotate_basis(g: GeneratorSet, ortho: np.ndarray) -> GeneratorSet:
-    """New GeneratorSet with generators Y_a = sum_b O_ab X_b, O orthogonal.
-
-    An orthogonal mixing preserves the trace form, the Casimir sum and
-    Hermiticity, so the rotated set defines the same channel.
-    """
-    o = np.asarray(ortho, dtype=float)
-    if o.shape != (g.k, g.k) or max_abs(o @ o.T - np.eye(g.k)) > 1e-10:
-        raise ValueError("expected an orthogonal k x k mixing matrix")
-    stack = np.stack(g.generators)
-    mixed = np.einsum("ab,bij->aij", o, stack)
-    return GeneratorSet(
-        algebra=CUSTOM, d=g.d, k=g.k, generators=tuple(mixed), N=g.N, Z=g.Z
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +317,7 @@ def octonion_table() -> np.ndarray:
 
 
 def octonion_multiply(x, y, table: np.ndarray | None = None) -> np.ndarray:
+    """The product xy of octonions given by their 8 components on e_0..e_7."""
     t = octonion_table() if table is None else table
     return np.einsum("i,j,ijk->k", np.asarray(x, dtype=float), np.asarray(y, dtype=float), t)
 
@@ -361,18 +334,6 @@ def _derivation_tensor(t: np.ndarray) -> np.ndarray:
     c = t - t.transpose(1, 0, 2)
     assoc = np.einsum("pqm,mak->pqka", t, t) - np.einsum("qam,pmk->pqka", t, t)
     return np.einsum("pqm,mak->pqka", c, c) - 3.0 * assoc
-
-
-def octonion_derivation(x, y, table: np.ndarray | None = None) -> np.ndarray:
-    """The derivation D(x, y): a -> [[x,y],a] - 3[x,y,a] as an 8x8 matrix.
-
-    [a,b,c] = (ab)c - a(bc) is the associator; alternativity of the
-    octonions makes D(x, y) a derivation of the algebra.
-    """
-    t = octonion_table() if table is None else table
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return np.einsum("p,q,pqka->ka", x, y, _derivation_tensor(t))
 
 
 def g2_rep() -> GeneratorSet:

@@ -2,9 +2,10 @@
 
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
-from liechan import repgen
+from liechan import matcore, repgen
 
 
 @lru_cache(maxsize=None)
@@ -30,6 +31,11 @@ def clifford():
 @lru_cache(maxsize=None)
 def su_tensors(n):
     return repgen.structure_tensors(n)
+
+
+def maximally_mixed(d):
+    """The density matrix I/d."""
+    return matcore.DensityMatrix(np.eye(d) / d)
 
 
 @pytest.fixture

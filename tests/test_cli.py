@@ -14,7 +14,7 @@ import liechan
 from liechan import bloch as bl
 from liechan import matcore as mc
 from liechan.cli import main
-from tests.conftest import spin, su
+from tests.conftest import maximally_mixed, spin, su
 
 
 def run(tmp_path, *argv):
@@ -501,8 +501,10 @@ def test_generator_dump_reloads(tmp_path):
 
     code, text = run(tmp_path, "gen", "--algebra", "spin", "--two-s", "3")
     assert code == 0
-    gs = rg.GeneratorSet.from_json(json.loads(text)["generator_set"])
-    assert gs.d == 4
+    dump = json.loads(text)["generator_set"]
+    gs = rg.GeneratorSet.from_generators([mc.matrix_from_json(m) for m in dump["generators"]])
+    assert gs.d == dump["d"] == 4
+    assert gs.N == pytest.approx(dump["N"]) and gs.Z == pytest.approx(dump["Z"])
     for a, b in zip(gs.generators, spin(3).generators):
         assert mc.max_abs(a - b) < 1e-15
 
@@ -565,6 +567,17 @@ def test_malformed_vw_rho_exits_2_without_traceback(tmp_path, text):
     assert "Traceback" not in proc.stderr
 
 
+def test_deeply_nested_rho_exits_2_without_traceback(tmp_path, capsys):
+    # deeper than the JSON decoder's recursion limit
+    rho_file = tmp_path / "rho.json"
+    rho_file.write_text("[" * 200_000 + "]" * 200_000)
+    code, _ = run(tmp_path, "apply", "--algebra", "su", "--n", "2", "--rho", str(rho_file))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: --rho JSON is nested too deeply\n"
+    assert "Traceback" not in err
+
+
 # Arbitrary JSON for `apply --rho`, with the keys the input forms use made
 # likely, so that the raw-matrix, {v} and {v, w} paths all see malformed data.
 _JSON_KEYS = st.sampled_from(["v", "w", "dim", "entries", "data", "shape"]) | st.text(max_size=3)
@@ -605,7 +618,7 @@ SEED_MESSAGE = "error: --seed (or LIECHAN_SEED) must be >= 0\n"
 )
 def test_negative_seed_exits_2(tmp_path, capsys, monkeypatch, argv):
     rho_file = tmp_path / "rho.json"
-    rho_file.write_text(json.dumps(mc.DensityMatrix.maximally_mixed(2).to_json()))
+    rho_file.write_text(json.dumps(maximally_mixed(2).to_json()))
     argv = [str(rho_file) if a == "RHO" else a for a in argv]
     code, _ = run(tmp_path, *argv, "--seed", "-3")
     assert code == 2
