@@ -49,10 +49,13 @@ class SpanDeficientError(ValueError):
 
 
 def _coefficients(v, k: int) -> np.ndarray:
-    """v as float, either one length-k vector or an (n, k) stack of them."""
+    """v as float, either one length-k vector or an (n, k) stack of them,
+    with finite entries."""
     v = np.asarray(v, dtype=float)
     if v.ndim not in (1, 2) or v.shape[-1] != k:
         raise ValueError(f"expected a length-{k} coefficient vector or an (n, {k}) stack of them")
+    if not np.isfinite(v).all():
+        raise ValueError("Bloch coefficients must be finite (no NaN/Inf)")
     return v
 
 
@@ -71,15 +74,19 @@ def bloch_rho(g: GeneratorSet, v) -> np.ndarray:
     """rho(v) = (I + sum_i v_i X_i)/d, or the (n, d, d) stack of them for an
     (n, k) stack of v.  Hermitian with unit trace for any real v; positive
     semidefiniteness is exactly membership of v in the Bloch manifold and is
-    not checked here."""
+    not checked here.
+
+    Each real and imaginary component of I + sum_i v_i X_i adds, in
+    generator order, only the terms of the generators nonzero there
+    (``g.nonzero_terms``).  That is bitwise the sum over every i: a
+    skipped term is +-0 for finite v, and the sum, which starts at I's
+    components, never holds -0, so adding +-0 leaves it unchanged."""
     v = _coefficients(v, g.k)
-    # generator i's coefficients: a scalar for one v, an (n, 1, 1) column for
-    # a stack; the sum runs over i in the same order either way
-    columns = v if v.ndim == 1 else v.T[:, :, None, None]
-    acc = np.eye(g.d, dtype=np.complex128)
-    for vi, x in zip(columns, g.generators):
-        acc = acc + vi * x
-    return acc / g.d
+    order, base, slots = g.nonzero_terms
+    acc = np.tile(base, v.shape[:-1] + (1,))
+    for m, gens, coefs in slots:
+        acc[..., :m] += v[..., gens] * coefs
+    return acc.take(order, axis=-1).view(np.complex128).reshape(v.shape[:-1] + (g.d, g.d)) / g.d
 
 
 def bloch_vector(g: GeneratorSet, rho) -> np.ndarray:

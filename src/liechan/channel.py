@@ -394,12 +394,18 @@ def find_identity(g: GeneratorSet, r: int) -> IdentityReport:
     NaN entry in ``g_tensor`` and no say in the spread test behind
     ``special``.
     """
+    return _fit_identity(g, r, generator_action(g))
+
+
+def _fit_identity(g: GeneratorSet, r: int, action: np.ndarray) -> IdentityReport:
+    """:func:`find_identity` with L = ``generator_action(g)`` given, so that
+    one L serves every rank of :func:`critical_values`."""
     if r not in (1, 2, 3):
         raise ValueError("rank r must be 1, 2 or 3")
     d, k = g.d, g.k
     multisets, monomials = sym_monomials(g.generators, r)
     n = len(multisets)
-    transforms = (monomials.reshape(n, d * d) @ generator_action(g).T).reshape(n, d, d)
+    transforms = (monomials.reshape(n, d * d) @ action.T).reshape(n, d, d)
     tr_m, tr_t = _traces(monomials), _traces(transforms)
     m0 = _traceless(monomials)
     norm0 = _inner(m0, m0)
@@ -508,8 +514,9 @@ def critical_values(g: GeneratorSet, max_rank: int = 2, verify: bool = True) -> 
     if not 1 <= max_rank <= 3:
         raise ValueError("max_rank must be 1, 2 or 3")
     entries = []
+    action = generator_action(g)   # d^4 complex entries, built once for every rank
     for r in range(1, max_rank + 1):
-        report = find_identity(g, r)
+        report = _fit_identity(g, r, action)
         if not report.special or report.g is None:
             entries.append(
                 CriticalEntry(
@@ -526,7 +533,7 @@ def critical_values(g: GeneratorSet, max_rank: int = 2, verify: bool = True) -> 
         verified = None
         if verify and p_r is not None and 0.0 <= p_r <= 1.0:
             basis = _traceless_basis(report._monomials)
-            images = (1.0 - p_r) * basis + (p_r / g.Z) * (basis @ generator_action(g).T)
+            images = (1.0 - p_r) * basis + (p_r / g.Z) * (basis @ action.T)
             verified = max_abs(images) <= CRITICAL_MAP_TOL
         entries.append(
             CriticalEntry(

@@ -227,15 +227,16 @@ def cmd_bloch_scan(cfg: RunConfig) -> int:
         columns["member_charpoly"] += bl.psd_by_charpoly(rho).tolist()
         if su3:
             columns["member_closed_form"] += bl.su3_membership_closed(part).tolist()
-    rows = zip(vs.tolist(), *columns.values())
     if cfg.fmt == "json":
+        rows = zip(vs.tolist(), *columns.values())
         _dump_json([dict(zip(["v", *columns], row)) for row in rows], cfg.output_path)
         return 0
     # '%.17g' % x is format(x, '.17g') for every float, signed zeros and
     # non-finite values included
-    row_fmt = ",".join(["%.17g"] * (g.k + 1) + ["%s"] * len(flags))
+    numbers = mc.format_rows(np.column_stack([vs, columns.pop("min_eigenvalue")]))
+    words = {True: ",true", False: ",false"}
     lines = [",".join([f"v_{i}" for i in range(g.k)] + ["min_eigenvalue"] + flags)]
-    lines += [row_fmt % (*v, ev, *["true" if f else "false" for f in fl]) for v, ev, *fl in rows]
+    lines += map("".join, zip(numbers, *[[words[f] for f in col] for col in columns.values()]))
     _write("\n".join(lines) + "\n", cfg.output_path)
     return 0
 

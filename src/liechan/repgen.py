@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations
 from types import MappingProxyType
 from typing import Sequence
@@ -108,6 +108,32 @@ class GeneratorSet:
             raise NotScalarError("sum of squared generators does not equal Z * identity")
         if res["trace_form_deviation"] > TRACE_FORM_TOL:
             raise ValueError("trace form deviates from N*d*delta beyond 1e-9")
+
+    @cached_property
+    def nonzero_terms(self) -> tuple:
+        """Where each generator is nonzero, for sums I + sum_i c_i X_i that
+        add only the nonzero terms (:func:`liechan.bloch.bloch_rho`).
+
+        A matrix is read as its 2 d^2 float components (real and imaginary
+        part of each entry, row-major), sorted by the number of generators
+        nonzero there, most first.  Returns ``(order, base, slots)``: the
+        identity's components in sorted order as ``base``, the gather
+        ``order`` back to row-major, and per slot t ``(m, gens, coefs)``:
+        for each of the m components with more than t nonzero generators,
+        the t-th of them by index and its value there.  Built on first read
+        and kept with the set.
+        """
+        flat = np.ascontiguousarray(np.stack(self.generators)).reshape(self.k, -1).view(np.float64)
+        counts = np.count_nonzero(flat, axis=0)
+        perm = np.argsort(-counts, kind="stable")
+        cols, gens = np.nonzero(flat[:, perm].T)       # by component, then generator
+        rank = np.arange(len(cols)) - np.searchsorted(cols, cols)
+        slots = []
+        for t in range(int(counts.max())):
+            pick = rank == t                             # components 0..m-1 in sorted order
+            slots.append((int(pick.sum()), gens[pick], flat[gens[pick], perm[cols[pick]]]))
+        base = np.eye(self.d, dtype=np.complex128).reshape(-1).view(np.float64)[perm]
+        return np.argsort(perm), base, tuple(slots)
 
     @classmethod
     def from_generators(cls, generators: Sequence, algebra: str = CUSTOM) -> "GeneratorSet":

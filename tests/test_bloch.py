@@ -7,6 +7,7 @@ import pytest
 
 from liechan import bloch as bl
 from liechan import matcore as mc
+from liechan import repgen as rg
 from tests.conftest import clifford, g2, spin, su, su_tensors
 
 
@@ -140,6 +141,64 @@ def test_stacked_oracles_bitwise_equal_per_vector_loop(name):
         assert flags.dtype == bool and flags.shape == (len(vs),)
         assert flags.tolist() == [oracle(g, v) for v in vs]
         assert flags[-15:].all() and not flags[-60:-45].any()  # the -1e-6 and +1e-3 rays
+
+
+def reference_bloch_rho(g, v):
+    """(I + sum_i v_i X_i)/d summed densely over every generator, in index
+    order; for an (n, k) stack each v_i is an (n, 1, 1) column."""
+    v = np.asarray(v, dtype=float)
+    columns = v if v.ndim == 1 else v.T[:, :, None, None]
+    acc = np.eye(g.d, dtype=np.complex128)
+    for vi, x in zip(columns, g.generators):
+        acc = acc + vi * x
+    return acc / g.d
+
+
+def rotated_su3():
+    """su(3) conjugated by a random unitary: every entry of every generator
+    is nonzero."""
+    q, _ = np.linalg.qr(np.random.default_rng(4).normal(size=(3, 3, 2)).view(complex)[..., 0])
+    g = rg.GeneratorSet.from_generators([q @ x @ q.conj().T for x in su(3).generators])
+    assert len(g.nonzero_terms[2]) == g.k   # a slot per generator: the dense sum
+    return g
+
+
+@pytest.mark.parametrize("name", sorted(STACK_SETS) + ["rotated_su3"])
+def test_bloch_rho_bitwise_equal_to_dense_sum(name):
+    g = rotated_su3() if name == "rotated_su3" else STACK_SETS[name]()
+    vs = stack_inputs(g)
+    vs[::5] *= -1.0
+    vs[1] = 0.0
+    vs[2, ::2] = -0.0          # signed zeros in the sum must match too
+    vs[3] *= 1e-300            # products that underflow to +-0
+    assert bl.bloch_rho(g, vs).tobytes() == reference_bloch_rho(g, vs).tobytes()
+    for v in vs[:12]:
+        assert bl.bloch_rho(g, v).tobytes() == reference_bloch_rho(g, v).tobytes()
+
+
+def test_nonzero_terms_cover_every_nonzero_component_once():
+    g = g2()
+    order, base, slots = g.nonzero_terms
+    assert g.nonzero_terms is g.nonzero_terms   # built once per set
+    flat = np.stack(g.generators).reshape(g.k, -1).view(float)
+    comps = [[] for _ in range(flat.shape[1])]
+    sorted_comps = np.argsort(order)
+    for m, gens, coefs in slots:
+        for c, i, x in zip(sorted_comps[:m], gens, coefs):
+            comps[c].append((i, x))
+    assert comps == [[(i, flat[i, c]) for i in np.flatnonzero(flat[:, c])] for c in range(flat.shape[1])]
+    assert base[order].tolist() == np.eye(g.d, dtype=complex).reshape(-1).view(float).tolist()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_oracles_reject_non_finite_coefficients(bad):
+    g = su(3)
+    for v in (np.array([bad] + [0.0] * 7), np.zeros((3, 8))):
+        v[..., 0] = bad
+        for call in (lambda: bl.bloch_rho(g, v), lambda: bl.membership_eig(g, v),
+                     lambda: bl.membership_charpoly(g, v), lambda: bl.su3_membership_closed(v)):
+            with pytest.raises(ValueError, match="finite"):
+                call()
 
 
 @pytest.mark.parametrize("name", sorted(STACK_SETS))

@@ -643,6 +643,22 @@ def test_critical_values_report_unchanged_under_reference_fold(monkeypatch, buil
     assert json.dumps(ch.critical_values(g, 3).to_json()) == text
 
 
+@pytest.mark.parametrize("build", [lambda: su(3), lambda: g2(), lambda: spin(2)],
+                         ids=["su3", "g2", "spin1"])
+def test_critical_values_builds_the_generator_action_once(monkeypatch, build):
+    g = build()
+    report = ch.critical_values(g, 3)
+    calls = []
+    real = ch.generator_action
+    monkeypatch.setattr(ch, "generator_action", lambda g: calls.append(g) or real(g))
+    assert json.dumps(ch.critical_values(g, 3).to_json()) == json.dumps(report.to_json())
+    assert len(calls) == 1
+    for entry in report.entries:   # each rank's fit is find_identity's
+        rep = ch.find_identity(g, entry.rank)
+        assert (entry.residual, entry.special) == (rep.residual, rep.special)
+        assert entry.g_value == rep.g
+
+
 def test_critical_values_fills_no_symmetric_tensor(monkeypatch):
     calls = []
     real = ch.symmetric_tensor

@@ -105,6 +105,21 @@ def test_apply_non_finite_vw_exits_2(tmp_path, capsys, text):
     assert err.startswith("error: ") and "finite" in err
 
 
+@pytest.mark.parametrize("text", ['{"v": [Infinity, 0, 0]}', '{"v": [0, NaN, 0]}'])
+def test_apply_non_finite_bloch_vector_exits_2_without_warnings(tmp_path, capsys, text):
+    import warnings
+
+    rho_file = tmp_path / "rho.json"
+    rho_file.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = run(tmp_path, "apply", "--algebra", "su", "--n", "2", "--p", "0.1",
+                      "--rho", str(rho_file))
+    err = capsys.readouterr().err
+    assert code == 2 and caught == []
+    assert err.splitlines() == ["error: Bloch coefficients must be finite (no NaN/Inf)"]
+
+
 def test_apply_spin_vw_builds_the_spin_set_once(tmp_path, spin_rep_calls):
     from liechan import cli
 
