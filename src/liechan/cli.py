@@ -29,6 +29,7 @@ from . import bloch as bl
 from . import channel as ch
 from . import matcore as mc
 from . import repgen as rg
+from . import textfmt
 from . import verify
 
 
@@ -46,9 +47,9 @@ from . import verify
 #   complex128, d = two_s + 1: 16 d^4 bytes, 256 MiB at d = 64.
 # * --samples: a scan keeps each sample's k <= MAX_N^2 - 1 coordinates as a
 #   float64, a Python float and report text, at most SCAN_BYTES_PER_COORD
-#   in all (tracemalloc: a JSON su(10) scan peaks at 180 bytes, while it
-#   writes the report; the sampler's (n, k + 2) normal draw peaks at 16
-#   bytes and is freed before).
+#   in all (tracemalloc, 2000 and 10000 samples: a JSON su(10) scan peaks at
+#   180 bytes and a CSV one at 109, while they write the report; the
+#   sampler's (n, k + 2) normal draw peaks at 16 bytes and is freed before).
 # * the scan's stack term: the oracles run on (n, d, d) complex128 stacks,
 #   16 d^2 bytes per sample and stack, and at most SCAN_LIVE_STACKS of them
 #   are alive at once (tracemalloc: 4 to 5.2 in the charpoly oracle, rho
@@ -231,9 +232,8 @@ def cmd_bloch_scan(cfg: RunConfig) -> int:
         rows = zip(vs.tolist(), *columns.values())
         _dump_json([dict(zip(["v", *columns], row)) for row in rows], cfg.output_path)
         return 0
-    # '%.17g' % x is format(x, '.17g') for every float, signed zeros and
-    # non-finite values included
-    numbers = mc.format_rows(np.column_stack([vs, columns.pop("min_eigenvalue")]))
+    # each number is its '%.17g' text, signed zeros and non-finite values included
+    numbers = textfmt.format_rows(np.column_stack([vs, columns.pop("min_eigenvalue")]))
     words = {True: ",true", False: ",false"}
     lines = [",".join([f"v_{i}" for i in range(g.k)] + ["min_eigenvalue"] + flags)]
     lines += map("".join, zip(numbers, *[[words[f] for f in col] for col in columns.values()]))

@@ -133,7 +133,10 @@ class GeneratorSet:
             pick = rank == t                             # components 0..m-1 in sorted order
             slots.append((int(pick.sum()), gens[pick], flat[gens[pick], perm[cols[pick]]]))
         base = np.eye(self.d, dtype=np.complex128).reshape(-1).view(np.float64)[perm]
-        return np.argsort(perm), base, tuple(slots)
+        order = np.argsort(perm)
+        for a in (order, base, *(a for _, *arrays in slots for a in arrays)):
+            a.flags.writeable = False   # shared by every request that holds the set
+        return order, base, tuple(slots)
 
     @classmethod
     def from_generators(cls, generators: Sequence, algebra: str = CUSTOM) -> "GeneratorSet":

@@ -427,7 +427,7 @@ def test_import_repgen_loads_neither_channel_nor_bloch():
     # the package root imports no submodule, and repgen needs only matcore
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(liechan.__file__)))
     script = ("import sys, liechan.repgen; print(sorted(m for m in sys.modules if m in "
-              "('liechan.channel', 'liechan.bloch', 'numpy.polynomial')))")
+              "('liechan.channel', 'liechan.bloch', 'liechan.textfmt', 'numpy.polynomial')))")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, check=True)
     assert proc.stdout == "[]\n"
