@@ -42,11 +42,11 @@ import numpy as np
 # words, filled from a table of the 10^4 four-digit ASCII words.
 
 _LOW, _HIGH = 2.0 ** -100, 1e16
-_EXPONENTS = range(-31, 16)      # E of every double in [2^-100, 1e16)
+_EXPONENTS = range(-31, 16)     # E of every double in [2^-100, 1e16)
 _TIE_GUARD = 2.0 ** -20
-_CHUNK = 2048                    # cells formatted per gather
-_WIDTH = 25                      # longest '%.17g' text (24) plus separator
-_VELTKAMP = 134217729.0              # 2^27 + 1
+_CHUNK = 2048                   # cells formatted per gather
+_WIDTH = 25                     # longest '%.17g' text (24) plus separator
+_VELTKAMP = 134217729.0         # 2^27 + 1
 # source row: digits 1..16, digit 0, separator, constants, NUL
 _LEAD, _SEP, _CONSTANTS = 16, 17, b"-.e0123456789\0"
 _MINUS, _DOT, _E, _ZERO, _PAD = (_SEP + 1 + _CONSTANTS.index(c) for c in b"-.e0\0")
