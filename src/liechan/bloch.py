@@ -7,11 +7,14 @@ characteristic-polynomial coefficients), with closed forms for su(3) and
 radius bounds for every generator set.  The module also covers the
 second-order (v, w) parameterization used by the spin channels, its
 inversion, density-matrix decomposition into symmetrized generator
-monomials, and the pure-state characterizations.
+monomials, and the pure-state characterizations, among them the least weight
+a pure spin state puts outside the (v, w) span, measured against the span of
+the monomials {I, J_a, J_(a J_b)} themselves.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .channel import generator_action, spin_vw_input
+from .channel import _traceless_basis, spin_vw_input
 from .matcore import (
     as_complex_matrix,
     char_poly_coeffs,
@@ -164,63 +167,9 @@ def su3_membership_closed(v, tensors: StructureTensors | None = None) -> bool | 
     return _flags((vv <= 3.0 + MEMBERSHIP_TOL) & (vv <= 1.0 + det + MEMBERSHIP_TOL))
 
 
-_SU3_TENSORS: StructureTensors | None = None
-
-
+@functools.cache
 def _su3_tensors() -> StructureTensors:
-    global _SU3_TENSORS
-    if _SU3_TENSORS is None:
-        _SU3_TENSORS = structure_tensors(3)
-    return _SU3_TENSORS
-
-
-# ---------------------------------------------------------------------------
-# Cartan polytope: the weight half-spaces v . h^j >= -1.
-
-def cartan_indices(g: GeneratorSet) -> list[int]:
-    """Indices of the diagonal (simultaneously diagonalized) generators."""
-    out = []
-    for a, x in enumerate(g.generators):
-        if max_abs(x - np.diag(np.diag(x))) <= 1e-12:
-            out.append(a)
-    return out
-
-
-def weight_vectors(g: GeneratorSet, indices) -> np.ndarray:
-    """Rows h^j: the j-th diagonal entries of the chosen Cartan generators."""
-    for a in indices:
-        x = g.generators[a]
-        if max_abs(x - np.diag(np.diag(x))) > 1e-12:
-            raise ValueError(f"generator {a} is not diagonal; Cartan slots must be")
-    return np.array([[g.generators[a][j, j].real for a in indices] for j in range(g.d)])
-
-
-def cartan_polytope_membership(g: GeneratorSet, v_cartan, indices=None) -> bool:
-    """Membership of a vector supported on the Cartan slots, via the
-    half-space conditions 1 + v . h^j >= 0 over the weights h^j.  This
-    polytope is always contained in the full Bloch manifold."""
-    v = np.asarray(v_cartan, dtype=float)
-    if indices is None:
-        indices = cartan_indices(g)[: v.shape[0]]
-    if len(indices) != v.shape[0]:
-        raise ValueError(
-            f"need {v.shape[0]} diagonal Cartan generators, found {len(indices)}"
-        )
-    h = weight_vectors(g, indices)
-    return bool((1.0 + h @ v).min() >= -MEMBERSHIP_TOL)
-
-
-def embed_cartan(g: GeneratorSet, v_cartan, indices=None) -> np.ndarray:
-    """The full k-vector with v_cartan placed on the Cartan slots."""
-    v = np.asarray(v_cartan, dtype=float)
-    if indices is None:
-        indices = cartan_indices(g)[: v.shape[0]]
-    if len(indices) != v.shape[0]:
-        raise ValueError("not enough Cartan slots")
-    full = np.zeros(g.k)
-    for value, a in zip(v, indices):
-        full[a] = value
-    return full
+    return structure_tensors(3)
 
 
 # ---------------------------------------------------------------------------
@@ -598,11 +547,15 @@ def spin_vw_pure_weight(two_s: int) -> float:
 def spin_vw_purity_search(g: GeneratorSet) -> float:
     """Measured weight ||(1 - P) vec(psi psi^dag)||^2 of the coherent state
     psi = |s, s> outside span{I, J_a, J_(a J_b)}, the minimum over pure
-    states (:func:`spin_vw_pure_weight`).  The span is the l = 0, 1, 2
-    eigenspaces of L (eigenvalue s(s+1) - l(l+1)/2 on rank l), and P projects
-    onto it through their orthonormal eigenvectors; g is the spin-s set."""
-    evals, evecs = np.linalg.eigh(generator_action(require_spin(g)))
-    span = evecs[:, evals > g.Z - 4.5]   # l = 2 sits at Z - 3, l = 3 at Z - 6
-    rest = -span @ span[0].conj()         # -P vec(|s, s><s, s|), as J_3 = diag(s, ..., -s)
+    states (:func:`spin_vw_pure_weight`); g is the spin-s set.  P projects
+    onto I/sqrt(d) and the orthonormal rows that span the traceless parts of
+    the rank-1 and rank-2 monomials (``channel._traceless_basis``), which
+    are orthogonal to I."""
+    d = require_spin(g).d
+    monomials = np.concatenate([sym_monomials(g.generators, r)[1] for r in (1, 2)])
+    basis = _traceless_basis(monomials)
+    # -P vec(|s, s><s, s|), as J_3 = diag(s, ..., -s): vec(I)/d plus the rows' parts
+    rest = -basis.T @ basis[:, 0].conj()
+    rest[::d + 1] -= 1.0 / d
     rest[0] += 1.0
     return float(np.vdot(rest, rest).real)

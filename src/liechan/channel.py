@@ -348,23 +348,6 @@ class IdentityReport:
         f0 = (_traces(t) - g0 * _traces(m)) / d
         return max_abs(t - f0[:, None, None] * np.eye(d) - g0 * m)
 
-    def to_json(self) -> dict:
-        def pack(t):
-            # entries for monomials that cannot pin a coefficient are NaN
-            # in the arrays; serialize those as null
-            data = [None if np.isnan(x) else float(x) for x in t.ravel()]
-            return {"shape": list(t.shape), "data": data}
-
-        return {
-            "rank": self.rank,
-            "k": self.k,
-            "special": self.special,
-            "g": self.g,
-            "residual": self.residual,
-            "f_tensor": pack(self.f_tensor),
-            "g_tensor": pack(self.g_tensor),
-        }
-
 
 def _traces(stack: np.ndarray) -> np.ndarray:
     return np.trace(stack, axis1=1, axis2=2).real
@@ -498,7 +481,7 @@ def _traceless_basis(monomials: np.ndarray) -> np.ndarray:
     return vh[sv > sv[0] * max(flat.shape) * np.finfo(float).eps]
 
 
-def critical_values(g: GeneratorSet, max_rank: int = 2, verify: bool = True) -> CriticalDecomposition:
+def critical_values(g: GeneratorSet, max_rank: int = 2) -> CriticalDecomposition:
     """For each rank where a special identity exists, the error probability
     at which the channel sends every I/d + (rank-r) state to I/d.
 
@@ -531,7 +514,7 @@ def critical_values(g: GeneratorSet, max_rank: int = 2, verify: bool = True) -> 
         # (boundary case, p = 1) is not misclassified
         in_range = gr < -1e-12
         verified = None
-        if verify and p_r is not None and 0.0 <= p_r <= 1.0:
+        if p_r is not None and 0.0 <= p_r <= 1.0:
             basis = _traceless_basis(report._monomials)
             images = (1.0 - p_r) * basis + (p_r / g.Z) * (basis @ action.T)
             verified = max_abs(images) <= CRITICAL_MAP_TOL

@@ -253,10 +253,13 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = as_complex_matrix(self.matrix)
-        herm = max_abs(m - m.conj().T)
+        # entries near the float limit overflow to an inf deviation, which fails
+        # the check below without numpy's overflow warning
+        with np.errstate(over="ignore"):
+            herm = max_abs(m - m.conj().T)
+            tr_err = abs(np.trace(m) - 1.0)
         if herm > HERMITIAN_TOL:
             raise ValueError(f"not Hermitian: deviation {herm:.3e} > {HERMITIAN_TOL}")
-        tr_err = abs(np.trace(m) - 1.0)
         if tr_err > TRACE_TOL:
             raise ValueError(f"trace deviates from 1 by {tr_err:.3e} > {TRACE_TOL}")
         lo = float(np.linalg.eigvalsh(m)[0])

@@ -308,44 +308,6 @@ def test_su3_determinant_identity():
 
 
 # ---------------------------------------------------------------------------
-# Cartan polytope
-
-def test_cartan_origin_member():
-    assert bl.cartan_polytope_membership(su(3), np.zeros(2))
-
-
-def test_cartan_spin1_weights():
-    g = spin(2)
-    # only J3 is diagonal; weights are (1, 0, -1), so membership is |v| <= 1
-    assert bl.cartan_polytope_membership(g, [0.99])
-    assert bl.cartan_polytope_membership(g, [-0.99])
-    assert not bl.cartan_polytope_membership(g, [1.01])
-    assert not bl.cartan_polytope_membership(g, [-1.01])
-
-
-def test_cartan_subset_of_manifold():
-    g = su(3)
-    rng = np.random.default_rng(9)
-    idxs = bl.cartan_indices(g)
-    assert len(idxs) == 2
-    accepted = 0
-    for _ in range(200):
-        vc = rng.normal(size=2) * 1.5
-        if bl.cartan_polytope_membership(g, vc):
-            accepted += 1
-            assert bl.membership_eig(g, bl.embed_cartan(g, vc))
-    assert accepted > 0
-
-
-def test_cartan_rejects_non_diagonal_slots():
-    g = su(3)
-    with pytest.raises(ValueError):
-        bl.weight_vectors(g, [0])  # generator 0 is off-diagonal
-    with pytest.raises(ValueError):
-        bl.cartan_polytope_membership(g, [0.1], indices=[0])
-
-
-# ---------------------------------------------------------------------------
 # (v, w) parameterization
 
 def test_spin1_pair_trace_value():

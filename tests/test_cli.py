@@ -105,8 +105,20 @@ def test_apply_non_finite_vw_exits_2(tmp_path, capsys, text):
     assert err.startswith("error: ") and "finite" in err
 
 
-@pytest.mark.parametrize("text", ['{"v": [Infinity, 0, 0]}', '{"v": [0, NaN, 0]}'])
-def test_apply_non_finite_bloch_vector_exits_2_without_warnings(tmp_path, capsys, text):
+FINITE_V = "error: Bloch coefficients must be finite (no NaN/Inf)"
+UNREPRESENTABLE_RHO = [
+    ('{"v": [Infinity, 0, 0]}', FINITE_V),
+    ('{"v": [0, NaN, 0]}', FINITE_V),
+    # finite entries whose trace and Hermitian deviation overflow
+    ('{"dim": 2, "entries": [[1e308,0],[0,0],[0,0],[1e308,0]]}',
+     "error: trace deviates from 1 by inf > 1e-10"),
+    ('{"dim": 2, "entries": [[0.5,0],[1e308,0],[-1e308,0],[0.5,0]]}',
+     "error: not Hermitian: deviation inf > 1e-10"),
+]
+
+
+@pytest.mark.parametrize("text, message", UNREPRESENTABLE_RHO, ids=[t for t, _ in UNREPRESENTABLE_RHO])
+def test_apply_non_finite_bloch_vector_exits_2_without_warnings(tmp_path, capsys, text, message):
     import warnings
 
     rho_file = tmp_path / "rho.json"
@@ -117,7 +129,7 @@ def test_apply_non_finite_bloch_vector_exits_2_without_warnings(tmp_path, capsys
                       "--rho", str(rho_file))
     err = capsys.readouterr().err
     assert code == 2 and caught == []
-    assert err.splitlines() == ["error: Bloch coefficients must be finite (no NaN/Inf)"]
+    assert err.splitlines() == [message]
 
 
 def test_apply_spin_vw_builds_the_spin_set_once(tmp_path, spin_rep_calls):
@@ -401,7 +413,7 @@ def test_bloch_scan_prefix_is_the_shorter_scan(tmp_path, fmt):
 def test_su3_scans_share_one_structure_tensor_build(tmp_path, monkeypatch):
     from liechan import repgen as rg
 
-    monkeypatch.setattr(bl, "_SU3_TENSORS", None)
+    bl._su3_tensors.cache_clear()
     calls = {}
     _counted(monkeypatch, rg, "structure_tensors", calls)
     monkeypatch.setattr(bl, "structure_tensors", rg.structure_tensors)

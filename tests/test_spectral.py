@@ -2,6 +2,8 @@
 explains: depolarizing factors, the spin (v, w) action, the n-fold spin-1
 iteration, the eigenvalue table of ROADMAP item 1 and the spin purity answer."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -171,12 +173,33 @@ def test_traceless_basis_is_orthonormal_eigenbasis(build, rank, dim):
     assert mc.max_abs(images - report.g * basis) < 1e-12
 
 
+def _coherent_weight_above_rank_2(n: int) -> float:
+    """1 minus the l = 0, 1, 2 multipole weights of the spin-n/2 coherent
+    state, (2l + 1) n!^2 / ((n - l)! (n + l + 1)!), summed exactly."""
+    inside = (Fraction(1, n + 1) + Fraction(3 * n, (n + 1) * (n + 2))
+              + Fraction(5 * n * (n - 1), (n + 1) * (n + 2) * (n + 3)))
+    return float(1 - inside)
+
+
 @pytest.mark.parametrize(
-    "two_s, exact", [(1, 0.0), (2, 0.0), (3, 1 / 20), (4, 4 / 35)],
+    "two_s, exact",
+    [(1, 0.0), (2, 0.0), (3, 1 / 20), (4, 4 / 35)]
+    + [(n, _coherent_weight_above_rank_2(n)) for n in (7, 15, 31, 63)],
 )
 def test_spin_vw_pure_weight_values(two_s, exact):
     assert bl.spin_vw_pure_weight(two_s) == pytest.approx(exact, abs=1e-15)
     assert bl.spin_vw_purity_search(spin(two_s)) == pytest.approx(exact, abs=1e-12)
+
+
+def test_spin_vw_purity_search_needs_no_eigendecomposition_of_l(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the witness reads the span from its monomials")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(ch, "generator_action", refuse)
+    for two_s in (2, 3, 7):
+        assert bl.spin_vw_purity_search(spin(two_s)) == pytest.approx(
+            bl.spin_vw_pure_weight(two_s), abs=1e-12)
 
 
 @pytest.mark.parametrize("two_s", range(3, 8))
