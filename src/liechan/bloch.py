@@ -545,17 +545,21 @@ def spin_vw_pure_weight(two_s: int) -> float:
 
 
 def spin_vw_purity_search(g: GeneratorSet) -> float:
-    """Measured weight ||(1 - P) vec(psi psi^dag)||^2 of the coherent state
-    psi = |s, s> outside span{I, J_a, J_(a J_b)}, the minimum over pure
-    states (:func:`spin_vw_pure_weight`); g is the spin-s set.  P projects
-    onto I/sqrt(d) and the orthonormal rows that span the traceless parts of
-    the rank-1 and rank-2 monomials (``channel._traceless_basis``), which
-    are orthogonal to I."""
+    """Measured weight ||(1 - P) vec(psi psi^dag)||^2 of a coherent state psi
+    outside span{I, J_a, J_(a J_b)}, the minimum over pure states
+    (:func:`spin_vw_pure_weight`); g is the spin-s set.  P projects onto
+    I/sqrt(d) and the orthonormal rows that span the traceless parts of the
+    rank-1 and rank-2 monomials (``channel._traceless_basis``).  psi is the
+    top eigenvector of n.J on the generic axis n = (1, sqrt 2, sqrt 3)/sqrt 6:
+    entry i (J_3 = diag(s, ..., -s)) is proportional to sqrt(C(2s, i)) z^i,
+    z = (n_1 + i n_2)/(1 + n_3).  It has weight along every multipole
+    direction, so a span missing any monomial shows; |s, s> sees only the
+    diagonal ones."""
     d = require_spin(g).d
-    monomials = np.concatenate([sym_monomials(g.generators, r)[1] for r in (1, 2)])
-    basis = _traceless_basis(monomials)
-    # -P vec(|s, s><s, s|), as J_3 = diag(s, ..., -s): vec(I)/d plus the rows' parts
-    rest = -basis.T @ basis[:, 0].conj()
+    basis = _traceless_basis(np.concatenate([sym_monomials(g.generators, r)[1] for r in (1, 2)]))
+    z = (1.0 + 1j * math.sqrt(2.0)) / (math.sqrt(6.0) + math.sqrt(3.0))
+    psi = np.sqrt([float(math.comb(d - 1, i)) for i in range(d)]) * z ** np.arange(d)
+    rest = np.outer(psi, psi.conj()).ravel() / np.vdot(psi, psi).real
+    rest -= basis.T @ (basis.conj() @ rest)
     rest[::d + 1] -= 1.0 / d
-    rest[0] += 1.0
     return float(np.vdot(rest, rest).real)

@@ -153,27 +153,22 @@ def su_n_critical(n: int) -> float:
     return 1.0 - 1.0 / (n * n)
 
 
-def depolarizing_superoperator(d: int, lam: float) -> np.ndarray:
-    """T = lam I + ((1 - lam)/d) vec(I) vec(I)^T, the superoperator of
-    M -> lam M + (1 - lam) tr(M) I/d on row-major vec(M)."""
-    vec_eye = np.eye(d).ravel()
-    return lam * np.eye(d * d) + ((1.0 - lam) / d) * np.outer(vec_eye, vec_eye)
-
-
 def detect_depolarizing(ch: KrausChannel) -> float | None:
     """lambda with ch(M) = lambda M + (1 - lambda) tr(M) I/d for all M, or None.
 
     Decided from the superoperator S = sum_k K (x) conj(K): lambda =
     (tr S - 1)/(d^2 - 1), and the channel is depolarizing when every entry
-    of S is within DEPOLARIZING_FIT_TOL = 1e-8 of
-    :func:`depolarizing_superoperator` at lambda.
+    of S is within DEPOLARIZING_FIT_TOL = 1e-8 of T = lambda I + ((1 -
+    lambda)/d) vec(I) vec(I)^T, the superoperator of the target map.
     """
     d = ch.dim
     if d == 1:
         return None   # the only 1 x 1 channel is the identity: lambda is undetermined
     s = superoperator(ch.ops)
     lam = (float(np.trace(s).real) - 1.0) / (d * d - 1.0)
-    return lam if max_abs(s - depolarizing_superoperator(d, lam)) <= DEPOLARIZING_FIT_TOL else None
+    vec_eye = np.eye(d).ravel()
+    target = lam * np.eye(d * d) + ((1.0 - lam) / d) * np.outer(vec_eye, vec_eye)
+    return lam if max_abs(s - target) <= DEPOLARIZING_FIT_TOL else None
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +377,7 @@ def find_identity(g: GeneratorSet, r: int) -> IdentityReport:
 
 def _fit_identity(g: GeneratorSet, r: int, action: np.ndarray) -> IdentityReport:
     """:func:`find_identity` with L = ``generator_action(g)`` given, so that
-    one L serves every rank of :func:`critical_values`."""
+    one L serves every rank of :func:`critical_values` and of a verify suite."""
     if r not in (1, 2, 3):
         raise ValueError("rank r must be 1, 2 or 3")
     d, k = g.d, g.k

@@ -43,8 +43,8 @@ from . import verify
 #   critical_values, about 1.1 GB at n = 10.  The other su(n) arrays (the
 #   k^2 n^2 pair products of the fold and of structure_tensors, the
 #   n^2 x n^2 superoperator) are smaller.
-# * --two-s: the spin superoperator L (channel.generator_action, built by
-#   verify's rank fits and by critical) is the largest array, d^2 x d^2
+# * --two-s: the spin superoperator L (channel.generator_action, built once
+#   per verify suite and once by critical) is the largest array, d^2 x d^2
 #   complex128, d = two_s + 1: 16 d^4 bytes, 256 MiB at d = 64.
 # * --samples: a scan keeps each sample's k <= MAX_N^2 - 1 coordinates as a
 #   float64, a Python float and report text, at most SCAN_BYTES_PER_COORD

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -628,6 +630,47 @@ def test_apply_any_json_rho_returns_exit_code(obj, algebra):
         code = main(["apply", "--algebra", *algebra, "--p", "0.3", "--rho", rho_file,
                      "--out", os.path.join(tmp, "out.json")])
     assert code in (0, 1, 2)
+
+
+# Whole argv lists for every subcommand, with sizes around the small end of
+# their ranges (negative and zero included) and p and seed values that the
+# CLI must reject.  Each optional flag is left out a quarter of the time.
+_SUBCOMMAND_FLAGS = {
+    "gen": {},
+    "apply": {"--p": st.floats() | st.sampled_from([0.0, 0.5, 1.0])},
+    "verify": {},
+    "bloch-scan": {"--samples": st.integers(-2, 20), "--format": st.sampled_from(["csv", "json"])},
+    "critical": {"--max-rank": st.integers(-1, 4)},
+}
+_COMMON_FLAGS = {"--n": st.integers(-1, 4), "--two-s": st.integers(-1, 7), "--seed": st.integers(-3, 2**31)}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_SUBCOMMAND_FLAGS)))
+    argv = [command, "--algebra", draw(st.sampled_from(["su", "spin", "g2", "clifford"]))]
+    argv += ["--rho", "RHO"] if command == "apply" else []
+    for flag, values in {**_COMMON_FLAGS, **_SUBCOMMAND_FLAGS[command]}.items():
+        if draw(st.integers(0, 3)):
+            argv += [flag, str(draw(values))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(argv=_argv())
+def test_any_argv_exits_0_1_or_2_without_traceback(argv):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        rho_file = os.path.join(tmp, "rho.json")
+        with open(rho_file, "w") as fh:
+            json.dump(maximally_mixed(2).to_json(), fh)
+        argv = [rho_file if a == "RHO" else a for a in argv] + ["--out", os.path.join(tmp, "out")]
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 SEED_MESSAGE = "error: --seed (or LIECHAN_SEED) must be >= 0\n"

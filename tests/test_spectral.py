@@ -202,6 +202,20 @@ def test_spin_vw_purity_search_needs_no_eigendecomposition_of_l(monkeypatch):
             bl.spin_vw_pure_weight(two_s), abs=1e-12)
 
 
+@pytest.mark.parametrize("drop", [(0, 1), (0, 2), (1, 2)])
+def test_spin_vw_purity_search_sees_every_off_diagonal_monomial(monkeypatch, drop):
+    # A span that misses one J_(a J_b), a != b, must move the witness off the
+    # closed form; the diagonal |s, s><s, s| has no weight on such a direction.
+    def without(mats, r, _original=bl.sym_monomials):
+        multisets, monomials = _original(mats, r)
+        keep = [j for j, m in enumerate(multisets) if m != drop]
+        return tuple(multisets[j] for j in keep), monomials[keep]
+
+    monkeypatch.setattr(bl, "sym_monomials", without)
+    for two_s in (2, 3, 7, 15):
+        assert abs(bl.spin_vw_purity_search(spin(two_s)) - bl.spin_vw_pure_weight(two_s)) > 1e-2
+
+
 @pytest.mark.parametrize("two_s", range(3, 8))
 def test_spin_vw_pure_weight_against_projected_gradient_descent(two_s):
     # Maximize the weight ||P vec(psi psi^dag)||^2 inside the (v, w) span by

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -116,22 +117,48 @@ def test_su_and_clifford_suites_draw_no_random_density(monkeypatch, algebra, siz
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
-def test_su_depolarizing_residual_is_row_sum_norm(n):
+def test_su_depolarizing_residual_is_pinned_rank1_misfit(n):
     g = rg.gell_mann(n)
-    vec_eye = np.eye(n).ravel()
-    worst = 0.0
-    for p in (0.0, 0.25, 0.5, 0.75, 1.0):
-        s = ch.superoperator(ch.build_channel(g, p).ops)
-        ops = [np.sqrt(1.0 - p) * np.eye(n)] + [np.sqrt(p / g.Z) * x for x in g.generators]
-        assert mc.max_abs(s - sum(np.kron(k, k.conj()) for k in ops)) <= 1e-15
-        lam = ((1.0 - p) * n * n - 1.0) / (n * n - 1.0)
-        target = lam * np.eye(n * n) + (1.0 - lam) / n * np.outer(vec_eye, vec_eye)
-        worst = max(worst, np.linalg.norm(s - target, np.inf))
+    stack = np.stack(g.generators)
+    images = np.einsum("iab,xbc,icd->xad", stack, stack, stack)   # L X_a = sum_i X_i X_a X_i
+    # tr(X_a X_b) = 2 delta_ab puts every traceless operator in one eigenspace of L, at -2/n
+    assert mc.max_abs(images + (2.0 / n) * stack) <= 1e-14
     checks, _ = verify.run_suite("su", n=n)
     by_name = {c["name"]: c for c in checks}
-    assert by_name["depolarizing_factor"]["residual"] == worst
-    assert by_name["depolarizing_factor"]["tolerance"] == 1e-9
-    assert by_name["critical_map_to_uniform"]["tolerance"] == 1e-9
+    rank1 = ch.find_identity(g, 1)
+    assert by_name["depolarizing_factor"]["residual"] == rank1.residual_with(g.Z * ch.su_n_factor(1.0, n))
+    assert by_name["critical_map_to_uniform"]["residual"] == rank1.residual_with(
+        g.Z - g.Z / ch.su_n_critical(n))
+    for name in ("depolarizing_factor", "critical_map_to_uniform"):
+        assert by_name[name]["residual"] <= 1e-14
+        assert by_name[name]["tolerance"] == 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_su_pinned_residual_bounds_the_channel_error(n):
+    # The docstring bound of verify._su, on a perturbed L that keeps L I = Z I:
+    # every entry of ch_p(rho) - target is at most sqrt(n/(2(n+1)))/2 p times
+    # the pinned residual, for every density rho and p.
+    g = rg.gell_mann(n)
+    rng = np.random.default_rng(n)
+    keep = np.eye(n * n) - np.outer(np.eye(n).ravel(), np.eye(n).ravel()) / n   # 1 - P_0
+    noise = rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n))
+    action = ch.generator_action(g) + 1e-3 * keep @ noise @ keep
+    g0 = g.Z * ch.su_n_factor(1.0, n)
+    residual = ch._fit_identity(g, 1, action).residual_with(g0)
+    assert residual > 1e-4
+    bound = np.sqrt(n / (2.0 * (n + 1))) / 2.0
+    assert bound < 0.354
+    worst = 0.0
+    for i in range(200):
+        psi = mc.random_pure_statevector(n, mc.derived_rng(n, i))
+        rho = np.outer(psi, psi.conj())
+        for p in (0.25, 1.0):
+            out = (1.0 - p) * rho + (p / g.Z) * (action @ rho.ravel()).reshape(n, n)
+            lam = 1.0 - p + p * g0 / g.Z
+            err = mc.max_abs(out - lam * rho - (1.0 - lam) * np.eye(n) / n)
+            worst = max(worst, err / (p * residual))
+    assert worst <= bound * (1.0 + 1e-9)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -141,9 +168,90 @@ def test_su_depolarizing_factor_off_by_1e7_fails(monkeypatch, n):
     checks, _ = verify.run_suite("su", n=n)
     by_name = {c["name"]: c for c in checks}
     assert not by_name["depolarizing_factor"]["pass"]
-    # S - T = -1e-7 (I - vec(I) vec(I)^T/n), whose largest row sum is 2 (n - 1)/n
-    assert by_name["depolarizing_factor"]["residual"] == pytest.approx(2e-7 * (n - 1) / n, rel=1e-6)
+    # the pinned misfit is -1e-7 Z X_a
+    g = rg.gell_mann(n)
+    largest = max(mc.max_abs(x) for x in g.generators)
+    assert by_name["depolarizing_factor"]["residual"] == pytest.approx(1e-7 * g.Z * largest, rel=1e-6)
     assert by_name["critical_map_to_uniform"]["pass"]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_su_critical_off_by_1e7_fails(monkeypatch, n):
+    original = ch.su_n_critical
+    monkeypatch.setattr(ch, "su_n_critical", lambda n: original(n) + 1e-7)
+    checks, info = verify.run_suite("su", n=n)
+    by_name = {c["name"]: c for c in checks}
+    assert not by_name["critical_map_to_uniform"]["pass"]
+    # the pinned g = Z - Z/p moves by about Z 1e-7/p^2
+    g, pc = rg.gell_mann(n), original(n)
+    largest = max(mc.max_abs(x) for x in g.generators)
+    expected = 1e-7 * g.Z * largest / pc**2
+    assert by_name["critical_map_to_uniform"]["residual"] == pytest.approx(expected, rel=1e-5)
+    assert by_name["depolarizing_factor"]["pass"]
+    assert info["critical_p"] == original(n) + 1e-7
+
+
+@pytest.mark.parametrize("algebra, size", [("su", {"n": 4}), ("spin", {"two_s": 3}), ("g2", {})])
+def test_suite_builds_the_generator_action_once(monkeypatch, algebra, size):
+    g = rg.build_algebra(algebra, **size)
+    calls = {"generator_action": 0, "superoperator": 0, "build_channel": 0}
+    for name in calls:
+        original = getattr(ch, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(ch, name, counted)
+    checks, _ = verify.run_suite(algebra, seed=2, g=g, **size)
+    assert all(c["pass"] for c in checks)
+    assert calls["generator_action"] == 1
+    if algebra == "su":
+        assert calls["build_channel"] == 0
+        assert calls["superoperator"] == 1   # the one inside generator_action
+
+
+@pytest.mark.parametrize(
+    "algebra, size, names",
+    [
+        ("su", {"n": 3}, ("depolarizing_factor", "critical_map_to_uniform")),
+        ("spin", {"two_s": 3}, ("triple_product_identity", "quadruple_product_identity")),
+        ("g2", {}, ("cubic_identity",)),
+    ],
+)
+def test_pinned_identity_checks_fail_on_a_scaled_generator(monkeypatch, algebra, size, names):
+    g = rg.build_algebra(algebra, **size)
+    bad = copy.copy(g)   # a copy skips the constructor's checks
+    object.__setattr__(bad, "generators", (1.01 * g.generators[0],) + g.generators[1:])
+    if algebra == "su":   # keep the structure-tensor checks, which reject the set, out of the way
+        tensors = rg.structure_tensors(3, g)
+        monkeypatch.setattr(rg, "structure_tensors", lambda n, g=None: tensors)
+    made = {}
+    original = verify._check
+
+    def record(name, residual, tol):
+        made[name] = original(name, residual, tol)
+        return made[name]
+
+    monkeypatch.setattr(verify, "_check", record)
+    try:
+        verify.run_suite(algebra, g=bad, **size)
+    except ValueError as exc:   # the sampled checks' Kraus channels reject the set
+        assert "normalization" in str(exc)
+    for name in names:
+        assert not made[name]["pass"]
+        assert made[name]["residual"] > 1e-3
+
+
+def test_spin_and_g2_residuals_are_find_identity_pinned_bitwise():
+    for two_s in (2, 3, 7):
+        g = rg.spin_rep(two_s)
+        by_name = {c["name"]: c["residual"] for c in verify.run_suite("spin", g=g)[0]}
+        assert by_name["triple_product_identity"] == ch.find_identity(g, 1).residual_with(g.Z - 1.0)
+        assert by_name["quadruple_product_identity"] == ch.find_identity(g, 2).residual_with(g.Z - 3.0)
+    g = rg.g2_rep()
+    by_name = {c["name"]: c["residual"] for c in verify.run_suite("g2", g=g)[0]}
+    assert by_name["cubic_identity"] == ch.find_identity(g, 1).residual_with(0.0)
 
 
 def test_spin_suite_builds_the_spin_set_once(spin_rep_calls):
