@@ -188,22 +188,21 @@ def rho_vw(g: GeneratorSet, v, w) -> np.ndarray:
 
 def _contract(gens, v, w=None, u=None) -> np.ndarray:
     """sum_a v_a X_a + sum_ab w_ab X_a X_b + sum_abc u_abc X_a X_b X_c over
-    the generators X; w enters through its symmetric part, and an absent
-    higher-rank tensor is skipped."""
-    acc = np.zeros(gens[0].shape, dtype=np.complex128)
+    the (k, d, d) generator stack X; w enters through its symmetric part,
+    and an absent higher-rank tensor is skipped."""
+    acc = np.zeros(gens.shape[1:], dtype=np.complex128)
     for va, x in zip(v, gens):
         acc += va * x
     if w is None:
         return acc
-    stack = np.stack(gens)
-    prods = np.einsum("aij,bjk->abik", stack, stack)
+    prods = np.einsum("aij,bjk->abik", gens, gens)
     acc += np.einsum("ab,abik->ik", (w + w.T) / 2.0, prods)
     if u is not None:
-        acc += np.einsum("abc,abcil->il", u, np.einsum("abij,cjl->abcil", prods, stack))
+        acc += np.einsum("abc,abcil->il", u, np.einsum("abij,cjl->abcil", prods, gens))
     return acc
 
 
-def extract_vw(rho, g: GeneratorSet, check: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def extract_vw(rho, g: GeneratorSet) -> tuple[np.ndarray, np.ndarray]:
     """Invert rho = v.J + sum w_ab J_(a J_b) for a unit-trace rho:
 
         v_a  = (3/(d lam)) tr(rho J_a)
@@ -211,8 +210,8 @@ def extract_vw(rho, g: GeneratorSet, check: bool = True) -> tuple[np.ndarray, np
                - ((2 lam + 1)/(d^2-4)) tr(w) delta_jk
 
     with tr(w) = 3/(d lam).  Only meaningful for d >= 3 (for d = 2 the
-    symmetrized pair products collapse onto the identity).  With
-    ``check=True`` a reconstruction residual above 1e-8 raises
+    symmetrized pair products collapse onto the identity).  A residual above
+    1e-8 of the reconstruction from the J_(j J_k) formed for w raises
     SpanDeficientError, signaling a rho outside the (v, w) span.
     """
     if require_spin(g).d < 3:
@@ -226,14 +225,16 @@ def extract_vw(rho, g: GeneratorSet, check: bool = True) -> tuple[np.ndarray, np
     trw = 3.0 / (d * lam) * np.trace(m).real
     pairs, products = sym_monomials(g.generators, 2)
     vals = np.array([(30.0 / (lam * d * (d * d - 4.0))) * np.trace(m @ x).real for x in products])
-    vals[[j == k for j, k in pairs]] -= (2.0 * lam + 1.0) / (d * d - 4.0) * trw
+    diagonal = np.array([j == k for j, k in pairs])
+    vals[diagonal] -= (2.0 * lam + 1.0) / (d * d - 4.0) * trw
     w = symmetric_tensor(pairs, vals, 3)
-    if check:
-        resid = max_abs(m - _contract(g.generators, v, w))
-        if resid > SPAN_TOL:
-            raise SpanDeficientError(
-                f"rho lies outside the span of {{J_a, J_(a J_b)}} (residual {resid:.3e})"
-            )
+    # sum_jk w_jk J_j J_k counts each off-diagonal pair twice
+    recon = np.einsum("a,aij->ij", v, g.generators)
+    resid = max_abs(m - recon - np.einsum("p,pij->ij", (2.0 - diagonal) * vals, products))
+    if resid > SPAN_TOL:
+        raise SpanDeficientError(
+            f"rho lies outside the span of {{J_a, J_(a J_b)}} (residual {resid:.3e})"
+        )
     return v, w
 
 
@@ -474,13 +475,12 @@ def trace_powers(stack: np.ndarray, v) -> list:
 
 
 def _measured_trace_ratios(gset: GeneratorSet) -> tuple[Fraction, Fraction]:
-    stack = np.stack(gset.generators)
     r2s, r4s = [], []
     for i in range(6):
         rng = derived_rng(97, i)
         v = rng.normal(size=14)
         x = float(v @ v)
-        powers = trace_powers(stack, v)
+        powers = trace_powers(gset.generators, v)
         if max(abs(powers[0]), abs(powers[2]), abs(powers[4])) > 1e-9 * max(1.0, x**2):
             raise ArithmeticError("odd trace powers of v.beta do not vanish")
         r2s.append(powers[1] / x)

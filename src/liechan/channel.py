@@ -26,6 +26,7 @@ from numpy.polynomial import polynomial as npoly
 from .matcore import (
     DensityMatrix,
     as_complex_matrix,
+    as_complex_stack,
     as_density,
     derived_rng,
     max_abs,
@@ -49,7 +50,8 @@ class POutOfRangeError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """A trace-preserving channel given by its Kraus operators.
+    """A trace-preserving channel given by its Kraus operators, one read-only
+    complex128 ``(m, d, d)`` array copied once from the given matrices.
 
     ``p`` is the error probability for channels of the (1-p, p/Z) form and
     None for channels without one (extensions, double channels, Clifford
@@ -57,18 +59,17 @@ class KrausChannel:
     within 1e-9 on construction.
     """
 
-    ops: tuple = field(repr=False)
+    ops: np.ndarray = field(repr=False)
     p: float | None
     source: str
 
     def __post_init__(self):
-        ops = tuple(readonly_copy(as_complex_matrix(m)) for m in self.ops)
-        object.__setattr__(self, "ops", ops)
-        if not ops:
-            raise ValueError("a channel needs at least one Kraus operator")
-        d = ops[0].shape[0]
-        if any(m.shape != (d, d) for m in ops):
+        if not isinstance(self.ops, np.ndarray) and len({np.shape(m) for m in self.ops}) > 1:
             raise ValueError("Kraus operators must share one dimension")
+        if not len(self.ops):
+            raise ValueError("a channel needs at least one Kraus operator")
+        ops = as_complex_stack(readonly_copy(self.ops))
+        object.__setattr__(self, "ops", ops)
         dev = normalization_deviation(ops)
         if dev > NORMALIZATION_TOL:
             raise ValueError(f"normalization sum M^dag M = I violated by {dev:.3e}")
@@ -77,16 +78,13 @@ class KrausChannel:
 
     @property
     def dim(self) -> int:
-        return self.ops[0].shape[0]
+        return self.ops.shape[1]
 
 
 def normalization_deviation(ops: Sequence) -> float:
-    """max-norm of sum_mu M_mu^dag M_mu - I."""
-    d = ops[0].shape[0]
-    total = np.zeros((d, d), dtype=np.complex128)
-    for m in ops:
-        total += m.conj().T @ m
-    return max_abs(total - np.eye(d))
+    """max-norm of sum_mu M_mu^dag M_mu - I, one product of the (m d, d) stack."""
+    flat = np.concatenate(ops)
+    return max_abs(flat.conj().T @ flat - np.eye(flat.shape[1]))
 
 
 def build_channel(g: GeneratorSet, p: float) -> KrausChannel:
@@ -96,13 +94,12 @@ def build_channel(g: GeneratorSet, p: float) -> KrausChannel:
             f"p = {p} lies outside [0, 1]; no normalization constant makes "
             "the map trace preserving for such p"
         )
-    ops = []
+    parts = []
     if p < 1.0:
-        ops.append(math.sqrt(1.0 - p) * np.eye(g.d, dtype=np.complex128))
+        parts.append(math.sqrt(1.0 - p) * np.eye(g.d, dtype=np.complex128)[None])
     if p > 0.0:
-        scale = math.sqrt(p / g.Z)
-        ops.extend(scale * x for x in g.generators)
-    return KrausChannel(ops=tuple(ops), p=float(p), source=g.algebra)
+        parts.append(math.sqrt(p / g.Z) * g.generators)
+    return KrausChannel(ops=np.concatenate(parts), p=float(p), source=g.algebra)
 
 
 def apply_matrix(ch: KrausChannel, m) -> np.ndarray:
@@ -116,11 +113,11 @@ def apply_matrix(ch: KrausChannel, m) -> np.ndarray:
     return out
 
 
-def superoperator(ops: Sequence) -> np.ndarray:
-    """sum_k K (x) conj(K): the d^2 x d^2 matrix of M -> sum_k K M K^dag on
-    row-major vec(M) (Watrous, The Theory of Quantum Information, 2018, ch. 2)."""
-    n, d, _ = np.shape(ops)
-    flat = np.reshape(ops, (n, d * d))
+def superoperator(ops: np.ndarray) -> np.ndarray:
+    """sum_k K (x) conj(K) over a stack: the d^2 x d^2 matrix of M -> sum_k K M K^dag
+    on row-major vec(M) (Watrous, The Theory of Quantum Information, 2018, ch. 2)."""
+    n, d, _ = ops.shape
+    flat = ops.reshape(n, d * d)
     return (flat.T @ flat.conj()).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
@@ -257,24 +254,23 @@ def extend(base_ops: Sequence, ext_ops: Sequence, at_index: int) -> KrausChannel
     Both inputs must satisfy the normalization condition; the output then
     does as well, since sum (B_j A)^dag (B_j A) = A^dag A.
     """
-    a_ops = [as_complex_matrix(m) for m in ext_ops]
-    b_ops = [as_complex_matrix(m) for m in base_ops]
+    a_ops = as_complex_stack(ext_ops)
+    b_ops = as_complex_stack(base_ops)
     for name, ops in (("base", b_ops), ("extension", a_ops)):
         if normalization_deviation(ops) > NORMALIZATION_TOL:
             raise ValueError(f"{name} operator set is not normalized")
     if not 0 <= at_index < len(a_ops):
         raise ValueError("at_index out of range")
-    pivot = a_ops[at_index]
-    new_ops = a_ops[:at_index] + [b @ pivot for b in b_ops] + a_ops[at_index + 1:]
-    return KrausChannel(ops=tuple(new_ops), p=None, source="extended")
+    new_ops = np.concatenate([a_ops[:at_index], b_ops @ a_ops[at_index], a_ops[at_index + 1:]])
+    return KrausChannel(ops=new_ops, p=None, source="extended")
 
 
 def double_channel(g: GeneratorSet) -> KrausChannel:
     """Kraus operators {X_i X_j / Z}: the base channel extended by itself
     on every element."""
-    z = g.Z
-    ops = [(x @ y) / z for x in g.generators for y in g.generators]
-    return KrausChannel(ops=tuple(ops), p=None, source=f"{g.algebra}:double")
+    x = g.generators
+    ops = (x[:, None] @ x).reshape(g.k * g.k, g.d, g.d) / g.Z   # [i k + j] = X_i X_j / Z
+    return KrausChannel(ops=ops, p=None, source=f"{g.algebra}:double")
 
 
 def clifford_vector_channel(g: GeneratorSet, xs: Sequence) -> KrausChannel:
@@ -286,17 +282,15 @@ def clifford_vector_channel(g: GeneratorSet, xs: Sequence) -> KrausChannel:
     is exactly what makes the map trace preserving.  c is measured from the
     matrices rather than assumed.
     """
-    vecs = [np.asarray(x, dtype=float) for x in xs]
-    if not vecs:
+    if not len(xs):
         raise ValueError("at least one vector is required")
-    gammas = [clifford_gamma(x, g) for x in vecs]
+    gammas = np.array([clifford_gamma(x, g) for x in xs])
     square_sum = sum(gm @ gm for gm in gammas)
     total = np.trace(square_sum).real / g.d
     if total <= 0 or max_abs(square_sum - total * np.eye(g.d)) > 1e-10:
         raise ValueError("sum of squared gamma(x_i) is not a positive scalar")
     scale = 1.0 / math.sqrt(total)
-    ops = [scale * gm for gm in gammas]
-    return KrausChannel(ops=tuple(ops), p=None, source="clifford_weyl:vectors")
+    return KrausChannel(ops=scale * gammas, p=None, source="clifford_weyl:vectors")
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +549,7 @@ def _pure_outputs(ch: KrausChannel, n_samples: int, seed: int) -> np.ndarray:
     for i in range(n_samples):
         psis[i] = random_pure_statevector(d, derived_rng(seed, i))
     rhos = np.einsum("ia,ib->iab", psis, psis.conj())
-    ops = np.stack(ch.ops)
-    return np.einsum("mab,ibc,mdc->iad", ops, rhos, ops.conj())
+    return np.einsum("mab,ibc,mdc->iad", ch.ops, rhos, ch.ops.conj())
 
 
 def sampled_min_output_entropy(ch: KrausChannel, n_samples: int = 10000, seed: int = 0) -> float:

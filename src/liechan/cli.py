@@ -20,6 +20,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -271,6 +272,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="twice the spin (d = two_s + 1)")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", dest="output_path", default=None)
+        # argparse reads only -N and -N.N as negative numbers and other values
+        # after a '-' as options; --p -1e-3 or -inf must reach the range check
+        p._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     common(sub.add_parser("gen", help="dump a generator set"))
     p_apply = sub.add_parser("apply", help="apply a channel to a density matrix")

@@ -28,14 +28,23 @@ EIG_INPUT_TOL = 1e-8      # Hermiticity required of eigensolver inputs
 EIG_RECON_TOL = 1e-9      # ||m - Q diag(w) Q^dag||_max after eigensolve
 
 
-def as_complex_matrix(m) -> np.ndarray:
-    """Coerce to a square complex128 array with finite entries."""
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+def as_complex_stack(mats) -> np.ndarray:
+    """Coerce m >= 1 square d x d matrices, one ``(m, d, d)`` array or a
+    sequence of matrices, to an ``(m, d, d)`` complex128 array with finite
+    entries (no copy of a complex128 array)."""
+    a = np.asarray(mats, dtype=np.complex128)   # ValueError for unequal shapes
+    if a.ndim == 0 or not len(a):
+        raise ValueError("expected at least one matrix")
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape[1:]}")
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     return a
+
+
+def as_complex_matrix(m) -> np.ndarray:
+    """A square complex128 array with finite entries: :func:`as_complex_stack` of one."""
+    return as_complex_stack(np.asarray(m)[None])[0]
 
 
 def max_abs(m) -> float:
@@ -66,15 +75,10 @@ def sym_product(mats: Sequence) -> np.ndarray:
     reordering of the input list: it is the one-multiset case of the fold
     :func:`sym_monomials` runs.
     """
-    ms = [as_complex_matrix(m) for m in mats]
-    if not ms:
-        raise ValueError("sym_product needs at least one matrix")
-    d = ms[0].shape[0]
-    if any(m.shape != (d, d) for m in ms):
-        raise ValueError("dimension mismatch in sym_product")
+    ms = as_complex_stack(mats)
     if len(ms) == 1:
         return ms[0].copy()
-    return _sym_fold(np.stack(ms), [tuple(range(len(ms)))])[0]
+    return _sym_fold(ms, [tuple(range(len(ms)))])[0]
 
 
 def sym_monomials(mats: Sequence, r: int) -> tuple[tuple, np.ndarray]:
@@ -85,11 +89,11 @@ def sym_monomials(mats: Sequence, r: int) -> tuple[tuple, np.ndarray]:
     ``sym_product([mats[i] for i in multisets[j]])``, since both run the
     same fold: first products read from one table of the ordered pair
     products, each further factor one grouped gemm per generator (see
-    :func:`_sym_fold`).  For r = 1 the slices are the matrices as given.
+    :func:`_sym_fold`).  For r = 1 it is ``as_complex_stack(mats)``.
     """
     if r < 1:
         raise ValueError("rank r must be >= 1")
-    stack = np.stack([as_complex_matrix(m) for m in mats])  # ValueError for none or mixed shapes
+    stack = as_complex_stack(mats)
     multisets = tuple(combinations_with_replacement(range(len(stack)), r))
     return multisets, (stack if r == 1 else _sym_fold(stack, multisets))
 

@@ -1,7 +1,8 @@
 """Factories for Lie algebra and Clifford representations.
 
-A :class:`GeneratorSet` bundles k Hermitian d x d generator matrices with
-two normalization constants:
+A :class:`GeneratorSet` bundles k Hermitian d x d generator matrices, one
+read-only complex128 ``(k, d, d)`` array that every consumer reads as it
+is, with two normalization constants:
 
 * ``N`` — the trace-form constant, tr(X_a X_b) = N d delta_ab;
 * ``Z`` — the Casimir constant, sum_i X_i^2 = Z * identity.
@@ -54,14 +55,13 @@ class NotScalarError(ValueError):
     """
 
 
-def _gram(mats) -> np.ndarray:
-    stack = np.stack(mats)
+def _gram(stack) -> np.ndarray:
     return np.einsum("aij,bji->ab", stack, stack)
 
 
 def generator_residuals(generators: Sequence, Z: float, N: float) -> dict:
-    """Max-norm residuals of the four generator-set invariants: Hermiticity,
-    tracelessness, sum_i X_i^2 = Z I and tr(X_a X_b) = N d delta_ab."""
+    """Max-norm residuals of the four invariants of a generator stack:
+    Hermiticity, tracelessness, sum_i X_i^2 = Z I and tr(X_a X_b) = N d delta_ab."""
     d = generators[0].shape[0]
     return {
         "hermiticity": max(max_abs(x - x.conj().T) for x in generators),
@@ -73,14 +73,14 @@ def generator_residuals(generators: Sequence, Z: float, N: float) -> dict:
 
 @dataclass(frozen=True, eq=False)
 class GeneratorSet:
-    """k Hermitian d x d matrices plus N and Z; ``residuals`` holds their
-    :func:`generator_residuals`, measured and enforced on construction, as a
-    read-only mapping."""
+    """k Hermitian d x d matrices, one read-only complex128 ``(k, d, d)``
+    array copied once from the given matrices (k and d are read from its
+    shape), plus N and Z; ``residuals`` holds their
+    :func:`generator_residuals`, measured and enforced on construction, as
+    a read-only mapping."""
 
     algebra: str
-    d: int
-    k: int
-    generators: tuple = field(repr=False)
+    generators: np.ndarray = field(repr=False)
     N: float
     Z: float
     residuals: MappingProxyType = field(init=False, repr=False)
@@ -88,13 +88,14 @@ class GeneratorSet:
     def __post_init__(self):
         if self.algebra not in ALGEBRA_TAGS:
             raise ValueError(f"unknown algebra tag {self.algebra!r}")
-        gens = tuple(readonly_copy(m) for m in self.generators)
+        gens = self.generators
+        if not isinstance(gens, np.ndarray) and len({np.shape(m) for m in gens}) > 1:
+            raise ValueError("generator dimension mismatch")   # numpy stacks no such list
+        gens = readonly_copy(gens)
         object.__setattr__(self, "generators", gens)
-        if not gens:
+        if not len(gens):
             raise ValueError("a generator set needs at least one generator")
-        if len(gens) != self.k:
-            raise ValueError(f"expected {self.k} generators, got {len(gens)}")
-        if any(g.shape != (self.d, self.d) for g in gens):
+        if gens.ndim != 3 or gens.shape[1] != gens.shape[2]:
             raise ValueError("generator dimension mismatch")
         res = MappingProxyType(generator_residuals(gens, self.Z, self.N))
         object.__setattr__(self, "residuals", res)
@@ -108,6 +109,14 @@ class GeneratorSet:
             raise NotScalarError("sum of squared generators does not equal Z * identity")
         if res["trace_form_deviation"] > TRACE_FORM_TOL:
             raise ValueError("trace form deviates from N*d*delta beyond 1e-9")
+
+    @property
+    def d(self) -> int:
+        return self.generators.shape[1]
+
+    @property
+    def k(self) -> int:
+        return len(self.generators)
 
     @cached_property
     def nonzero_terms(self) -> tuple:
@@ -123,7 +132,7 @@ class GeneratorSet:
         the t-th of them by index and its value there.  Built on first read
         and kept with the set.
         """
-        flat = np.ascontiguousarray(np.stack(self.generators)).reshape(self.k, -1).view(np.float64)
+        flat = self.generators.reshape(self.k, -1).view(np.float64)
         counts = np.count_nonzero(flat, axis=0)
         perm = np.argsort(-counts, kind="stable")
         cols, gens = np.nonzero(flat[:, perm].T)       # by component, then generator
@@ -147,8 +156,7 @@ class GeneratorSet:
             raise ValueError("a generator set needs at least one generator")
         d = mats[0].shape[0]
         sq = [np.einsum("ij,ji->", m, m).real / d for m in mats]
-        return cls(algebra=algebra, d=d, k=len(mats), generators=tuple(mats),
-                   N=float(sq[0]), Z=float(sum(sq)))
+        return cls(algebra=algebra, generators=mats, N=float(sq[0]), Z=float(sum(sq)))
 
     def to_json(self) -> dict:
         return {
@@ -191,9 +199,7 @@ def gell_mann(n: int) -> GeneratorSet:
         gens.append(math.sqrt(2.0 / ((k - 1) * k)) * m)
     return GeneratorSet(
         algebra=SU_N_DEFINING,
-        d=n,
-        k=n * n - 1,
-        generators=tuple(gens),
+        generators=gens,
         N=2.0 / n,
         Z=2.0 * (n * n - 1) / n,
     )
@@ -232,7 +238,7 @@ def structure_tensors(n: int, g: GeneratorSet | None = None) -> StructureTensors
         g = gell_mann(n)
     elif g.algebra != SU_N_DEFINING or g.d != n:
         raise ValueError(f"structure_tensors({n}) needs the su({n}) defining representation")
-    x = np.stack(g.generators)
+    x = g.generators
     prod = np.einsum("iab,jbc->ijac", x, x)
     comm = prod - prod.transpose(1, 0, 2, 3)
     anti = prod + prod.transpose(1, 0, 2, 3)
@@ -255,8 +261,7 @@ def structure_residuals(g: GeneratorSet, t: StructureTensors) -> tuple:
     """(name, residual, tolerance) of the su(n) structure identities:
     f_ijm f_ljm = n delta, Q_ijm Q_ljm = -(4/n) delta, sum_i d_iik = 0 and
     X_i X_j = beta delta_ij I + Q_ijk X_k."""
-    n, k = t.n, g.k
-    x = np.stack(g.generators)
+    n, k, x = t.n, g.k, g.generators
     ff = np.einsum("ijm,ljm->il", t.f, t.f)
     qq = np.einsum("ijm,ljm->il", t.Q, t.Q)
     prod = np.einsum("iab,jbc->ijac", x, x)
@@ -297,8 +302,6 @@ def spin_rep(two_s: int) -> GeneratorSet:
     j3 = np.diag(np.array(mvals, dtype=np.complex128))
     return GeneratorSet(
         algebra=SU2_SPIN,
-        d=d,
-        k=3,
         generators=(j1, j2, j3),
         N=lam / 3.0,
         Z=lam,
@@ -414,9 +417,7 @@ def g2_rep() -> GeneratorSet:
         raise ArithmeticError("scaled derivation failed to be Hermitian")
     return GeneratorSet(
         algebra=G2_FUNDAMENTAL,
-        d=7,
-        k=14,
-        generators=tuple(betas),
+        generators=betas,
         N=1.0 / 14.0,
         Z=1.0,
     )
@@ -457,9 +458,7 @@ def clifford_weyl() -> tuple[GeneratorSet, GammaBasis]:
 
     genset = GeneratorSet(
         algebra=CLIFFORD_WEYL,
-        d=4,
-        k=4,
-        generators=tuple(gammas),
+        generators=gammas,
         N=1.0,
         Z=4.0,
     )
@@ -485,7 +484,7 @@ def clifford_gamma(x, genset: GeneratorSet) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (genset.k,):
         raise ValueError(f"expected a length-{genset.k} vector")
-    return np.einsum("i,iab->ab", x, np.stack(genset.generators))
+    return np.einsum("i,iab->ab", x, genset.generators)
 
 
 # Convenience dispatcher used by the CLI.

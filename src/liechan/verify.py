@@ -96,7 +96,6 @@ def _g2(g: rg.GeneratorSet, seed: int) -> tuple[list, dict]:
         _check("casimir_identity", g.residuals["casimir_deviation"], 1e-9),
         _check("trace_orthonormality", g.residuals["trace_form_deviation"], 1e-9),
     ]
-    stack = np.stack(g.generators)
     # L X_b = 0, as the fitted f_b = tr(L X_b)/d = Z tr(X_b)/d vanishes
     cubic = ch._fit_identity(g, 1, ch.generator_action(g)).residual_with(0.0)
     checks.append(_check("cubic_identity", cubic, 1e-12))
@@ -114,7 +113,7 @@ def _g2(g: rg.GeneratorSet, seed: int) -> tuple[list, dict]:
         rng = mc.derived_rng(seed, 100 + i)
         v = rng.normal(size=14)
         x = float(v @ v)
-        powers = bl.trace_powers(stack, v)
+        powers = bl.trace_powers(g.generators, v)
         worst_odd = max(worst_odd, abs(powers[0]), abs(powers[2]), abs(powers[4]) / max(1.0, x * x))
         worst_t2 = max(worst_t2, abs(powers[1] - x / 2.0))
         worst_t4 = max(worst_t4, abs(powers[3] - x * x / 16.0))

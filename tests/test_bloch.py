@@ -712,10 +712,17 @@ def _extract_vw_by_loop(m, g):
 def test_extract_vw_bitwise_equal_to_pair_loop(two_s):
     g = spin(two_s)
     rng = np.random.default_rng(70 + two_s)
-    for rho in (bl.rho_vw(g, *_unit_trace_vw(g, rng)), mc.random_density(g.d, rng).matrix):
-        v, w = bl.extract_vw(rho, g, check=False)
+    in_span = bl.rho_vw(g, *_unit_trace_vw(g, rng))
+    random = mc.random_density(g.d, rng).matrix
+    # the 3 + 6 spin-1 monomials span every 3 x 3 matrix; from d = 4 on a
+    # random density lies outside the (v, w) span
+    for rho in (in_span, random) if two_s == 2 else (in_span,):
+        v, w = bl.extract_vw(rho, g)
         v0, w0 = _extract_vw_by_loop(rho, g)
         assert v.tobytes() == v0.tobytes() and w.tobytes() == w0.tobytes()
+    if two_s > 2:
+        with pytest.raises(bl.SpanDeficientError):
+            bl.extract_vw(random, g)
 
 
 def _decompose_by_loop(rho, g, max_rank):

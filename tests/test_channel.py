@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -590,8 +591,54 @@ def test_channel_output_invariants(factory):
 
 
 def test_channel_rejects_mixed_dimensions():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^Kraus operators must share one dimension$"):
         ch.KrausChannel(ops=(np.eye(2), np.eye(3)), p=None, source="custom")
+    with pytest.raises(ValueError, match="^generator dimension mismatch$"):
+        rg.GeneratorSet.from_generators([np.diag([1.0, -1.0]), np.diag([1.0, 0.0, -1.0])])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_channel_rejects_a_non_finite_operator(bad):
+    ops = (np.eye(2) / math.sqrt(2.0), np.full((2, 2), bad))
+    with pytest.raises(ValueError, match=re.escape("matrix entries must be finite (no NaN/Inf)")):
+        ch.KrausChannel(ops=ops, p=None, source="custom")
+
+
+def test_operator_stacks_are_read_only():
+    g = su(3)
+    channel = ch.build_channel(g, 0.4)
+    assert g.generators.shape == (8, 3, 3) and channel.ops.shape == (9, 3, 3)
+    for stack in (g.generators, channel.ops):
+        assert stack.dtype == np.complex128
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0, 0, 0] = 1.0
+
+
+def _kraus_by_loop(g, p):
+    # the per-matrix tuple build_channel assembled before the operators were one stack
+    gens = [np.array(x) for x in g.generators]
+    ops = [math.sqrt(1.0 - p) * np.eye(g.d, dtype=np.complex128)] if p < 1.0 else []
+    if p > 0.0:
+        ops.extend(math.sqrt(p / g.Z) * x for x in gens)
+    return tuple(ops)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize(
+    "build",
+    [lambda: su(2), lambda: su(8), lambda: spin(7), g2, lambda: clifford()[0]],
+    ids=["su2", "su8", "spin7_2", "g2", "clifford"],
+)
+def test_build_channel_and_apply_bitwise_equal_to_tuple_loop(build, p):
+    g = build()
+    ref = _kraus_by_loop(g, p)
+    channel = ch.build_channel(g, p)
+    assert channel.ops.tobytes() == np.stack(ref).tobytes()
+    rho = mc.random_density(g.d, mc.derived_rng(41, g.d)).matrix
+    out = np.zeros_like(rho)
+    for k in ref:
+        out += k @ rho @ k.conj().T
+    assert ch.apply_matrix(channel, rho).tobytes() == out.tobytes()
 
 
 def test_channel_rejects_unnormalized_ops():

@@ -673,6 +673,17 @@ def test_any_argv_exits_0_1_or_2_without_traceback(argv):
     assert "Traceback" not in err.getvalue()
 
 
+@pytest.mark.parametrize("p, shown", [("-1e-3", "-0.001"), ("-1E-3", "-0.001"), ("-1e3", "-1000.0"),
+                                      ("-inf", "-inf"), ("-0.001", "-0.001")])
+def test_negative_p_in_any_notation_gets_the_range_message(tmp_path, capsys, p, shown):
+    rho_file = tmp_path / "rho.json"
+    rho_file.write_text(json.dumps(maximally_mixed(2).to_json()))
+    code, _ = run(tmp_path, "apply", "--algebra", "su", "--n", "2", "--p", p, "--rho", str(rho_file))
+    assert code == 2
+    assert capsys.readouterr().err == (f"error: p = {shown} lies outside [0, 1]; no normalization "
+                                       "constant makes the map trace preserving for such p\n")
+
+
 SEED_MESSAGE = "error: --seed (or LIECHAN_SEED) must be >= 0\n"
 
 

@@ -142,6 +142,19 @@ def test_sym_product_bitwise_equal_to_reference_fold(r, case):
     assert mc.sym_product(ms).tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize(
+    "gens",
+    [lambda: su(3), lambda: spin(3), lambda: g2(), lambda: clifford()[0]],
+    ids=["su3", "spin3_2", "g2", "clifford"],
+)
+def test_sym_monomials_same_bits_on_a_list_and_on_the_stack(gens, r):
+    stack = gens().generators
+    multisets, from_stack = mc.sym_monomials(stack, r)
+    from_list = mc.sym_monomials([np.array(x) for x in stack], r)
+    assert from_list[0] == multisets and from_list[1].tobytes() == from_stack.tobytes()
+
+
 @pytest.mark.parametrize(
     "mats, r",
     [(PAULI, 0), ([], 2), ([np.eye(2), np.eye(3)], 2)],

@@ -414,13 +414,13 @@ def test_scaled_generator_breaks_casimir():
     gens = list(g.generators)
     gens[0] = gens[0] * (1.0 + 1e-6)
     with pytest.raises(rg.NotScalarError):
-        rg.GeneratorSet(algebra=rg.CUSTOM, d=3, k=8, generators=tuple(gens), N=g.N, Z=g.Z)
+        rg.GeneratorSet(algebra=rg.CUSTOM, generators=tuple(gens), N=g.N, Z=g.Z)
     assert rg.generator_residuals(gens, g.Z, g.N)["casimir_deviation"] > 1e-9
 
 
 def test_empty_generator_set_rejected():
     with pytest.raises(ValueError):
-        rg.GeneratorSet(algebra=rg.CUSTOM, d=2, k=0, generators=(), N=1.0, Z=1.0)
+        rg.GeneratorSet(algebra=rg.CUSTOM, generators=(), N=1.0, Z=1.0)
 
 
 def test_import_repgen_loads_neither_channel_nor_bloch():

@@ -222,7 +222,7 @@ def test_suite_builds_the_generator_action_once(monkeypatch, algebra, size):
 def test_pinned_identity_checks_fail_on_a_scaled_generator(monkeypatch, algebra, size, names):
     g = rg.build_algebra(algebra, **size)
     bad = copy.copy(g)   # a copy skips the constructor's checks
-    object.__setattr__(bad, "generators", (1.01 * g.generators[0],) + g.generators[1:])
+    object.__setattr__(bad, "generators", np.concatenate([1.01 * g.generators[:1], g.generators[1:]]))
     if algebra == "su":   # keep the structure-tensor checks, which reject the set, out of the way
         tensors = rg.structure_tensors(3, g)
         monkeypatch.setattr(rg, "structure_tensors", lambda n, g=None: tensors)
