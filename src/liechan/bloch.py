@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .channel import _traceless_basis, spin_vw_input
 from .matcore import (
@@ -111,22 +110,29 @@ def membership_eig(g: GeneratorSet, v) -> bool | np.ndarray:
 
 
 # The charpoly oracle reads the coefficients b_k = e_k(mu) of N = rho/||rho||_F.
-# Its eigenvalues mu have sum mu^2 = 1, so |mu| <= 1 and every power trace
-# p_q = tr N^q of the Newton recursion in char_poly_coeffs has |p_q| <= 1
-# for q >= 2 (p_1 <= sqrt(d)).  With u = eps/2 the unit roundoff and
-# B = max_k |b_k| (>= b_0 = 1), the recursion's errors are:
-# * data: p_q takes q - 1 products of matrices with entries bounded by 1,
-#   each entry a length-d dot product, and a d-term trace, so
-#   |dp_q| <= q d^2 u.  Since sum_k b_k t^k = exp(sum_q (-1)^(q-1) p_q t^q/q),
-#   db_k/dp_q = (-1)^(q-1) b_(k-q)/q exactly, and b_k moves by at most
-#   sum_(q<=k) d^2 u |b_(k-q)| <= d^3 u B to first order;
+# Its eigenvalues mu have sum mu^2 = 1, so |mu| <= 1, and the powers
+# P_e = N^e that char_poly_coeffs forms have ||P_e||_F <= ||N||_2^(e-1)
+# ||N||_F <= 1: every entry is at most 1.  With u = eps/2 the unit roundoff
+# and B = max_k |b_k| (>= b_0 = 1), the recursion's errors are, to first
+# order and counting each complex operation as one rounding:
+# * data: forming P_e = P_(e-1) N adds an error of Frobenius norm at most
+#   d u ||P_(e-1)||_F ||N||_F <= d u, and the product with N (||N||_2 <= 1)
+#   does not grow the earlier ones, so ||dP_e||_F <= (e - 1) d u and every
+#   entry of P_e is off by at most (e - 1) d u.  The power trace
+#   p_q = sum_ij (P_a)_ij (P_b)_ji, a + b = q, then errs by at most
+#   ||dP_a||_F + ||dP_b||_F <= (q - 2) d u, plus d^2 u ||P_a||_F ||P_b||_F
+#   <= d^2 u for its d^2-term sum (p_1, a d-term diagonal sum, by
+#   d sqrt(d) u), so |dp_q| <= (q - 1) d^2 u <= q d^2 u.  Since
+#   sum_k b_k t^k = exp(sum_q (-1)^(q-1) p_q t^q/q), db_k/dp_q =
+#   (-1)^(q-1) b_(k-q)/q exactly, and b_k moves by at most
+#   sum_(q<=k) d^2 u |b_(k-q)| <= d^3 u B;
 # * rounding: step k sums k products of size at most B (sqrt(d) for q = 1)
 #   and divides by k, O(d u B), below the data term for d >= 2.
 # So b_k >= -2 d^3 u B = -d^3 eps B accepts every PSD rho, to first order
-# with a factor two to spare (measured errors on low-rank su(n) states up to
-# d = 8 stay below 1e-15 B).  Scaling by ||rho||_F, not d, keeps the p_q bounded: the
-# eigenvalues of d*rho reach d on pure states, where the terms of the
-# recursion grow like d^d.
+# with a factor two to spare (on low-rank states up to d = 8 the b_k stay
+# within 1.2e-15 B of the ones from the eigenvalues).  Scaling by ||rho||_F,
+# not d, keeps the p_q bounded: the eigenvalues of d*rho reach d on pure
+# states, where the terms of the recursion grow like d^d.
 CHARPOLY_EPS = float(np.finfo(float).eps)
 
 
@@ -161,7 +167,9 @@ def su3_membership_closed(v, tensors: StructureTensors | None = None) -> bool | 
     stack."""
     v = _coefficients(v, 8)
     t = tensors if tensors is not None else _su3_tensors()
-    det = (2.0 / 3.0) * np.einsum("ijk,...i,...j,...k->...", t.d_sym, v, v, v)
+    # d_ijk v_i as one (n, 8) @ (8, 64) product, then the j and k contractions
+    dv = (v @ t.d_sym.reshape(8, 64)).reshape(v.shape[:-1] + (8, 8))
+    det = (2.0 / 3.0) * (v[..., None, :] @ (dv @ v[..., :, None]))[..., 0, 0]
     vv = _squares(v)
     # vv <= min(3, 1 + det) + tol, as two comparisons (adding tol is monotone)
     return _flags((vv <= 3.0 + MEMBERSHIP_TOL) & (vv <= 1.0 + det + MEMBERSHIP_TOL))
@@ -441,23 +449,26 @@ def g2_bound_refine(g: GeneratorSet | None = None) -> list[RadiusBound]:
 
     The power traces of v.beta are measured from the generators (odd powers
     vanish; tr (v.beta)^2 = v^2/2 and tr (v.beta)^4 = v^4/16 =
-    (tr (v.beta)^2)^2/4), then the Newton recursion is run exactly on
-    polynomials in x = v^2.  The chain is x <= 84, x <= 28, and finally
+    (tr (v.beta)^2)^2/4), then the Newton recursion is run exactly, on
+    Fractions, at the three values of x = v^2 that fix each a_k as a
+    polynomial in x.  The chain is x <= 84, x <= 28, and finally
     x <= 80 - 8 sqrt(65), i.e. |v| <= 3.94.
     """
     gset = g if g is not None else g2_rep()
     if gset.d != 7 or gset.k != 14:
         raise ValueError("expected the 7-dimensional g2 generator set")
     kappa2, kappa4 = _measured_trace_ratios(gset)
-    # c_q(x) = 7^{-q} sum_j binom(q, j) t_j(x), exact polynomials in x, with
-    # t_0 = 7, t_2 = kappa2 x, t_4 = kappa4 x^2 and the odd traces zero; c_q
-    # has degree q/2, so a_k has degree at most k/2 <= 2
-    c = [Polynomial([Fraction(7), math.comb(q, 2) * kappa2, math.comb(q, 4) * kappa4]) / 7**q
-         for q in range(1, 5)]
-    a = newton_recursion(c)
+    # c_q(x) = 7^{-q} sum_j binom(q, j) t_j(x), exact in x, with t_0 = 7,
+    # t_2 = kappa2 x, t_4 = kappa4 x^2 and the odd traces zero; c_q has degree
+    # q/2, so a_k has degree at most k/2 <= 2, and its exact values at
+    # x = 0, 1, 2 fix its coefficients
+    a_at = [newton_recursion([(7 + math.comb(q, 2) * kappa2 * x + math.comb(q, 4) * kappa4 * x * x)
+                              / Fraction(7**q) for q in range(1, 5)]) for x in (0, 1, 2)]
     bounds = []
     for k in (2, 3, 4):
-        x_max = _largest_nonneg_root(list(a[k].coef))
+        f0, f1, f2 = (a[k] for a in a_at)
+        c2 = (f2 - 2 * f1 + f0) / 2
+        x_max = _largest_nonneg_root([f0, f1 - f0 - c2, c2])
         bounds.append(
             RadiusBound(
                 coefficient_index=k,

@@ -21,7 +21,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .matcore import (
     DensityMatrix,
@@ -107,10 +106,8 @@ def apply_matrix(ch: KrausChannel, m) -> np.ndarray:
     m = as_complex_matrix(m)
     if m.shape != (ch.dim, ch.dim):
         raise ValueError(f"dimension mismatch: channel {ch.dim}, input {m.shape}")
-    out = np.zeros_like(m)
-    for k in ch.ops:
-        out += k @ m @ k.conj().T
-    return out
+    # the terms summed in operator order onto +0, as a loop over the operators would
+    return (ch.ops @ m @ ch.ops.conj().transpose(0, 2, 1)).sum(axis=0, initial=0.0)
 
 
 def superoperator(ops: np.ndarray) -> np.ndarray:
@@ -234,13 +231,19 @@ class WIteration:
 def iterate_w_polynomial(p: float, n: int) -> WIteration:
     if n < 1:
         raise ValueError("n must be >= 1")
-    coeffs = np.zeros(1)
-    step = np.array([1.0, -1.5])       # 1 - 3p/2
-    inhom = np.array([0.0, 0.25])      # p/4
+    # F -> (1 - 3p/2) F + p/4 on ascending coefficient lists, in
+    # numpy.polynomial's operation order: each coefficient of the product a
+    # two-term sum (+0 when zero), trailing zeros trimmed, Horner from the top
+    coeffs = [0.0]
     for _ in range(n):
-        coeffs = npoly.polyadd(npoly.polymul(step, coeffs), inhom)
-    value = float(npoly.polyval(p, coeffs))
-    return WIteration(n=n, p=float(p), coefficients=tuple(float(c) for c in coeffs), value=value)
+        coeffs = [0.0 + (a - 1.5 * b) for a, b in zip(coeffs + [0.0], [0.0] + coeffs)]
+        coeffs[1] += 0.25
+        while len(coeffs) > 1 and coeffs[-1] == 0:
+            coeffs.pop()
+    value = coeffs[-1] + p * 0
+    for c in reversed(coeffs[:-1]):
+        value = c + value * p
+    return WIteration(n=n, p=float(p), coefficients=tuple(coeffs), value=float(value))
 
 
 # ---------------------------------------------------------------------------

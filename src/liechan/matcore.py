@@ -209,6 +209,13 @@ def char_poly_coeffs(m) -> np.ndarray:
     the (real) eigenvalues, so all of them are nonnegative exactly when the
     matrix is positive semidefinite.
 
+    The traces come in pairs from the powers P_e = m^e up to e = ceil(d/2):
+    c_(2e-1) = sum_ij (P_e)_ij (P_(e-1))_ji and c_2e = sum_ij (P_e)_ij
+    (P_e)_ji, with P_0 = I, so c_1 is the diagonal sum.  That is ceil(d/2) - 1
+    stacked matrix products, and besides ``m`` at most two powers are alive.
+    The rounding bound on the c_q is derived beside ``bloch.psd_by_charpoly``,
+    which reads the signs.
+
     ``m`` is one (d, d) matrix or an (n, d, d) stack; the result is (d + 1,)
     or (d + 1, n), the sample axis last, and each column is bitwise what the
     matrix alone gives.
@@ -220,11 +227,19 @@ def char_poly_coeffs(m) -> np.ndarray:
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     if not is_hermitian(m, EIG_INPUT_TOL):
         raise ValueError("char_poly_coeffs expects a Hermitian matrix")
-    c, power = [], np.eye(m.shape[-1], dtype=np.complex128)
-    for _ in range(m.shape[-1]):
-        power = power @ m
-        c.append(power.trace(axis1=-2, axis2=-1).real)
-    a = np.empty((len(c) + 1,) + m.shape[:-2])
+    d = m.shape[-1]
+    c = np.empty((d,) + m.shape[:-2])           # c[q - 1] = c_q
+    c[0] = m.trace(axis1=-2, axis2=-1).real     # against P_0 = I
+    prev = power = m                            # P_(e-1) and P_e, from e = 1
+    for e in range(1, (d + 1) // 2 + 1):
+        if e > 1:
+            prev = power   # drops P_(e-2) before P_e is formed
+            power = prev @ m
+            c[2 * e - 2] = np.einsum("...ij,...ji->...", power, prev).real
+        if 2 * e <= d:
+            c[2 * e - 1] = np.einsum("...ij,...ji->...", power, power).real
+    del prev, power   # the recursion's temporaries need not sit beside two powers
+    a = np.empty((d + 1,) + m.shape[:-2])
     a[0] = 1.0
     a[1:] = newton_recursion(c)[1:]
     return a
@@ -233,8 +248,8 @@ def char_poly_coeffs(m) -> np.ndarray:
 def newton_recursion(c: Sequence) -> list:
     """a_0 = 1 (an int), a_1, ..., a_n from the power sums c_1..c_n, given as
     ``c[q - 1]``, by Newton's identities a_k = (1/k) sum_{q=1..k} (-1)^(q-1)
-    c_q a_{k-q}.  The c_q may be numbers, float arrays (one recursion per
-    entry) or ``Polynomial`` objects with ``Fraction`` coefficients (exact)."""
+    c_q a_{k-q}.  The c_q may be numbers (``Fraction`` ones give exact
+    results), float arrays (one recursion per entry) or polynomial objects."""
     signed = [cq if q % 2 == 0 else -cq for q, cq in enumerate(c)]   # (-1)^(q-1) c_q
     a = [1]
     for k in range(1, len(c) + 1):

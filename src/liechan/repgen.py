@@ -474,8 +474,10 @@ def clifford_weyl() -> tuple[GeneratorSet, GammaBasis]:
 
 
 def basis_rank(mats) -> int:
-    """Rank of the Gram matrix tr(A^dag B) of a matrix family (tolerance 1e-8)."""
-    gram = np.array([[np.trace(a.conj().T @ b) for b in mats] for a in mats])
+    """Rank of the Gram matrix tr(A^dag B) of a matrix family (tolerance 1e-8),
+    one product of the flattened matrices."""
+    flat = np.asarray(mats, dtype=np.complex128).reshape(len(mats), -1)
+    gram = flat.conj() @ flat.T
     return int(np.linalg.matrix_rank(gram, tol=1e-8))
 
 

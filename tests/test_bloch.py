@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -221,6 +222,27 @@ def test_oracles_reject_coefficients_of_the_wrong_shape(shape):
             call()
 
 
+@pytest.mark.parametrize("build, n, limit", [
+    (lambda: spin(63), 200, 3.02), (lambda: su(8), 2000, 3.12),
+], ids=["spin63", "su8"])
+def test_psd_by_charpoly_peak_memory_in_rho_stacks(build, n, limit):
+    # tracemalloc peak of one call over a stack of n rho(v), in units of that
+    # stack: the scaled copy, the Hermitian check's two temporaries, or the
+    # scaled copy with two powers; the one-power-at-a-time loop peaked at
+    # 3.017 (d = 64) and 3.119 (d = 8)
+    g = build()
+    rho = bl.bloch_rho(g, bl.sample_bloch_vectors(g, n, seed=4))
+    bl.psd_by_charpoly(rho)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        bl.psd_by_charpoly(rho)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / rho.nbytes <= limit
+
+
 def test_membership_charpoly_accepts_pure_su_n_states():
     # d*rho has eigenvalue d on a pure state; the recursion must not turn
     # the d - 1 zero eigenvalues into a rejection
@@ -305,6 +327,26 @@ def test_su3_determinant_identity():
         direct = np.linalg.det(sum(vi * x for vi, x in zip(v, g.generators))).real
         tensor = (2.0 / 3.0) * np.einsum("ijk,i,j,k->", t.d_sym, v, v, v)
         assert abs(direct - tensor) < 1e-9
+
+
+def _su3_closed_by_einsum(v, t):
+    # the one four-operand einsum su3_membership_closed contracted before
+    det = (2.0 / 3.0) * np.einsum("ijk,...i,...j,...k->...", t.d_sym, v, v, v)
+    vv = np.einsum("...i,...i->...", v, v)
+    return (vv <= 3.0 + bl.MEMBERSHIP_TOL) & (vv <= 1.0 + det + bl.MEMBERSHIP_TOL)
+
+
+def test_su3_staged_contraction_flags_equal_einsum():
+    g, t = su(3), su_tensors(3)
+    vs = np.concatenate([bl.sample_bloch_vectors(g, 2000, seed=12),
+                         boundary_rays(g, 1e-6), boundary_rays(g, -1e-6)])
+    expect = _su3_closed_by_einsum(vs, t)
+    assert expect[-100:].all() and not expect[-200:-100].any()
+    for flags in (bl.su3_membership_closed(vs), bl.su3_membership_closed(vs, t)):
+        assert flags.tolist() == expect.tolist()
+    for v, e in zip(vs[::25], expect[::25]):
+        assert bl.su3_membership_closed(v) is bool(e)
+        assert bl.su3_membership_closed(v, t) is bool(e)
 
 
 # ---------------------------------------------------------------------------

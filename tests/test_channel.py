@@ -226,6 +226,21 @@ def test_iterate_w_matches_repeated_application():
     assert mc.max_abs(acc - bl.rho_vw(spin(2), np.zeros(3), wn)) < 1e-9
 
 
+@pytest.mark.parametrize("n", range(1, 12))
+def test_iterate_w_polynomial_bitwise_equal_to_numpy_polynomial(n):
+    from numpy.polynomial import polynomial as npoly
+
+    step, inhom = np.array([1.0, -1.5]), np.array([0.0, 0.25])
+    ps = [0.0, -0.0, 1.0, 0.5, 2.0 / 3.0, 1e-300] + np.random.default_rng(n).random(20).tolist()
+    for p in ps:
+        coeffs = np.zeros(1)
+        for _ in range(n):
+            coeffs = npoly.polyadd(npoly.polymul(step, coeffs), inhom)
+        it = ch.iterate_w_polynomial(p, n)
+        assert np.array(it.coefficients).tobytes() == coeffs.tobytes()
+        assert np.float64(it.value).tobytes() == np.float64(npoly.polyval(p, coeffs)).tobytes()
+
+
 def test_iterate_w_rejects_nonpositive_n():
     with pytest.raises(ValueError):
         ch.iterate_w_polynomial(0.5, 0)
@@ -635,10 +650,12 @@ def test_build_channel_and_apply_bitwise_equal_to_tuple_loop(build, p):
     channel = ch.build_channel(g, p)
     assert channel.ops.tobytes() == np.stack(ref).tobytes()
     rho = mc.random_density(g.d, mc.derived_rng(41, g.d)).matrix
-    out = np.zeros_like(rho)
-    for k in ref:
-        out += k @ rho @ k.conj().T
-    assert ch.apply_matrix(channel, rho).tobytes() == out.tobytes()
+    # the double channel's k^2 operators make a long reduction
+    for ops, kraus in ((ref, channel), (ch.double_channel(g).ops, ch.double_channel(g))):
+        out = np.zeros_like(rho)
+        for k in ops:
+            out += k @ rho @ k.conj().T
+        assert ch.apply_matrix(kraus, rho).tobytes() == out.tobytes()
 
 
 def test_channel_rejects_unnormalized_ops():

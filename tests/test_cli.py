@@ -596,6 +596,15 @@ def test_malformed_vw_rho_exits_2_without_traceback(tmp_path, text):
     assert "Traceback" not in proc.stderr
 
 
+def test_import_cli_loads_no_numpy_polynomial():
+    # the W iteration and the g2 radius chain run on plain floats and Fractions
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(liechan.__file__)))
+    script = "import sys, liechan.cli; print('numpy.polynomial' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout == "False\n"
+
+
 def test_deeply_nested_rho_exits_2_without_traceback(tmp_path, capsys):
     # deeper than the JSON decoder's recursion limit
     rho_file = tmp_path / "rho.json"

@@ -330,8 +330,37 @@ def test_symmetric_tensor_equals_scatter_loop(k, r):
         np.testing.assert_array_equal(t, t.transpose(perm))
 
 
+def _newton_loop(c):
+    # the per-coefficient Newton loop on c[1..d], c[0] unused
+    a = np.empty_like(c)
+    a[0] = 1.0
+    for k in range(1, len(c)):
+        a[k] = sum((-1) ** (q - 1) * c[q] * a[k - q] for q in range(1, k + 1)) / k
+    return a
+
+
 def _char_poly_by_loop(m):
-    # the per-coefficient Newton loop char_poly_coeffs ran on its own
+    # the paired power sums one at a time: c_q = sum_ij (P_a)_ij (P_b)_ji with
+    # a = ceil(q/2) and b = floor(q/2), each power P_e = m^e formed afresh as
+    # the left fold ((m m) m) ..., c_1 the diagonal sum
+    m = np.asarray(m, dtype=np.complex128)
+    d = m.shape[-1]
+
+    def power(e):
+        out = m
+        for _ in range(e - 1):
+            out = out @ m
+        return out
+
+    c = np.empty((d + 1,) + m.shape[:-2])
+    c[1] = m.trace(axis1=-2, axis2=-1).real
+    for q in range(2, d + 1):
+        c[q] = np.einsum("...ij,...ji->...", power((q + 1) // 2), power(q // 2)).real
+    return _newton_loop(c)
+
+
+def _char_poly_by_sequential_powers(m):
+    # one power at a time, each trace from the next power m^q = m^(q-1) m
     m = np.asarray(m, dtype=np.complex128)
     d = m.shape[-1]
     c = np.empty((d + 1,) + m.shape[:-2])
@@ -339,11 +368,7 @@ def _char_poly_by_loop(m):
     for q in range(1, d + 1):
         power = power @ m
         c[q] = power.trace(axis1=-2, axis2=-1).real
-    a = np.empty_like(c)
-    a[0] = 1.0
-    for k in range(1, d + 1):
-        a[k] = sum((-1) ** (q - 1) * c[q] * a[k - q] for q in range(1, k + 1)) / k
-    return a
+    return _newton_loop(c)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
@@ -355,6 +380,36 @@ def test_char_poly_coeffs_bitwise_equal_to_newton_loop(dim):
     for m in stack:
         assert mc.char_poly_coeffs(m).tobytes() == _char_poly_by_loop(m).tobytes()
     assert mc.char_poly_coeffs(stack).tobytes() == _char_poly_by_loop(stack).tobytes()
+
+
+def _unit_frobenius_inputs(d, rng):
+    """Random Hermitian matrices, densities of every rank below d and states
+    on boundary rays of the spin set of dimension d (least eigenvalue 0 up
+    to rounding), each scaled to ||N||_F = 1 as the charpoly oracle reads them."""
+    mats = [random_hermitian(d, rng) for _ in range(8)]
+    for rank in range(1, d):
+        psi = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+        mats.append(psi @ psi.conj().T)
+    x = spin(d - 1).generators
+    for _ in range(8):
+        u = rng.normal(size=3)
+        u /= np.linalg.norm(u)
+        ux = np.einsum("a,aij->ij", u, x)
+        mats.append(np.eye(d) + ux / -np.linalg.eigvalsh(ux)[0])
+    stack = np.array(mats, dtype=np.complex128)
+    return stack / np.linalg.norm(stack, axis=(1, 2))[:, None, None]
+
+
+@pytest.mark.parametrize("dim", range(2, 17))
+def test_char_poly_coeffs_within_rounding_bound_of_sequential_powers(dim):
+    # the paired and the sequential power sums both err by at most d^3 u B
+    # (bloch.psd_by_charpoly's derivation, B = max_k |b_k|), so they differ
+    # by at most d^3 eps B, the oracle's tolerance
+    stack = _unit_frobenius_inputs(dim, np.random.default_rng(60 + dim))
+    paired = mc.char_poly_coeffs(stack)
+    sequential = _char_poly_by_sequential_powers(stack)
+    scale = np.abs(sequential).max(axis=0)
+    assert np.all(np.abs(paired - sequential) <= dim ** 3 * np.finfo(float).eps * scale)
 
 
 def test_newton_recursion_numbers_and_exact_polynomials():
