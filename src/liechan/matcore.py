@@ -3,8 +3,9 @@
 Everything downstream (generator sets, Kraus channels, Bloch scans) works
 with small dense ``numpy`` arrays of dtype complex128.  This module holds
 the shared primitives: commutators, symmetrized products, Hermitian
-eigensolves, characteristic-polynomial coefficients via power traces, the
-validated ``DensityMatrix`` wrapper, and the JSON wire format for matrices.
+eigensolves, characteristic-polynomial coefficients via power traces read in
+pairs from the powers up to half the dimension, the validated
+``DensityMatrix`` wrapper, and the JSON wire format for matrices.
 
 All functions are pure and never mutate their arguments; dimensions stay
 small (<= ~64), so double precision leaves a wide margin under the

@@ -650,8 +650,8 @@ def test_build_channel_and_apply_bitwise_equal_to_tuple_loop(build, p):
     channel = ch.build_channel(g, p)
     assert channel.ops.tobytes() == np.stack(ref).tobytes()
     rho = mc.random_density(g.d, mc.derived_rng(41, g.d)).matrix
-    # the double channel's k^2 operators make a long reduction
-    for ops, kraus in ((ref, channel), (ch.double_channel(g).ops, ch.double_channel(g))):
+    double = ch.double_channel(g)   # k^2 operators: a long reduction
+    for ops, kraus in ((ref, channel), (double.ops, double)):
         out = np.zeros_like(rho)
         for k in ops:
             out += k @ rho @ k.conj().T
