@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channel import _traceless_basis, spin_vw_input
+from .channel import spin_vw_input, traceless_basis
 from .matcore import (
     as_complex_matrix,
     char_poly_coeffs,
@@ -36,7 +36,7 @@ from .repgen import (
     SU_N_DEFINING,
     GeneratorSet,
     StructureTensors,
-    g2_rep,
+    gell_mann,
     require_spin,
     structure_tensors,
 )
@@ -177,7 +177,7 @@ def su3_membership_closed(v, tensors: StructureTensors | None = None) -> bool | 
 
 @functools.cache
 def _su3_tensors() -> StructureTensors:
-    return structure_tensors(3)
+    return structure_tensors(gell_mann(3))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +339,7 @@ def pure_bloch_test(g: GeneratorSet, v, tensors: StructureTensors | None = None)
     v = np.asarray(v, dtype=float)
     if v.shape != (g.k,):
         raise ValueError(f"expected a length-{g.k} vector")
-    t = tensors if tensors is not None else structure_tensors(g.d)
+    t = tensors if tensors is not None else structure_tensors(g)
     cond1 = abs(1.0 + t.beta * float(v @ v) - g.d) <= 1e-9 * g.d
     contraction = np.einsum("a,b,abc->c", v, v, t.Q)
     if max_abs(contraction.imag) > 1e-9:
@@ -444,8 +444,9 @@ class RadiusBound:
     v_bound: float
 
 
-def g2_bound_refine(g: GeneratorSet | None = None) -> list[RadiusBound]:
-    """Successive bounds on the g2 Bloch radius from a_2, a_3, a_4 >= 0.
+def g2_bound_refine(g: GeneratorSet) -> list[RadiusBound]:
+    """Successive bounds on the g2 Bloch radius from a_2, a_3, a_4 >= 0, for
+    the g2 set g (:func:`liechan.repgen.g2_rep`).
 
     The power traces of v.beta are measured from the generators (odd powers
     vanish; tr (v.beta)^2 = v^2/2 and tr (v.beta)^4 = v^4/16 =
@@ -454,10 +455,9 @@ def g2_bound_refine(g: GeneratorSet | None = None) -> list[RadiusBound]:
     polynomial in x.  The chain is x <= 84, x <= 28, and finally
     x <= 80 - 8 sqrt(65), i.e. |v| <= 3.94.
     """
-    gset = g if g is not None else g2_rep()
-    if gset.d != 7 or gset.k != 14:
+    if g.d != 7 or g.k != 14:
         raise ValueError("expected the 7-dimensional g2 generator set")
-    kappa2, kappa4 = _measured_trace_ratios(gset)
+    kappa2, kappa4 = _measured_trace_ratios(g)
     # c_q(x) = 7^{-q} sum_j binom(q, j) t_j(x), exact in x, with t_0 = 7,
     # t_2 = kappa2 x, t_4 = kappa4 x^2 and the odd traces zero; c_q has degree
     # q/2, so a_k has degree at most k/2 <= 2, and its exact values at
@@ -560,14 +560,14 @@ def spin_vw_purity_search(g: GeneratorSet) -> float:
     outside span{I, J_a, J_(a J_b)}, the minimum over pure states
     (:func:`spin_vw_pure_weight`); g is the spin-s set.  P projects onto
     I/sqrt(d) and the orthonormal rows that span the traceless parts of the
-    rank-1 and rank-2 monomials (``channel._traceless_basis``).  psi is the
+    rank-1 and rank-2 monomials (``channel.traceless_basis``).  psi is the
     top eigenvector of n.J on the generic axis n = (1, sqrt 2, sqrt 3)/sqrt 6:
     entry i (J_3 = diag(s, ..., -s)) is proportional to sqrt(C(2s, i)) z^i,
     z = (n_1 + i n_2)/(1 + n_3).  It has weight along every multipole
     direction, so a span missing any monomial shows; |s, s> sees only the
     diagonal ones."""
     d = require_spin(g).d
-    basis = _traceless_basis(np.concatenate([sym_monomials(g.generators, r)[1] for r in (1, 2)]))
+    basis = traceless_basis(np.concatenate([sym_monomials(g.generators, r)[1] for r in (1, 2)]))
     z = (1.0 + 1j * math.sqrt(2.0)) / (math.sqrt(6.0) + math.sqrt(3.0))
     psi = np.sqrt([float(math.comb(d - 1, i)) for i in range(d)]) * z ** np.arange(d)
     rest = np.outer(psi, psi.conj()).ravel() / np.vdot(psi, psi).real

@@ -358,9 +358,14 @@ def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("nk,nk->n", a.reshape(len(a), -1).view(float), b.reshape(len(b), -1).view(float))
 
 
-def find_identity(g: GeneratorSet, r: int) -> IdentityReport:
+def find_identity(g: GeneratorSet, r: int, action: np.ndarray | None = None) -> IdentityReport:
     """Fit sum_i X_i M X_i = f_M I + g_M M for every symmetrized rank-r
     monomial M of the generators, with r capped at 3.
+
+    The transforms are read from L = ``action``, ``generator_action(g)``
+    when None; a caller fitting several ranks of one set (every rank of
+    :func:`critical_values` and of a verify suite) builds L once and
+    passes it.
 
     Per monomial, g_M is the least-squares slope on the traceless parts of
     M and of the transform, and f_M then matches the traces.  A monomial is
@@ -369,14 +374,10 @@ def find_identity(g: GeneratorSet, r: int) -> IdentityReport:
     NaN entry in ``g_tensor`` and no say in the spread test behind
     ``special``.
     """
-    return _fit_identity(g, r, generator_action(g))
-
-
-def _fit_identity(g: GeneratorSet, r: int, action: np.ndarray) -> IdentityReport:
-    """:func:`find_identity` with L = ``generator_action(g)`` given, so that
-    one L serves every rank of :func:`critical_values` and of a verify suite."""
     if r not in (1, 2, 3):
         raise ValueError("rank r must be 1, 2 or 3")
+    if action is None:
+        action = generator_action(g)
     d, k = g.d, g.k
     multisets, monomials = sym_monomials(g.generators, r)
     n = len(multisets)
@@ -463,7 +464,7 @@ class CriticalDecomposition:
         }
 
 
-def _traceless_basis(monomials: np.ndarray) -> np.ndarray:
+def traceless_basis(monomials: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning the traceless parts of the monomials (SVD;
     singular values below max(N, d^2) eps times the largest are round-off)."""
     n, d, _ = monomials.shape
@@ -491,7 +492,7 @@ def critical_values(g: GeneratorSet, max_rank: int = 2) -> CriticalDecomposition
     entries = []
     action = generator_action(g)   # d^4 complex entries, built once for every rank
     for r in range(1, max_rank + 1):
-        report = _fit_identity(g, r, action)
+        report = find_identity(g, r, action)
         if not report.special or report.g is None:
             entries.append(
                 CriticalEntry(
@@ -507,7 +508,7 @@ def critical_values(g: GeneratorSet, max_rank: int = 2) -> CriticalDecomposition
         in_range = gr < -1e-12
         verified = None
         if p_r is not None and 0.0 <= p_r <= 1.0:
-            basis = _traceless_basis(report._monomials)
+            basis = traceless_basis(report._monomials)
             images = (1.0 - p_r) * basis + (p_r / g.Z) * (basis @ action.T)
             verified = max_abs(images) <= CRITICAL_MAP_TOL
         entries.append(

@@ -195,8 +195,7 @@ def cmd_apply(cfg: RunConfig, rho_path: str) -> int:
 # verify
 
 def cmd_verify(cfg: RunConfig) -> int:
-    g = None if cfg.algebra == "clifford" else _genset(cfg)
-    checks, info = verify.run_suite(cfg.algebra, cfg.n, cfg.two_s, cfg.seed, g)
+    checks, info = verify.run_suite(_genset(cfg), cfg.seed)
     passed = all(c["pass"] for c in checks)
     report = {
         "algebra": cfg.algebra,

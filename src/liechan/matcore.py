@@ -250,7 +250,7 @@ def newton_recursion(c: Sequence) -> list:
     """a_0 = 1 (an int), a_1, ..., a_n from the power sums c_1..c_n, given as
     ``c[q - 1]``, by Newton's identities a_k = (1/k) sum_{q=1..k} (-1)^(q-1)
     c_q a_{k-q}.  The c_q may be numbers (``Fraction`` ones give exact
-    results), float arrays (one recursion per entry) or polynomial objects."""
+    results) or float arrays (one recursion per entry)."""
     signed = [cq if q % 2 == 0 else -cq for q, cq in enumerate(c)]   # (-1)^(q-1) c_q
     a = [1]
     for k in range(1, len(c) + 1):

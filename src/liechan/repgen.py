@@ -11,7 +11,9 @@ Four families are provided: the defining representation of su(n) with
 generalized Gell-Mann generators, spin-s representations of su(2), the
 fundamental 7-dimensional representation of g2 built from octonion
 derivations, and the d=4 Weyl representation of the Euclidean Clifford
-algebra.  All factories validate the constructed set before returning it.
+algebra.  Each factory returns the validated set; everything else read
+off a representation (the su(n) structure tensors, the Clifford product
+basis) is built from that set.
 """
 
 from __future__ import annotations
@@ -101,9 +103,7 @@ class GeneratorSet:
         object.__setattr__(self, "residuals", res)
         if not res["hermiticity"] <= GENERATOR_HERM_TOL:
             raise ValueError("generator is not Hermitian within 1e-10")
-        # Clifford gamma matrices are not Lie algebra generators, so the
-        # tracelessness guarantee does not apply to them.
-        if self.algebra != CLIFFORD_WEYL and res["traceless"] > GENERATOR_TRACELESS_TOL:
+        if res["traceless"] > GENERATOR_TRACELESS_TOL:
             raise ValueError("generator is not traceless within 1e-10")
         if res["casimir_deviation"] > CASIMIR_TOL:
             raise NotScalarError("sum of squared generators does not equal Z * identity")
@@ -229,15 +229,13 @@ class StructureTensors:
                 raise ValueError(f"{name} tensor has wrong shape {arr.shape}")
 
 
-def structure_tensors(n: int, g: GeneratorSet | None = None) -> StructureTensors:
-    """f, d and Q tensors of su(n): f_ijk = -(i/4) tr([X_i,X_j] X_k),
-    d_ijk = (1/4) tr({X_i,X_j} X_k), Q = d + i f, beta = 2/n.  They are
-    built on ``g``, a ``gell_mann(n)`` set the caller holds, or on a new
-    one when ``g`` is None."""
-    if g is None:
-        g = gell_mann(n)
-    elif g.algebra != SU_N_DEFINING or g.d != n:
-        raise ValueError(f"structure_tensors({n}) needs the su({n}) defining representation")
+def structure_tensors(g: GeneratorSet) -> StructureTensors:
+    """f, d and Q tensors of su(n) on its defining set ``g`` (:func:`gell_mann`):
+    f_ijk = -(i/4) tr([X_i,X_j] X_k), d_ijk = (1/4) tr({X_i,X_j} X_k),
+    Q = d + i f, beta = 2/n."""
+    if g.algebra != SU_N_DEFINING:
+        raise ValueError(f"structure_tensors needs the su(n) defining representation, got {g.algebra!r}")
+    n = g.d
     x = g.generators
     prod = np.einsum("iab,jbc->ijac", x, x)
     comm = prod - prod.transpose(1, 0, 2, 3)
@@ -431,20 +429,12 @@ def clifford_bilinear(x, y) -> float:
     return 2.0 * float(np.dot(np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
 
 
-class GammaBasis(tuple):
-    """A tuple of matrices with the ``rank`` that :func:`clifford_weyl` measured."""
-
-
-def clifford_weyl() -> tuple[GeneratorSet, GammaBasis]:
-    """Four Hermitian 4x4 gamma matrices with {g(x), g(y)} = <x,y> I,
-    plus the 16-element antisymmetrized product basis of gl(4).
+def clifford_weyl() -> GeneratorSet:
+    """Four Hermitian 4x4 gamma matrices with {g(x), g(y)} = <x,y> I.
 
     The block (Weyl) form is used: gamma_j = offdiag(-i sigma_j, i sigma_j)
-    for j = 1..3 and gamma_4 = offdiag(I, I), so gamma_mu^2 = I and distinct
-    gammas anticommute.  Anticommuting factors make every signed reordering
-    of a product of distinct gammas equal to the ordered product, so the
-    antisymmetrized product of gamma_i1 .. gamma_ir (i1 < .. < ir) is the
-    ordered product itself.
+    for j = 1..3 and gamma_4 = offdiag(I, I), so gamma_mu^2 = I, distinct
+    gammas anticommute and every gamma is traceless.
     """
     s = [
         np.array([[0, 1], [1, 0]], dtype=np.complex128),
@@ -455,22 +445,32 @@ def clifford_weyl() -> tuple[GeneratorSet, GammaBasis]:
     eye2 = np.eye(2, dtype=np.complex128)
     gammas = [np.block([[z2, -1j * sj], [1j * sj, z2]]) for sj in s]
     gammas.append(np.block([[z2, eye2], [eye2, z2]]))
-
-    genset = GeneratorSet(
+    return GeneratorSet(
         algebra=CLIFFORD_WEYL,
         generators=gammas,
         N=1.0,
         Z=4.0,
     )
-    basis = [np.eye(4, dtype=np.complex128)] + list(gammas)
+
+
+def clifford_basis(g: GeneratorSet) -> tuple:
+    """The 16-element antisymmetrized product basis of gl(4) on the gammas
+    of ``g`` (:func:`clifford_weyl`): I, the gammas, then the products of
+    2, 3 and 4 distinct gammas in lexicographic index order.
+
+    Anticommuting factors make every signed reordering of a product of
+    distinct gammas equal to the ordered product, so the antisymmetrized
+    product of gamma_i1 .. gamma_ir (i1 < .. < ir) is the ordered product
+    itself.  Its independence is measured by :func:`basis_rank`.
+    """
+    if g.algebra != CLIFFORD_WEYL:
+        raise ValueError(f"expected a Clifford generator set ({CLIFFORD_WEYL}), got {g.algebra!r}")
+    gammas = g.generators
+    basis = [np.eye(4, dtype=np.complex128), *gammas]
     for r in (2, 3, 4):
         for idx in combinations(range(4), r):
             basis.append(reduce(np.matmul, [gammas[i] for i in idx]))
-    basis = GammaBasis(basis)
-    basis.rank = basis_rank(basis)
-    if basis.rank != 16:
-        raise ArithmeticError("antisymmetrized gamma basis is not linearly independent")
-    return genset, basis
+    return tuple(basis)
 
 
 def basis_rank(mats) -> int:
@@ -502,5 +502,5 @@ def build_algebra(algebra: str, n: int | None = None, two_s: int | None = None) 
     if algebra == "g2":
         return g2_rep()
     if algebra == "clifford":
-        return clifford_weyl()[0]
+        return clifford_weyl()
     raise ValueError(f"unknown algebra {algebra!r}")

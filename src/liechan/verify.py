@@ -1,7 +1,8 @@
-"""Identity suites, one per algebra family.  Invariants that the library
-enforces on construction are reported through the same repgen functions.
-Each su, spin and g2 suite builds L = ``channel.generator_action(g)`` once
-and reads every product identity from it as a rank-r fit with g pinned."""
+"""Identity suites, one per algebra family, run on the generator set the
+caller built (:func:`run_suite`).  Invariants that the library enforces on
+construction are reported through the same repgen functions.  Each su, spin
+and g2 suite builds L = ``channel.generator_action(g)`` once and reads every
+product identity from it as a ``channel.find_identity`` fit with g pinned."""
 
 from __future__ import annotations
 
@@ -24,8 +25,8 @@ def _su(g: rg.GeneratorSet) -> tuple[list, dict]:
     sum_a c_a E(X_a), and sum c_a^2 <= (1 - 1/n)/2 bounds every entry by
     sqrt(n/(2(n + 1)))/2 p < 0.354 p times the residual, for all rho and p."""
     n = g.d
-    checks = [_check(*row) for row in rg.structure_tensors(n, g).residuals]
-    rank1 = ch._fit_identity(g, 1, ch.generator_action(g))
+    checks = [_check(*row) for row in rg.structure_tensors(g).residuals]
+    rank1 = ch.find_identity(g, 1, ch.generator_action(g))
     checks.append(_check("depolarizing_factor", rank1.residual_with(g.Z * ch.su_n_factor(1.0, n)), 1e-9))
     pc = ch.su_n_critical(n)
     checks.append(_check("critical_map_to_uniform", rank1.residual_with(g.Z - g.Z / pc), 1e-9))
@@ -43,7 +44,7 @@ def _spin(g: rg.GeneratorSet, seed: int) -> tuple[list, dict]:
     action = ch.generator_action(g)   # one L for both ranks
     for r, name, g_r in ((1, "triple_product_identity", lam - 1.0),
                          (2, "quadruple_product_identity", lam - 3.0)):
-        checks.append(_check(name, ch._fit_identity(g, r, action).residual_with(g_r), 1e-9))
+        checks.append(_check(name, ch.find_identity(g, r, action).residual_with(g_r), 1e-9))
     worst = 0.0
     for i in range(5):
         rng = mc.derived_rng(seed, i)
@@ -97,7 +98,7 @@ def _g2(g: rg.GeneratorSet, seed: int) -> tuple[list, dict]:
         _check("trace_orthonormality", g.residuals["trace_form_deviation"], 1e-9),
     ]
     # L X_b = 0, as the fitted f_b = tr(L X_b)/d = Z tr(X_b)/d vanishes
-    cubic = ch._fit_identity(g, 1, ch.generator_action(g)).residual_with(0.0)
+    cubic = ch.find_identity(g, 1, ch.generator_action(g)).residual_with(0.0)
     checks.append(_check("cubic_identity", cubic, 1e-12))
     worst = 0.0
     for i in range(5):
@@ -129,8 +130,7 @@ def _g2(g: rg.GeneratorSet, seed: int) -> tuple[list, dict]:
     return checks, info
 
 
-def _clifford(seed: int) -> tuple[list, dict]:
-    g, basis = rg.clifford_weyl()
+def _clifford(g: rg.GeneratorSet, seed: int) -> tuple[list, dict]:
     checks = []
     worst = 0.0
     for i in range(50):
@@ -141,7 +141,7 @@ def _clifford(seed: int) -> tuple[list, dict]:
         gy = rg.clifford_gamma(y, g)
         worst = max(worst, mc.max_abs(gx @ gy + gy @ gx - rg.clifford_bilinear(x, y) * np.eye(4)))
     checks.append(_check("anticommutation", worst, 1e-10))
-    checks.append(_check("basis_rank_16", float(16 - basis.rank), 0.0))
+    checks.append(_check("basis_rank_16", float(16 - rg.basis_rank(rg.clifford_basis(g))), 0.0))
     # |tr ch(rho) - 1| = |tr((sum K^dag K - I) rho)| <= the entry sum of
     # |sum K^dag K - I| for every density rho
     worst = 0.0
@@ -154,21 +154,18 @@ def _clifford(seed: int) -> tuple[list, dict]:
     return checks, {"Z": g.Z, "N": g.N}
 
 
-def run_suite(algebra: str, n: int | None = None, two_s: int | None = None,
-              seed: int = 0, g: rg.GeneratorSet | None = None) -> tuple[list, dict]:
-    """``(checks, info)`` of the identity suite of ``algebra`` (su, spin, g2
-    or clifford); ``seed`` draws the sampled checks' inputs.  ``g`` is the
-    su, spin or g2 generator set to check, when the caller holds it already
-    (``build_algebra(algebra, n=n, two_s=two_s)`` otherwise); the Clifford
-    suite builds its own, since its rank check reads the basis."""
-    if algebra == "clifford":
-        return _clifford(seed)
-    if algebra not in ("su", "spin", "g2"):
-        raise ValueError(f"unknown algebra {algebra!r}")
-    if g is None:
-        g = rg.build_algebra(algebra, n=n, two_s=two_s)
-    if algebra == "su":
-        return _su(g)
-    if algebra == "spin":
-        return _spin(g, seed)
-    return _g2(g, seed)
+_SUITES = {
+    rg.SU_N_DEFINING: lambda g, seed: _su(g),
+    rg.SU2_SPIN: _spin,
+    rg.G2_FUNDAMENTAL: _g2,
+    rg.CLIFFORD_WEYL: _clifford,
+}
+
+
+def run_suite(g: rg.GeneratorSet, seed: int = 0) -> tuple[list, dict]:
+    """``(checks, info)`` of the identity suite of the set ``g``, chosen by
+    ``g.algebra``; ``seed`` draws the sampled checks' inputs.  A set with
+    no suite (``custom``) raises ValueError."""
+    if g.algebra not in _SUITES:
+        raise ValueError(f"no identity suite for algebra {g.algebra!r}")
+    return _SUITES[g.algebra](g, seed)

@@ -25,12 +25,13 @@ def g2():
 
 @lru_cache(maxsize=None)
 def clifford():
-    return repgen.clifford_weyl()
+    g = repgen.clifford_weyl()
+    return g, repgen.clifford_basis(g)
 
 
 @lru_cache(maxsize=None)
 def su_tensors(n):
-    return repgen.structure_tensors(n)
+    return repgen.structure_tensors(su(n))
 
 
 def maximally_mixed(d):

@@ -704,11 +704,16 @@ def test_critical_values_report_unchanged_under_reference_fold(monkeypatch, buil
 def test_critical_values_builds_the_generator_action_once(monkeypatch, build):
     g = build()
     report = ch.critical_values(g, 3)
-    calls = []
-    real = ch.generator_action
-    monkeypatch.setattr(ch, "generator_action", lambda g: calls.append(g) or real(g))
+    calls, fits = [], []
+    real, real_fit = ch.generator_action, ch.find_identity
+    monkeypatch.setattr(ch, "generator_action", lambda g: calls.append(real(g)) or calls[-1])
+    monkeypatch.setattr(ch, "find_identity",
+                        lambda g, r, action=None: fits.append((r, action)) or real_fit(g, r, action))
     assert json.dumps(ch.critical_values(g, 3).to_json()) == json.dumps(report.to_json())
     assert len(calls) == 1
+    # every rank is fitted through the public name, on the one L
+    assert [r for r, _ in fits] == [1, 2, 3]
+    assert all(action is calls[0] for _, action in fits)
     for entry in report.entries:   # each rank's fit is find_identity's
         rep = ch.find_identity(g, entry.rank)
         assert (entry.residual, entry.special) == (rep.residual, rep.special)

@@ -329,7 +329,7 @@ def reference_scan(algebra, n, two_s, samples, seed, fmt):
 
     g = rg.build_algebra(algebra, n=n, two_s=two_s)
     su3 = algebra == "su" and n == 3
-    tensors = rg.structure_tensors(3) if su3 else None
+    tensors = rg.structure_tensors(g) if su3 else None
     flags = ["member_eig", "member_charpoly"] + (["member_closed_form"] if su3 else [])
     rows = []
     for v in bl.sample_bloch_vectors(g, samples, seed=seed):
@@ -497,9 +497,9 @@ def test_critical_rank_out_of_range_exits_2(tmp_path, monkeypatch, max_rank):
     fitted = []
     real = ch.find_identity
 
-    def counting_find_identity(g, r):
+    def counting_find_identity(g, r, action=None):
         fitted.append(r)
-        return real(g, r)
+        return real(g, r, action)
 
     monkeypatch.setattr(ch, "find_identity", counting_find_identity)
     code, _ = run(tmp_path, "critical", "--algebra", "su", "--n", "5", "--max-rank", max_rank)

@@ -337,6 +337,20 @@ def test_clifford_basis_bitwise_equal_to_signed_permutation_average():
     assert [b.tobytes() for b in basis] == [b.tobytes() for b in expect]
 
 
+def test_clifford_weyl_is_a_traceless_generator_set():
+    g = rg.clifford_weyl()
+    assert isinstance(g, rg.GeneratorSet) and (g.algebra, g.d, g.k) == (rg.CLIFFORD_WEYL, 4, 4)
+    assert g.residuals["traceless"] == 0.0
+    shifted = g.generators + 1e-6 * np.eye(4)      # Hermitian, but tr = 4e-6
+    with pytest.raises(ValueError, match="traceless"):
+        rg.GeneratorSet(algebra=rg.CLIFFORD_WEYL, generators=shifted, N=g.N, Z=g.Z)
+
+
+def test_clifford_basis_needs_the_clifford_set():
+    with pytest.raises(ValueError, match="Clifford generator set"):
+        rg.clifford_basis(su(2))
+
+
 def test_basis_rank_sees_dependent_element():
     _, basis = clifford()
     assert rg.basis_rank(basis) == 16
@@ -421,6 +435,30 @@ def test_scaled_generator_breaks_casimir():
 def test_empty_generator_set_rejected():
     with pytest.raises(ValueError):
         rg.GeneratorSet(algebra=rg.CUSTOM, generators=(), N=1.0, Z=1.0)
+
+
+def test_no_module_reads_another_modules_private_name():
+    import ast
+
+    package = os.path.dirname(liechan.__file__)
+    modules = {name[:-3] for name in os.listdir(package) if name.endswith(".py")}
+    found = []
+    for name in sorted(modules):
+        with open(os.path.join(package, name + ".py")) as fh:
+            tree = ast.parse(fh.read())
+        aliases = set()   # local names bound to sibling modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("liechan")):
+                for alias in node.names:
+                    if alias.name.startswith("_"):
+                        found.append(f"{name}: imports {alias.name}")
+                    elif alias.name in modules:
+                        aliases.add(alias.asname or alias.name)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases and node.attr.startswith("_")):
+                found.append(f"{name}: reads {node.value.id}.{node.attr}")
+    assert found == []
 
 
 def test_import_repgen_loads_neither_channel_nor_bloch():

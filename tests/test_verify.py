@@ -22,7 +22,7 @@ from liechan.cli import main
     ],
 )
 def test_run_suite_matches_cli_report(tmp_path, algebra, size):
-    checks, info = verify.run_suite(algebra, seed=4, **size)
+    checks, info = verify.run_suite(rg.build_algebra(algebra, **size), seed=4)
     argv = ["verify", "--algebra", algebra, "--seed", "4"]
     for key, value in size.items():
         argv += ["--" + key.replace("_", "-"), str(value)]
@@ -36,15 +36,18 @@ def test_run_suite_matches_cli_report(tmp_path, algebra, size):
 
 
 def test_run_suite_rejects_unknown_algebra():
-    with pytest.raises(ValueError, match="unknown algebra"):
-        verify.run_suite("so")
+    custom = rg.GeneratorSet.from_generators(rg.gell_mann(2).generators)
+    assert custom.algebra == rg.CUSTOM
+    with pytest.raises(ValueError, match="no identity suite for algebra 'custom'"):
+        verify.run_suite(custom)
 
 
 def test_g2_suite_reports_generator_residuals():
     from liechan import repgen as rg
 
-    residuals = rg.g2_rep().residuals
-    checks, _ = verify.run_suite("g2")
+    g = rg.g2_rep()
+    checks, _ = verify.run_suite(g)
+    residuals = g.residuals
     by_name = {c["name"]: c["residual"] for c in checks}
     assert by_name["casimir_identity"] == residuals["casimir_deviation"]
     assert by_name["trace_orthonormality"] == residuals["trace_form_deviation"]
@@ -62,43 +65,49 @@ def test_su_and_clifford_suites_read_stored_measurements(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(rg, name, counted)
-    checks, _ = verify.run_suite("su", n=3)
+    g = rg.gell_mann(3)
+    checks, _ = verify.run_suite(g)
     assert calls["structure_residuals"] == 1     # inside structure_tensors only
-    assert checks[:4] == [verify._check(*row) for row in rg.structure_tensors(3).residuals]
-    checks, _ = verify.run_suite("clifford")
-    assert calls["basis_rank"] == 1              # inside clifford_weyl only
-    assert {c["name"]: c["residual"] for c in checks}["basis_rank_16"] == 0.0
+    assert checks[:4] == [verify._check(*row) for row in rg.structure_tensors(g).residuals]
+    g = rg.clifford_weyl()
+    assert calls["basis_rank"] == 0              # the build measures no basis
+    for runs in (1, 2):
+        checks, _ = verify.run_suite(g)
+        assert calls["basis_rank"] == runs       # once per Clifford verify
+        assert {c["name"]: c["residual"] for c in checks}["basis_rank_16"] == 0.0
 
 
-@pytest.mark.parametrize("algebra, size", [("su", {"n": 4}), ("spin", {"two_s": 3}), ("g2", {})])
+@pytest.mark.parametrize("algebra, size",
+                         [("su", {"n": 4}), ("spin", {"two_s": 3}), ("g2", {}), ("clifford", {})])
 def test_run_suite_on_a_given_set_builds_nothing(monkeypatch, algebra, size):
     g = rg.build_algebra(algebra, **size)
-    expected = verify.run_suite(algebra, seed=5, **size)
+    expected = verify.run_suite(rg.build_algebra(algebra, **size), seed=5)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the suite built a generator set")
 
-    for name in ("gell_mann", "spin_rep", "g2_rep"):
+    for name in ("gell_mann", "spin_rep", "g2_rep", "clifford_weyl", "build_algebra"):
         monkeypatch.setattr(rg, name, refuse)
-    assert verify.run_suite(algebra, seed=5, g=g, **size) == expected
+    assert verify.run_suite(g, seed=5) == expected
 
 
 def test_structure_tensors_on_a_given_set():
     g = rg.gell_mann(3)
-    t, fresh = rg.structure_tensors(3, g), rg.structure_tensors(3)
+    t, fresh = rg.structure_tensors(g), rg.structure_tensors(rg.gell_mann(3))
     for name in ("f", "d_sym", "Q"):
         assert getattr(t, name).tobytes() == getattr(fresh, name).tobytes()
     assert t.residuals == fresh.residuals
-    for wrong in (rg.gell_mann(4), rg.spin_rep(2)):
+    assert (t.n, t.beta) == (3, 2.0 / 3)
+    for wrong in (rg.spin_rep(2), rg.g2_rep(), rg.clifford_weyl()):
         with pytest.raises(ValueError, match="defining representation"):
-            rg.structure_tensors(3, wrong)
+            rg.structure_tensors(wrong)
 
 
 def test_spin_suite_reports_exact_pure_weight():
     from liechan import bloch as bl
 
     for two_s in (1, 2, 3, 4):
-        checks, info = verify.run_suite("spin", two_s=two_s)
+        checks, info = verify.run_suite(rg.spin_rep(two_s))
         by_name = {c["name"]: c for c in checks}
         assert by_name["vw_pure_weight_witness"]["pass"]
         assert by_name["vw_pure_weight_witness"]["tolerance"] == 1e-12
@@ -112,7 +121,7 @@ def test_su_and_clifford_suites_draw_no_random_density(monkeypatch, algebra, siz
         raise AssertionError("the suite drew a random density matrix")
 
     monkeypatch.setattr(mc, "random_density", refuse)
-    checks, _ = verify.run_suite(algebra, seed=3, **size)
+    checks, _ = verify.run_suite(rg.build_algebra(algebra, **size), seed=3)
     assert all(c["pass"] for c in checks)
 
 
@@ -123,7 +132,7 @@ def test_su_depolarizing_residual_is_pinned_rank1_misfit(n):
     images = np.einsum("iab,xbc,icd->xad", stack, stack, stack)   # L X_a = sum_i X_i X_a X_i
     # tr(X_a X_b) = 2 delta_ab puts every traceless operator in one eigenspace of L, at -2/n
     assert mc.max_abs(images + (2.0 / n) * stack) <= 1e-14
-    checks, _ = verify.run_suite("su", n=n)
+    checks, _ = verify.run_suite(g)
     by_name = {c["name"]: c for c in checks}
     rank1 = ch.find_identity(g, 1)
     assert by_name["depolarizing_factor"]["residual"] == rank1.residual_with(g.Z * ch.su_n_factor(1.0, n))
@@ -145,7 +154,7 @@ def test_su_pinned_residual_bounds_the_channel_error(n):
     noise = rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n))
     action = ch.generator_action(g) + 1e-3 * keep @ noise @ keep
     g0 = g.Z * ch.su_n_factor(1.0, n)
-    residual = ch._fit_identity(g, 1, action).residual_with(g0)
+    residual = ch.find_identity(g, 1, action).residual_with(g0)
     assert residual > 1e-4
     bound = np.sqrt(n / (2.0 * (n + 1))) / 2.0
     assert bound < 0.354
@@ -165,7 +174,7 @@ def test_su_pinned_residual_bounds_the_channel_error(n):
 def test_su_depolarizing_factor_off_by_1e7_fails(monkeypatch, n):
     original = ch.su_n_factor
     monkeypatch.setattr(ch, "su_n_factor", lambda p, n: original(p, n) + 1e-7)
-    checks, _ = verify.run_suite("su", n=n)
+    checks, _ = verify.run_suite(rg.gell_mann(n))
     by_name = {c["name"]: c for c in checks}
     assert not by_name["depolarizing_factor"]["pass"]
     # the pinned misfit is -1e-7 Z X_a
@@ -179,7 +188,7 @@ def test_su_depolarizing_factor_off_by_1e7_fails(monkeypatch, n):
 def test_su_critical_off_by_1e7_fails(monkeypatch, n):
     original = ch.su_n_critical
     monkeypatch.setattr(ch, "su_n_critical", lambda n: original(n) + 1e-7)
-    checks, info = verify.run_suite("su", n=n)
+    checks, info = verify.run_suite(rg.gell_mann(n))
     by_name = {c["name"]: c for c in checks}
     assert not by_name["critical_map_to_uniform"]["pass"]
     # the pinned g = Z - Z/p moves by about Z 1e-7/p^2
@@ -203,9 +212,17 @@ def test_suite_builds_the_generator_action_once(monkeypatch, algebra, size):
             return _original(*args)
 
         monkeypatch.setattr(ch, name, counted)
-    checks, _ = verify.run_suite(algebra, seed=2, g=g, **size)
+    actions, fits = [], []
+    real_action, real_fit = ch.generator_action, ch.find_identity
+    monkeypatch.setattr(ch, "generator_action", lambda g: actions.append(real_action(g)) or actions[-1])
+    monkeypatch.setattr(ch, "find_identity",
+                        lambda g, r, action=None: fits.append((r, action)) or real_fit(g, r, action))
+    checks, _ = verify.run_suite(g, seed=2)
     assert all(c["pass"] for c in checks)
     assert calls["generator_action"] == 1
+    # every product identity is fitted through the public name, on the one L
+    assert [r for r, _ in fits] == ([1, 2] if algebra == "spin" else [1])
+    assert all(action is actions[0] for _, action in fits)
     if algebra == "su":
         assert calls["build_channel"] == 0
         assert calls["superoperator"] == 1   # the one inside generator_action
@@ -224,8 +241,8 @@ def test_pinned_identity_checks_fail_on_a_scaled_generator(monkeypatch, algebra,
     bad = copy.copy(g)   # a copy skips the constructor's checks
     object.__setattr__(bad, "generators", np.concatenate([1.01 * g.generators[:1], g.generators[1:]]))
     if algebra == "su":   # keep the structure-tensor checks, which reject the set, out of the way
-        tensors = rg.structure_tensors(3, g)
-        monkeypatch.setattr(rg, "structure_tensors", lambda n, g=None: tensors)
+        tensors = rg.structure_tensors(g)
+        monkeypatch.setattr(rg, "structure_tensors", lambda g: tensors)
     made = {}
     original = verify._check
 
@@ -235,7 +252,7 @@ def test_pinned_identity_checks_fail_on_a_scaled_generator(monkeypatch, algebra,
 
     monkeypatch.setattr(verify, "_check", record)
     try:
-        verify.run_suite(algebra, g=bad, **size)
+        verify.run_suite(bad)
     except ValueError as exc:   # the sampled checks' Kraus channels reject the set
         assert "normalization" in str(exc)
     for name in names:
@@ -246,16 +263,16 @@ def test_pinned_identity_checks_fail_on_a_scaled_generator(monkeypatch, algebra,
 def test_spin_and_g2_residuals_are_find_identity_pinned_bitwise():
     for two_s in (2, 3, 7):
         g = rg.spin_rep(two_s)
-        by_name = {c["name"]: c["residual"] for c in verify.run_suite("spin", g=g)[0]}
+        by_name = {c["name"]: c["residual"] for c in verify.run_suite(g)[0]}
         assert by_name["triple_product_identity"] == ch.find_identity(g, 1).residual_with(g.Z - 1.0)
         assert by_name["quadruple_product_identity"] == ch.find_identity(g, 2).residual_with(g.Z - 3.0)
     g = rg.g2_rep()
-    by_name = {c["name"]: c["residual"] for c in verify.run_suite("g2", g=g)[0]}
+    by_name = {c["name"]: c["residual"] for c in verify.run_suite(g)[0]}
     assert by_name["cubic_identity"] == ch.find_identity(g, 1).residual_with(0.0)
 
 
 def test_spin_suite_builds_the_spin_set_once(spin_rep_calls):
-    checks, _ = verify.run_suite("spin", two_s=2)
+    checks, _ = verify.run_suite(rg.spin_rep(2))
     assert all(c["pass"] for c in checks)
     assert spin_rep_calls == [2]
 
@@ -264,7 +281,24 @@ def test_g2_cubic_identity_is_exact_superoperator_residual():
     g = rg.g2_rep()
     stack = np.stack(g.generators)
     direct = max(mc.max_abs(np.einsum("iab,bc,icd->ad", stack, b, stack)) for b in g.generators)
-    checks, _ = verify.run_suite("g2")
+    checks, _ = verify.run_suite(g)
     by_name = {c["name"]: c for c in checks}
     assert by_name["cubic_identity"]["residual"] == pytest.approx(direct, abs=1e-14)
     assert by_name["cubic_identity"]["residual"] <= 1e-12
+
+
+def test_dependent_clifford_basis_fails_basis_rank_16(tmp_path, monkeypatch):
+    real = rg.clifford_basis
+
+    def dependent(g):
+        basis = real(g)
+        return basis[:15] + (2.0 * basis[1],)
+
+    monkeypatch.setattr(rg, "clifford_basis", dependent)
+    checks, _ = verify.run_suite(rg.clifford_weyl())
+    by_name = {c["name"]: c for c in checks}
+    assert by_name["basis_rank_16"]["residual"] == 1.0
+    assert not by_name["basis_rank_16"]["pass"]
+    out = tmp_path / "report.json"
+    assert main(["verify", "--algebra", "clifford", "--out", str(out)]) == 1
+    assert not json.loads(out.read_text())["passed"]
