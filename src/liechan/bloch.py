@@ -229,10 +229,10 @@ def extract_vw(rho, g: GeneratorSet) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("dimension mismatch")
     d = g.d
     lam = g.Z
-    v = np.array([(3.0 / (d * lam)) * np.trace(m @ j).real for j in g.generators])
+    v = (3.0 / (d * lam)) * np.trace(m @ g.generators, axis1=1, axis2=2).real
     trw = 3.0 / (d * lam) * np.trace(m).real
     pairs, products = sym_monomials(g.generators, 2)
-    vals = np.array([(30.0 / (lam * d * (d * d - 4.0))) * np.trace(m @ x).real for x in products])
+    vals = (30.0 / (lam * d * (d * d - 4.0))) * np.trace(m @ products, axis1=1, axis2=2).real
     diagonal = np.array([j == k for j, k in pairs])
     vals[diagonal] -= (2.0 * lam + 1.0) / (d * d - 4.0) * trw
     w = symmetric_tensor(pairs, vals, 3)

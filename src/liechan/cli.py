@@ -40,8 +40,9 @@ from . import verify
 #   monomials of n x n complex128 (16 byte) entries, k = n^2 - 1: 267 MB at
 #   n = 10, 572 MB at n = 11.  The budget bounds that one array; several of
 #   that size are alive at once (tracemalloc peak over one stack, at su(6) /
-#   su(8)): 3.4 / 3.2 in the monomial fold and 4.2 / 4.1 in all of
-#   critical_values, about 1.1 GB at n = 10.  The other su(n) arrays (the
+#   su(8)): 2.6 / 2.5 in the monomial fold, whose slabs of triple products
+#   hold at most one stack, and 4.2 / 4.1 in all of critical_values (the
+#   fit, not the fold), about 1.1 GB at n = 10.  The other su(n) arrays (the
 #   k^2 n^2 pair products of the fold and of structure_tensors, the
 #   n^2 x n^2 superoperator) are smaller.
 # * --two-s: the spin superoperator L (channel.generator_action, built once

@@ -780,3 +780,25 @@ def test_spin_vw_helpers_reject_non_finite_symmetric_w(bad):
         ch.spin_channel_vw(spin(2), 0.5, np.zeros(3), w)
     with pytest.raises(ValueError, match="finite"):
         bl.rho_vw(spin(2), np.zeros(3), w)
+
+
+def _diagonal_cases(d, rng):
+    """(n, d, d) stacks with signed-zero diagonals, contiguous and as views."""
+    stack = rng.normal(size=(12, d, d)) * 10.0 ** rng.integers(-9, 9, size=(12, d, d))
+    stack = stack + 1j * rng.normal(size=(12, d, d))
+    diag = np.arange(d)
+    stack[0][diag, diag] = -0.0
+    stack[1][diag, diag] = 0.0
+    stack[2][diag, diag] = rng.choice([-0.0, 0.0], size=d)
+    stack[3][diag, diag] = np.where(diag % 2, 1.5, -0.0)
+    big = np.zeros((24, d + 3, d + 2), dtype=np.complex128)
+    big[::2, 1:d + 1, 2:] = stack
+    return [stack, big[::2, 1:d + 1, 2:], stack.transpose(0, 2, 1), stack[::-1],
+            stack[:, ::-1, ::-1]]
+
+
+@pytest.mark.parametrize("d", list(range(2, 17)) + [32, 64, 100])
+def test_traces_bitwise_equal_to_np_trace(d):
+    rng = np.random.default_rng(90 + d)
+    for stack in _diagonal_cases(d, rng):
+        assert ch._traces(stack).tobytes() == np.trace(stack, axis1=1, axis2=2).real.tobytes()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
@@ -112,14 +113,52 @@ def reference_sym_fold(stack, multisets):
 @pytest.mark.parametrize("r", [2, 3])
 @pytest.mark.parametrize(
     "gens",
-    [lambda: su(2), lambda: su(3), lambda: su(4), lambda: su(5), lambda: spin(2),
-     lambda: spin(3), lambda: spin(7), lambda: g2(), lambda: clifford()[0]],
-    ids=["su2", "su3", "su4", "su5", "spin1", "spin3_2", "spin7_2", "g2", "clifford"],
+    [lambda: su(2), lambda: su(3), lambda: su(4), lambda: su(5), lambda: su(6),
+     lambda: spin(2), lambda: spin(3), lambda: spin(7), lambda: spin(15), lambda: g2(),
+     lambda: clifford()[0]],
+    ids=["su2", "su3", "su4", "su5", "su6", "spin1", "spin3_2", "spin7_2", "spin15_2", "g2",
+         "clifford"],
 )
 def test_sym_monomials_bitwise_equal_to_reference_fold(gens, r):
     mats = gens().generators
     multisets, stack = mc.sym_monomials(mats, r)
     assert stack.tobytes() == reference_sym_fold(np.stack(mats), multisets).tobytes()
+
+
+@pytest.mark.parametrize("step", [1, 5, 37])
+@pytest.mark.parametrize(
+    "gens", [lambda: su(3), lambda: g2(), lambda: clifford()[0]], ids=["su3", "g2", "clifford"],
+)
+def test_rank3_fold_bitwise_equal_to_reference_over_many_slabs(gens, step):
+    # a slab of the triple table holds at most as many matrices as the fold
+    # has multisets, unless it is one factor's: every step-th multiset, in
+    # reverse, leaves fewer than half of the k^3 triples per slab, so the
+    # table is built in two slabs or more (mostly one factor each at step 37)
+    stack = gens().generators
+    k = len(stack)
+    multisets = tuple(combinations_with_replacement(range(k), 3))[::-step]
+    assert 2 * len(multisets) < k**3
+    out = mc._sym_fold(stack, multisets)
+    assert out.tobytes() == reference_sym_fold(stack, multisets).tobytes()
+
+
+# tracemalloc peak of sym_monomials(su(n), 3) in output stacks, as the fold
+# through the pair table and one grouped gemm per generator left it
+GROUPED_GEMM_FOLD_PEAK = {6: 3.54, 8: 3.31}
+
+
+@pytest.mark.parametrize("n", sorted(GROUPED_GEMM_FOLD_PEAK))
+def test_rank3_fold_peak_within_the_grouped_gemm_fold_peak(n):
+    # a whole table of the k^3 ordered triple products would be six output
+    # stacks by itself; its slabs keep the peak below the earlier fold's
+    stack = su(n).generators
+    tracemalloc.start()
+    try:
+        _, monomials = mc.sym_monomials(stack, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / monomials.nbytes <= GROUPED_GEMM_FOLD_PEAK[n]
 
 
 def _random_complex(rng, d):
@@ -410,6 +449,28 @@ def test_char_poly_coeffs_within_rounding_bound_of_sequential_powers(dim):
     sequential = _char_poly_by_sequential_powers(stack)
     scale = np.abs(sequential).max(axis=0)
     assert np.all(np.abs(paired - sequential) <= dim ** 3 * np.finfo(float).eps * scale)
+
+
+@pytest.mark.parametrize("dim", range(2, 17))
+def test_char_poly_coeffs_of_one_matrix_bitwise_equal_to_the_stack(dim):
+    # one matrix runs the recursion on Python floats, a stack on float64
+    # arrays; boundary rays of the spin set included
+    stack = _unit_frobenius_inputs(dim, np.random.default_rng(80 + dim))
+    coeffs = mc.char_poly_coeffs(stack)
+    for j, m in enumerate(stack):
+        assert mc.char_poly_coeffs(m).tobytes() == coeffs[:, j].tobytes()
+
+
+def test_newton_recursion_same_bits_on_floats_fractions_and_arrays():
+    # power sums whose left fold loses the small terms: a compensated sum
+    # would keep them and differ from the array recursion
+    c = [1.0, 1e16, 3.0, -1e16, 0.1, 2e-17, 7.0]
+    by_array = mc.newton_recursion(np.array(c)[:, None])
+    by_float = mc.newton_recursion(c)
+    assert np.array(by_float[1:]).tobytes() == np.concatenate(by_array[1:]).tobytes()
+    # on Fractions the same fold is exact: roots 1, 2, 3, 4 give e = 10, 35, 50, 24
+    power_sums = [Fraction(sum(x**q for x in (1, 2, 3, 4))) for q in range(1, 5)]
+    assert mc.newton_recursion(power_sums) == [1, 10, 35, 50, 24]
 
 
 def test_newton_recursion_numbers_and_exact_polynomials():
