@@ -16,7 +16,7 @@ su(n) channel, maximal l_q norms, and the Werner-Holevo map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -82,7 +82,7 @@ class KrausChannel:
 
 def normalization_deviation(ops: Sequence) -> float:
     """max-norm of sum_mu M_mu^dag M_mu - I, one product of the (m d, d) stack."""
-    flat = np.concatenate(ops)
+    flat = np.reshape(ops, (-1, np.shape(ops)[-1]))
     return max_abs(flat.conj().T @ flat - np.eye(flat.shape[1]))
 
 
@@ -112,10 +112,14 @@ def apply_matrix(ch: KrausChannel, m) -> np.ndarray:
 
 def superoperator(ops: np.ndarray) -> np.ndarray:
     """sum_k K (x) conj(K) over a stack: the d^2 x d^2 matrix of M -> sum_k K M K^dag
-    on row-major vec(M) (Watrous, The Theory of Quantum Information, 2018, ch. 2)."""
+    on row-major vec(M) (Watrous, The Theory of Quantum Information, 2018, ch. 2),
+    permuted in place from the Gram product one d^3 block at a time."""
     n, d, _ = ops.shape
     flat = ops.reshape(n, d * d)
-    return (flat.T @ flat.conj()).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    s = (flat.T @ flat.conj()).reshape(d, d, d, d)
+    for block in s:
+        block[...] = block.transpose(1, 0, 2).copy()
+    return s.reshape(d * d, d * d)
 
 
 def generator_action(g: GeneratorSet) -> np.ndarray:
@@ -150,19 +154,26 @@ def su_n_critical(n: int) -> float:
 def detect_depolarizing(ch: KrausChannel) -> float | None:
     """lambda with ch(M) = lambda M + (1 - lambda) tr(M) I/d for all M, or None.
 
-    Decided from the superoperator S = sum_k K (x) conj(K): lambda =
-    (tr S - 1)/(d^2 - 1), and the channel is depolarizing when every entry
-    of S is within DEPOLARIZING_FIT_TOL = 1e-8 of T = lambda I + ((1 -
-    lambda)/d) vec(I) vec(I)^T, the superoperator of the target map.
+    Read in place from the Choi matrix J = sum_k vec(K) vec(K)^dag, whose
+    entry J[(i,j),(k,l)] is S[(i,k),(j,l)] of the superoperator S: lambda =
+    (tr S - 1)/(d^2 - 1), tr S the sum of J's vec(I) block, and the channel
+    is depolarizing when every entry is within DEPOLARIZING_FIT_TOL = 1e-8 of
+    T = lambda I + ((1 - lambda)/d) vec(I) vec(I)^T, the target's superoperator,
+    which J holds as lambda on that block plus (1 - lambda)/d on the diagonal.
     """
     d = ch.dim
     if d == 1:
         return None   # the only 1 x 1 channel is the identity: lambda is undetermined
-    s = superoperator(ch.ops)
-    lam = (float(np.trace(s).real) - 1.0) / (d * d - 1.0)
-    vec_eye = np.eye(d).ravel()
-    target = lam * np.eye(d * d) + ((1.0 - lam) / d) * np.outer(vec_eye, vec_eye)
-    return lam if max_abs(s - target) <= DEPOLARIZING_FIT_TOL else None
+    flat = ch.ops.reshape(len(ch.ops), d * d)
+    choi = flat.T @ flat.conj()
+    block = choi[:: d + 1, :: d + 1]     # a view: block[i, k] = S[(i,k),(i,k)]
+    lam = (float(block.ravel().sum().real) - 1.0) / (d * d - 1.0)
+    spread = (1.0 - lam) / d
+    corners = block.diagonal() - (lam + spread)   # where both terms of T meet
+    block -= lam
+    choi.reshape(-1)[:: d * d + 1] -= spread
+    np.fill_diagonal(block, corners)
+    return lam if max_abs(choi) <= DEPOLARIZING_FIT_TOL else None
 
 
 # ---------------------------------------------------------------------------
@@ -303,18 +314,21 @@ def clifford_vector_channel(g: GeneratorSet, xs: Sequence) -> KrausChannel:
 @dataclass(frozen=True, eq=False)
 class IdentityReport:
     """Fit of sum_i X_i M X_i = f_M I + g_M M over all symmetrized rank-r
-    monomials M.
+    monomials M of a generator set with Casimir constant ``Z``.
 
     ``special`` is True when a single scalar g works for every monomial
     (within 1e-8 across the monomials whose g is numerically identifiable);
     ``g`` is that scalar, or None if no monomial pins it down.  ``residual``
     is the worst per-monomial max-norm fit error.  ``f_tensor``/``g_tensor``
     hold the per-monomial coefficients at every index permutation; they are
-    filled on first read, since the critical values need neither.
+    filled on first read, since the critical values need neither; the
+    report is the rank's :func:`critical_values` entry, ``verified`` None
+    until that checks it.
     """
 
     rank: int
     k: int
+    Z: float
     special: bool
     g: float | None
     residual: float
@@ -324,6 +338,19 @@ class IdentityReport:
     _g: np.ndarray = field(repr=False)            # g_M per monomial, NaN where not pinned
     _monomials: np.ndarray = field(repr=False)    # (len(multisets), d, d)
     _transforms: np.ndarray = field(repr=False)   # sum_i X_i M X_i per monomial
+    _tr_m: np.ndarray = field(repr=False)         # Re tr M per monomial
+    _tr_t: np.ndarray = field(repr=False)         # Re tr of each transform
+    verified: bool | None = None   # map of the traceless rank-r span to 0, if checked
+
+    @property
+    def p_value(self) -> float | None:
+        """p_r = Z/(Z - g), None unless g is pinned and Z - g is beyond 1e-12."""
+        return None if self.g is None or abs(self.Z - self.g) <= 1e-12 else self.Z / (self.Z - self.g)
+
+    @property
+    def in_range(self) -> bool:
+        """g < 0 beyond a 1e-12 fuzz band, so a numerically-zero g (p_r = 1) reads False."""
+        return self.g is not None and self.g < -1e-12
 
     @cached_property
     def f_tensor(self) -> np.ndarray:
@@ -337,7 +364,7 @@ class IdentityReport:
         """Worst fit error when g is pinned to g0 and only f re-fitted."""
         m, t = self._monomials, self._transforms
         d = m.shape[1]
-        f0 = (_traces(t) - g0 * _traces(m)) / d
+        f0 = (self._tr_t - g0 * self._tr_m) / d
         return max_abs(t - f0[:, None, None] * np.eye(d) - g0 * m)
 
 
@@ -366,11 +393,11 @@ def _pairwise_sum(cols: list) -> np.ndarray:
     return sum(cols[body:], (s0 + s1) + (s2 + s3))
 
 
-def _traceless(stack: np.ndarray) -> np.ndarray:
-    """A copy of the stack with each matrix's trace part removed."""
+def _traceless(stack: np.ndarray, traces: np.ndarray) -> np.ndarray:
+    """A copy of the stack with each matrix's trace part (of its _traces) removed."""
     out = stack.copy()
     diag = np.arange(stack.shape[1])
-    out[:, diag, diag] -= (_traces(stack) / stack.shape[1])[:, None]
+    out[:, diag, diag] -= (traces / stack.shape[1])[:, None]
     return out
 
 
@@ -404,7 +431,7 @@ def find_identity(g: GeneratorSet, r: int, action: np.ndarray | None = None) -> 
     n = len(multisets)
     transforms = (monomials.reshape(n, d * d) @ action.T).reshape(n, d, d)
     tr_m, tr_t = _traces(monomials), _traces(transforms)
-    m0 = _traceless(monomials)
+    m0 = _traceless(monomials, tr_m)
     norm0 = _inner(m0, m0)
     informative = norm0 > 1e-16 * np.maximum(1.0, _inner(monomials, monomials))
     # any g fits a monomial that is a multiple of I; pick 0 so f absorbs it
@@ -428,6 +455,7 @@ def find_identity(g: GeneratorSet, r: int, action: np.ndarray | None = None) -> 
     return IdentityReport(
         rank=r,
         k=k,
+        Z=g.Z,
         special=special,
         g=g_scalar,
         residual=residual,
@@ -437,6 +465,8 @@ def find_identity(g: GeneratorSet, r: int, action: np.ndarray | None = None) -> 
         _g=np.where(informative, g_m, np.nan),
         _monomials=monomials,
         _transforms=transforms,
+        _tr_m=tr_m,
+        _tr_t=tr_t,
     )
 
 
@@ -444,34 +474,12 @@ def find_identity(g: GeneratorSet, r: int, action: np.ndarray | None = None) -> 
 # Critical error probabilities p_r = Z / (Z - g_r).
 
 @dataclass(frozen=True)
-class CriticalEntry:
-    rank: int
-    special: bool
-    g_value: float | None
-    p_value: float | None
-    in_range: bool
-    verified: bool | None   # map of the traceless rank-r span to 0, if checked
-    residual: float
-
-    def to_json(self) -> dict:
-        return {
-            "rank": self.rank,
-            "special": self.special,
-            "g": self.g_value,
-            "p": self.p_value,
-            "in_range": self.in_range,
-            "verified": self.verified,
-            "residual": self.residual,
-        }
-
-
-@dataclass(frozen=True)
 class CriticalDecomposition:
     source: str
     Z: float
     entries: tuple
 
-    def entry(self, rank: int) -> CriticalEntry:
+    def entry(self, rank: int) -> IdentityReport:
         for e in self.entries:
             if e.rank == rank:
                 return e
@@ -481,7 +489,11 @@ class CriticalDecomposition:
         return {
             "source": self.source,
             "Z": self.Z,
-            "entries": [e.to_json() for e in self.entries],
+            "entries": [
+                {"rank": e.rank, "special": e.special, "g": e.g, "p": e.p_value,
+                 "in_range": e.in_range, "verified": e.verified, "residual": e.residual}
+                for e in self.entries
+            ],
         }
 
 
@@ -489,7 +501,7 @@ def traceless_basis(monomials: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning the traceless parts of the monomials (SVD;
     singular values below max(N, d^2) eps times the largest are round-off)."""
     n, d, _ = monomials.shape
-    flat = _traceless(monomials).reshape(n, d * d)
+    flat = _traceless(monomials, _traces(monomials)).reshape(n, d * d)
     # flat = Q R: R has flat's singular values and right vectors, at d^2 x d^2
     _, sv, vh = np.linalg.svd(np.linalg.qr(flat, mode="r"), full_matrices=False)
     return vh[sv > sv[0] * max(flat.shape) * np.finfo(float).eps]
@@ -512,32 +524,16 @@ def critical_values(g: GeneratorSet, max_rank: int = 2) -> CriticalDecomposition
         raise ValueError("max_rank must be 1, 2 or 3")
     entries = []
     action = generator_action(g)   # d^4 complex entries, built once for every rank
-    for r in range(1, max_rank + 1):
+    # highest rank first: an entry keeps its monomial and transform stacks,
+    # so the largest fit runs while no other entry is alive
+    for r in range(max_rank, 0, -1):
         report = find_identity(g, r, action)
-        if not report.special or report.g is None:
-            entries.append(
-                CriticalEntry(
-                    rank=r, special=report.special, g_value=None, p_value=None,
-                    in_range=False, verified=None, residual=report.residual,
-                )
-            )
-            continue
-        gr = report.g
-        p_r = g.Z / (g.Z - gr) if abs(g.Z - gr) > 1e-12 else None
-        # strict sign condition, with a fuzz band so a numerically-zero g
-        # (boundary case, p = 1) is not misclassified
-        in_range = gr < -1e-12
-        verified = None
+        p_r = report.p_value
         if p_r is not None and 0.0 <= p_r <= 1.0:
             basis = traceless_basis(report._monomials)
             images = (1.0 - p_r) * basis + (p_r / g.Z) * (basis @ action.T)
-            verified = max_abs(images) <= CRITICAL_MAP_TOL
-        entries.append(
-            CriticalEntry(
-                rank=r, special=True, g_value=float(gr), p_value=p_r,
-                in_range=in_range, verified=verified, residual=report.residual,
-            )
-        )
+            report = replace(report, verified=max_abs(images) <= CRITICAL_MAP_TOL)
+        entries.insert(0, report)
     return CriticalDecomposition(source=g.algebra, Z=g.Z, entries=tuple(entries))
 
 

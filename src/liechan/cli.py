@@ -47,7 +47,9 @@ from . import verify
 #   n^2 x n^2 superoperator) are smaller.
 # * --two-s: the spin superoperator L (channel.generator_action, built once
 #   per verify suite and once by critical) is the largest array, d^2 x d^2
-#   complex128, d = two_s + 1: 16 d^4 bytes, 256 MiB at d = 64.
+#   complex128, d = two_s + 1: 16 d^4 bytes, 256 MiB at d = 64.  Building it
+#   holds one L and a d^3 block, and apply's depolarizing test one Choi matrix
+#   of that size and its float abs (tracemalloc at d = 16: 1.06 L and 1.5 L).
 # * --samples: a scan keeps each sample's k <= MAX_N^2 - 1 coordinates as a
 #   float64, a Python float and report text, at most SCAN_BYTES_PER_COORD
 #   in all (tracemalloc, 2000 and 10000 samples: a JSON su(10) scan peaks at
@@ -318,7 +320,7 @@ def main(argv=None) -> int:
         if args.command == "critical":
             return cmd_critical(cfg, args.max_rank)
         return {"gen": cmd_gen, "verify": cmd_verify, "bloch-scan": cmd_bloch_scan}[args.command](cfg)
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,6 +127,111 @@ def test_spin1_not_depolarizing():
 def test_identity_channel_depolarizing_lambda_one():
     lam = ch.detect_depolarizing(ch.build_channel(su(2), 0.0))
     assert lam == pytest.approx(1.0, abs=1e-12)
+
+
+def reference_superoperator(ops):
+    """S = sum_k K (x) conj(K) as a transposed copy of the Gram product."""
+    n, d, _ = ops.shape
+    flat = ops.reshape(n, d * d)
+    return (flat.T @ flat.conj()).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
+def reference_depolarizing(ops):
+    """lambda and max |S - T| as detect_depolarizing formed them from S and the
+    target superoperator T = lambda I + ((1 - lambda)/d) vec(I) vec(I)^T."""
+    d = ops.shape[1]
+    s = reference_superoperator(ops)
+    lam = (float(np.trace(s).real) - 1.0) / (d * d - 1.0)
+    vec_eye = np.eye(d).ravel()
+    target = lam * np.eye(d * d) + ((1.0 - lam) / d) * np.outer(vec_eye, vec_eye)
+    return lam, mc.max_abs(s - target)
+
+
+def weyl_depolarizing(d, p, rng):
+    """Kraus operators sqrt(w_ab) U X^a Z^b U^dag of the depolarizing channel
+    with lambda = 1 - p, in a random orthonormal basis U."""
+    u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    shift = np.roll(np.eye(d), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    ops = [math.sqrt((1.0 - p) * (a == b == 0) + p / d**2)
+           * u @ np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b) @ u.conj().T
+           for a in range(d) for b in range(d)]
+    return ch.KrausChannel(ops=ops, p=None, source="weyl")
+
+
+def _depolarizing_channels():
+    rng = np.random.default_rng(2024)
+    sets = ([su(n) for n in range(2, 9)] + [spin(t) for t in range(1, 16)]
+            + [g2(), clifford()[0]])
+    for g in sets:
+        for p in (0.0, 0.3, 1.0, *rng.uniform(size=2)):
+            yield ch.build_channel(g, p)
+    for d in range(2, 17):
+        yield weyl_depolarizing(d, rng.uniform(), rng)
+    for g in (su(2), su(3), su(4), spin(2), spin(3), g2(), clifford()[0]):
+        yield ch.double_channel(g)
+    for m in (1, 2, 4):
+        yield ch.clifford_vector_channel(clifford()[0], list(rng.normal(size=(m, 4))))
+
+
+def test_depolarizing_read_from_choi_bitwise_equal_to_superoperator_form(monkeypatch):
+    # with max_abs patched to pass every channel, detect_depolarizing returns
+    # its lambda also where it would reject, and the patch records the misfit
+    misfits = []
+    real_max_abs = ch.max_abs
+    accepted = 0
+    for channel in _depolarizing_channels():
+        lam_ref, misfit_ref = reference_depolarizing(channel.ops)
+        decision = ch.detect_depolarizing(channel)
+        assert (decision is not None) == (misfit_ref <= ch.DEPOLARIZING_FIT_TOL)
+        accepted += decision is not None
+        with monkeypatch.context() as m:
+            m.setattr(ch, "max_abs", lambda a: misfits.append(real_max_abs(a)) or 0.0)
+            lam = ch.detect_depolarizing(channel)
+        assert (lam, misfits[-1]) == (lam_ref, misfit_ref)
+        assert math.copysign(1.0, lam) == math.copysign(1.0, lam_ref)
+    assert 0 < accepted < len(misfits)   # both decisions are covered
+
+
+def test_weyl_channels_in_random_bases_are_depolarizing():
+    rng = np.random.default_rng(77)
+    for d in range(2, 17):
+        p = rng.uniform()
+        assert ch.detect_depolarizing(weyl_depolarizing(d, p, rng)) == pytest.approx(1.0 - p, abs=1e-12)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: su(2), lambda: su(3), lambda: su(5), lambda: su(8), lambda: spin(1), lambda: spin(2),
+    lambda: spin(3), lambda: spin(7), lambda: spin(15), lambda: spin(31), lambda: g2(),
+    lambda: clifford()[0],
+], ids=["su2", "su3", "su5", "su8", "spin1_2", "spin1", "spin3_2", "spin7_2", "spin15_2",
+        "spin31_2", "g2", "clifford"])
+def test_generator_action_bitwise_equal_to_transposed_copy(build):
+    g = build()
+    assert ch.generator_action(g).tobytes() == reference_superoperator(g.generators).tobytes()
+    ops = ch.build_channel(g, 0.3).ops
+    assert ch.superoperator(ops).tobytes() == reference_superoperator(ops).tobytes()
+
+
+def _peak_units(fn, d):
+    """tracemalloc peak of fn() in units of one d^2 x d^2 complex128 array."""
+    fn()   # first call outside the trace: lazy imports and caches
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (16 * d**4)
+
+
+def test_operator_space_peaks_at_spin_15_2():
+    # one L and a d^3 block for generator_action; one Choi matrix and its
+    # float abs for detect_depolarizing (S, T and S - T were three)
+    g = spin(15)
+    channel = ch.build_channel(g, 0.3)
+    assert _peak_units(lambda: ch.generator_action(g), g.d) <= 1.2
+    assert _peak_units(lambda: ch.detect_depolarizing(channel), g.d) <= 1.6
 
 
 def test_basis_rotation_leaves_channel_unchanged():
@@ -380,7 +486,7 @@ def test_su4_rank3_critical_values():
     assert [e.rank for e in decomp.entries] == [1, 2, 3]
     for e in decomp.entries:
         assert e.special
-        assert e.g_value == pytest.approx(-g.Z / (n * n - 1), abs=1e-12)
+        assert e.g == pytest.approx(-g.Z / (n * n - 1), abs=1e-12)
         assert e.verified is True
 
 
@@ -694,9 +800,9 @@ def test_find_identity_tensors_bitwise_equal_to_scatter_loop(build, r):
 ], ids=["su3", "su5", "g2", "spin1", "clifford"])
 def test_critical_values_report_unchanged_under_reference_fold(monkeypatch, build):
     g = build()
-    text = json.dumps(ch.critical_values(g, 3).to_json())
+    texts = [json.dumps(ch.critical_values(g, r).to_json()) for r in (1, 2, 3)]
     monkeypatch.setattr(mc, "_sym_fold", reference_sym_fold)
-    assert json.dumps(ch.critical_values(g, 3).to_json()) == text
+    assert [json.dumps(ch.critical_values(g, r).to_json()) for r in (1, 2, 3)] == texts
 
 
 @pytest.mark.parametrize("build", [lambda: su(3), lambda: g2(), lambda: spin(2)],
@@ -712,12 +818,27 @@ def test_critical_values_builds_the_generator_action_once(monkeypatch, build):
     assert json.dumps(ch.critical_values(g, 3).to_json()) == json.dumps(report.to_json())
     assert len(calls) == 1
     # every rank is fitted through the public name, on the one L
-    assert [r for r, _ in fits] == [1, 2, 3]
+    assert [r for r, _ in fits] == [3, 2, 1]   # highest rank first
     assert all(action is calls[0] for _, action in fits)
     for entry in report.entries:   # each rank's fit is find_identity's
         rep = ch.find_identity(g, entry.rank)
         assert (entry.residual, entry.special) == (rep.residual, rep.special)
-        assert entry.g_value == rep.g
+        assert entry.g == rep.g
+
+
+def test_identity_fit_takes_each_trace_once(monkeypatch):
+    # find_identity traces the monomial and transform stacks once each, and
+    # residual_with reads those traces instead of taking them again
+    calls = []
+    real = ch._traces
+    monkeypatch.setattr(ch, "_traces", lambda stack: calls.append(stack) or real(stack))
+    for g, r in ((su(3), 2), (spin(3), 3), (g2(), 1)):
+        calls.clear()
+        rep = ch.find_identity(g, r)
+        assert [c is rep._monomials or c is rep._transforms for c in calls] == [True, True]
+        calls.clear()
+        rep.residual_with(0.5)
+        assert calls == []
 
 
 def test_critical_values_fills_no_symmetric_tensor(monkeypatch):
@@ -736,7 +857,7 @@ def _eager_tensors(g, rep):
     # the fit and fill that find_identity ran before the tensors were lazy
     monomials, transforms = rep._monomials, rep._transforms
     tr_m, tr_t = ch._traces(monomials), ch._traces(transforms)
-    m0 = ch._traceless(monomials)
+    m0 = ch._traceless(monomials, tr_m)
     norm0 = ch._inner(m0, m0)
     informative = norm0 > 1e-16 * np.maximum(1.0, ch._inner(monomials, monomials))
     g_m = np.where(informative, ch._inner(m0, transforms) / np.where(informative, norm0, 1.0), 0.0)
