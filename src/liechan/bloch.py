@@ -15,6 +15,7 @@ the monomials {I, J_a, J_(a J_b)} themselves.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,7 +26,6 @@ from .channel import spin_vw_input, traceless_basis
 from .matcore import (
     as_complex_matrix,
     char_poly_coeffs,
-    derived_rng,
     max_abs,
     newton_recursion,
     sym_monomials,
@@ -444,63 +444,90 @@ class RadiusBound:
     v_bound: float
 
 
+@dataclass(frozen=True)
+class G2TraceForms:
+    """The g2 trace identities as forms in v, for every real v at once.
+
+    tr((v.X)^2) = kappa2 v^2 and tr((v.X)^4) = kappa4 v^4 with exact
+    ``kappa2`` and ``kappa4``; every odd power of v.X is traceless.  The
+    residuals are max-norm misfits:
+
+    * ``quadratic``: |tr(X_a X_b) - kappa2 delta_ab|;
+    * ``quartic``: Q_abcd = tr(X_a X_b X_c X_d), symmetrized over the six
+      orderings of b, c, d (with the cyclic trace that is every ordering),
+      against kappa4 (delta_ab delta_cd + delta_ac delta_bd + delta_ad delta_bc)/3;
+    * ``odd``: |X_a + X_a^T|.  A Hermitian X_a with X_a^T = -X_a is i times a
+      real antisymmetric matrix, so v.X = i A with A real antisymmetric, and
+      tr((v.X)^q) = i^q tr(A^q) = 0 for odd q, as A^q is antisymmetric.
+    """
+
+    kappa2: Fraction
+    kappa4: Fraction
+    odd: float
+    quadratic: float
+    quartic: float
+
+    def radius_bounds(self) -> list[RadiusBound]:
+        """The bounds of :func:`g2_bound_refine`, from these forms."""
+        # c_q(x) = 7^{-q} sum_j binom(q, j) t_j(x), exact in x, with t_0 = 7,
+        # t_2 = kappa2 x, t_4 = kappa4 x^2 and the odd traces zero; c_q has
+        # degree q/2, so a_k has degree at most k/2 <= 2, and its exact values
+        # at x = 0, 1, 2 fix its coefficients
+        a_at = [newton_recursion([(7 + math.comb(q, 2) * self.kappa2 * x
+                                   + math.comb(q, 4) * self.kappa4 * x * x)
+                                  / Fraction(7**q) for q in range(1, 5)]) for x in (0, 1, 2)]
+        bounds = []
+        for k in (2, 3, 4):
+            f0, f1, f2 = (a[k] for a in a_at)
+            c2 = (f2 - 2 * f1 + f0) / 2
+            x_max = _largest_nonneg_root([f0, f1 - f0 - c2, c2])
+            bounds.append(RadiusBound(coefficient_index=k, v_squared_bound=x_max, v_bound=math.sqrt(x_max)))
+        return bounds
+
+
+def g2_trace_forms(g: GeneratorSet) -> G2TraceForms:
+    """The trace forms of the g2 set g (:func:`liechan.repgen.g2_rep`), read
+    from the pair table P_ab = X_a X_b: tr(X_a X_b) from its traces, and
+    Q_abcd = tr(P_ab P_cd) as one 196 x 196 gemm.  kappa2 and kappa4 are the
+    median diagonal values tr(X_a X_a) and Q_aaaa, rationalized (denominator
+    at most 64), so that a minority of faulty generators shows in the
+    residuals; a median more than 1e-9 from its rational raises
+    ArithmeticError."""
+    if g.d != 7 or g.k != 14:
+        raise ValueError("expected the 7-dimensional g2 generator set")
+    x, k = g.generators, g.k
+    pairs = x[:, None] @ x
+    gram = np.trace(pairs, axis1=2, axis2=3).real
+    # rows and columns (a, b) of Q_abcd; (a, a) is every (k + 1)-th
+    quartic = (pairs.reshape(k * k, -1) @ pairs.transpose(0, 1, 3, 2).reshape(k * k, -1).T).real
+    measured = (np.median(np.diag(gram)), np.median(np.diag(quartic)[::k + 1]))
+    kappa2, kappa4 = (Fraction(float(m)).limit_denominator(64) for m in measured)
+    if abs(float(kappa2) - measured[0]) > 1e-9 or abs(float(kappa4) - measured[1]) > 1e-9:
+        raise ArithmeticError("trace ratios are not simple rationals")
+    # less kappa4 delta_ab delta_cd, which the six orderings average to the target
+    quartic[::k + 1, ::k + 1] -= float(kappa4)
+    quartic = quartic.reshape((k,) * 4)
+    return G2TraceForms(
+        kappa2=kappa2,
+        kappa4=kappa4,
+        odd=max_abs(x + x.transpose(0, 2, 1)),
+        quadratic=max_abs(gram - float(kappa2) * np.eye(k)),
+        quartic=max_abs(sum(quartic.transpose(0, *p) for p in itertools.permutations((1, 2, 3))) / 6.0),
+    )
+
+
 def g2_bound_refine(g: GeneratorSet) -> list[RadiusBound]:
     """Successive bounds on the g2 Bloch radius from a_2, a_3, a_4 >= 0, for
     the g2 set g (:func:`liechan.repgen.g2_rep`).
 
-    The power traces of v.beta are measured from the generators (odd powers
-    vanish; tr (v.beta)^2 = v^2/2 and tr (v.beta)^4 = v^4/16 =
-    (tr (v.beta)^2)^2/4), then the Newton recursion is run exactly, on
+    The power traces of v.beta are the exact forms of :func:`g2_trace_forms`
+    (odd powers vanish; tr (v.beta)^2 = v^2/2 and tr (v.beta)^4 = v^4/16 =
+    (tr (v.beta)^2)^2/4), and the Newton recursion is run exactly, on
     Fractions, at the three values of x = v^2 that fix each a_k as a
     polynomial in x.  The chain is x <= 84, x <= 28, and finally
     x <= 80 - 8 sqrt(65), i.e. |v| <= 3.94.
     """
-    if g.d != 7 or g.k != 14:
-        raise ValueError("expected the 7-dimensional g2 generator set")
-    kappa2, kappa4 = _measured_trace_ratios(g)
-    # c_q(x) = 7^{-q} sum_j binom(q, j) t_j(x), exact in x, with t_0 = 7,
-    # t_2 = kappa2 x, t_4 = kappa4 x^2 and the odd traces zero; c_q has degree
-    # q/2, so a_k has degree at most k/2 <= 2, and its exact values at
-    # x = 0, 1, 2 fix its coefficients
-    a_at = [newton_recursion([(7 + math.comb(q, 2) * kappa2 * x + math.comb(q, 4) * kappa4 * x * x)
-                              / Fraction(7**q) for q in range(1, 5)]) for x in (0, 1, 2)]
-    bounds = []
-    for k in (2, 3, 4):
-        f0, f1, f2 = (a[k] for a in a_at)
-        c2 = (f2 - 2 * f1 + f0) / 2
-        x_max = _largest_nonneg_root([f0, f1 - f0 - c2, c2])
-        bounds.append(
-            RadiusBound(
-                coefficient_index=k,
-                v_squared_bound=x_max,
-                v_bound=math.sqrt(x_max),
-            )
-        )
-    return bounds
-
-
-def trace_powers(stack: np.ndarray, v) -> list:
-    """tr((v.X)^q).real for q = 1..5, with X the stacked generators."""
-    vb = np.einsum("a,aij->ij", v, stack)
-    return [np.trace(np.linalg.matrix_power(vb, q)).real for q in range(1, 6)]
-
-
-def _measured_trace_ratios(gset: GeneratorSet) -> tuple[Fraction, Fraction]:
-    r2s, r4s = [], []
-    for i in range(6):
-        rng = derived_rng(97, i)
-        v = rng.normal(size=14)
-        x = float(v @ v)
-        powers = trace_powers(gset.generators, v)
-        if max(abs(powers[0]), abs(powers[2]), abs(powers[4])) > 1e-9 * max(1.0, x**2):
-            raise ArithmeticError("odd trace powers of v.beta do not vanish")
-        r2s.append(powers[1] / x)
-        r4s.append(powers[3] / (x * x))
-    k2 = Fraction(float(np.mean(r2s))).limit_denominator(64)
-    k4 = Fraction(float(np.mean(r4s))).limit_denominator(64)
-    if abs(float(k2) - np.mean(r2s)) > 1e-9 or abs(float(k4) - np.mean(r4s)) > 1e-9:
-        raise ArithmeticError("trace ratios are not simple rationals")
-    return k2, k4
+    return g2_trace_forms(g).radius_bounds()
 
 
 def _largest_nonneg_root(poly) -> float:

@@ -369,28 +369,8 @@ class IdentityReport:
 
 
 def _traces(stack: np.ndarray) -> np.ndarray:
-    """Re tr of each matrix of an (n, d, d) stack, bitwise ``np.trace(stack,
-    axis1=1, axis2=2).real`` whenever numpy reads each diagonal as its inner
-    loop (every stack whose leading axis has the largest stride): the same
-    pairwise order over d diagonal columns, as d adds over the whole stack."""
-    # numpy's reduction starts from +0.0, so an all-zero diagonal sums to +0.0
-    return _pairwise_sum([stack[:, i, i].real for i in range(stack.shape[1])]) + 0.0
-
-
-def _pairwise_sum(cols: list) -> np.ndarray:
-    """numpy's pairwise sum of complex terms, on their real parts: from 4
-    terms on, four running sums over every fourth term, joined as
-    (s0 + s1) + (s2 + s3), then the last terms in order; above 64 terms the
-    two halves are summed apart, at a multiple of 4 terms."""
-    n = len(cols)
-    if n > 64:
-        half = n // 8 * 4
-        return _pairwise_sum(cols[:half]) + _pairwise_sum(cols[half:])
-    if n < 4:
-        return sum(cols)
-    body = n - n % 4
-    s0, s1, s2, s3 = (sum(cols[j + 4:body:4], cols[j]) for j in range(4))
-    return sum(cols[body:], (s0 + s1) + (s2 + s3))
+    """Re tr of each matrix of an (n, d, d) stack."""
+    return np.trace(stack, axis1=1, axis2=2).real
 
 
 def _traceless(stack: np.ndarray, traces: np.ndarray) -> np.ndarray:

@@ -230,22 +230,25 @@ class StructureTensors:
 
 
 def structure_tensors(g: GeneratorSet) -> StructureTensors:
-    """f, d and Q tensors of su(n) on its defining set ``g`` (:func:`gell_mann`):
-    f_ijk = -(i/4) tr([X_i,X_j] X_k), d_ijk = (1/4) tr({X_i,X_j} X_k),
-    Q = d + i f, beta = 2/n."""
+    """f, d and Q tensors of su(n) on its defining set ``g`` (:func:`gell_mann`),
+    read from T_ijk = tr(X_i X_j X_k): f_ijk = -(i/4)(T_ijk - T_jik) =
+    -(i/4) tr([X_i,X_j] X_k), d_ijk = (T_ijk + T_jik)/4 = (1/4) tr({X_i,X_j} X_k),
+    Q = d + i f, beta = 2/n.  T is one gemm of the pair table X_i X_j with
+    the transposed generators."""
     if g.algebra != SU_N_DEFINING:
         raise ValueError(f"structure_tensors needs the su(n) defining representation, got {g.algebra!r}")
-    n = g.d
-    x = g.generators
-    prod = np.einsum("iab,jbc->ijac", x, x)
-    comm = prod - prod.transpose(1, 0, 2, 3)
-    anti = prod + prod.transpose(1, 0, 2, 3)
-    f = np.einsum("ijab,kba->ijk", comm, x) * (-0.25j)
-    d_sym = np.einsum("ijab,kba->ijk", anti, x) * 0.25
+    n, k, x = g.d, g.k, g.generators
+    pairs = x[:, None] @ x
+    t = (pairs.reshape(k * k, n * n) @ x.transpose(0, 2, 1).reshape(k, n * n).T).reshape(k, k, k)
+    f = t - t.transpose(1, 0, 2)
+    f *= -0.25j
+    d_sym = t + t.transpose(1, 0, 2)
+    d_sym *= 0.25
+    del pairs, t
     if max_abs(f.imag) > 1e-12 or max_abs(d_sym.imag) > 1e-12:
         raise ArithmeticError("structure tensors acquired an imaginary part")
-    f = f.real
-    d_sym = d_sym.real
+    f = np.ascontiguousarray(f.real)   # the contractions read them as gemm operands
+    d_sym = np.ascontiguousarray(d_sym.real)
     q = d_sym + 1j * f
     tensors = StructureTensors(n=n, beta=2.0 / n, f=f, d_sym=d_sym, Q=q)
     object.__setattr__(tensors, "residuals", structure_residuals(g, tensors))
@@ -258,20 +261,16 @@ def structure_tensors(g: GeneratorSet) -> StructureTensors:
 def structure_residuals(g: GeneratorSet, t: StructureTensors) -> tuple:
     """(name, residual, tolerance) of the su(n) structure identities:
     f_ijm f_ljm = n delta, Q_ijm Q_ljm = -(4/n) delta, sum_i d_iik = 0 and
-    X_i X_j = beta delta_ij I + Q_ijk X_k."""
+    X_i X_j = beta delta_ij I + Q_ijk X_k, each contraction one gemm."""
     n, k, x = t.n, g.k, g.generators
-    ff = np.einsum("ijm,ljm->il", t.f, t.f)
-    qq = np.einsum("ijm,ljm->il", t.Q, t.Q)
-    prod = np.einsum("iab,jbc->ijac", x, x)
-    recon = (
-        t.beta * np.einsum("ij,ab->ijab", np.eye(k), np.eye(n))
-        + np.einsum("ijk,kab->ijab", t.Q, x)
-    )
+    f, q = t.f.reshape(k, k * k), t.Q.reshape(k, k * k)
+    recon = (t.Q.reshape(k * k, k) @ x.reshape(k, n * n)).reshape(k, k, n, n)
+    recon[np.arange(k), np.arange(k)] += t.beta * np.eye(n)
     return (
-        ("f_contraction", max_abs(ff - n * np.eye(k)), 1e-8),
-        ("Q_contraction", max_abs(qq + (4.0 / n) * np.eye(k)), 1e-8),
+        ("f_contraction", max_abs(f @ f.T - n * np.eye(k)), 1e-8),
+        ("Q_contraction", max_abs(q @ q.T + (4.0 / n) * np.eye(k)), 1e-8),
         ("d_traceless", max_abs(np.einsum("iik->k", t.d_sym)), 1e-9),
-        ("product_identity", max_abs(prod - recon), 1e-9),
+        ("product_identity", max_abs(x[:, None] @ x - recon), 1e-9),
     )
 
 

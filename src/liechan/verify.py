@@ -109,38 +109,25 @@ def _g2(g: rg.GeneratorSet, seed: int) -> tuple[list, dict]:
         out = ch.apply_matrix(ch.build_channel(g, p), rho)
         worst = max(worst, mc.max_abs(out - bl.bloch_rho(g, (1.0 - p) * v)))
     checks.append(_check("bloch_scaling", worst, 1e-9))
-    worst_odd = worst_t2 = worst_t4 = 0.0
-    for i in range(25):
-        rng = mc.derived_rng(seed, 100 + i)
-        v = rng.normal(size=14)
-        x = float(v @ v)
-        powers = bl.trace_powers(g.generators, v)
-        worst_odd = max(worst_odd, abs(powers[0]), abs(powers[2]), abs(powers[4]) / max(1.0, x * x))
-        worst_t2 = max(worst_t2, abs(powers[1] - x / 2.0))
-        worst_t4 = max(worst_t4, abs(powers[3] - x * x / 16.0))
-    checks.append(_check("odd_trace_powers", worst_odd, 1e-8))
-    checks.append(_check("quadratic_trace", worst_t2, 1e-9))
-    checks.append(_check("quartic_trace_ratio_one_sixteenth", worst_t4, 1e-8))
+    forms = bl.g2_trace_forms(g)
+    checks.append(_check("odd_trace_powers", forms.odd, 1e-8))
+    checks.append(_check("quadratic_trace", forms.quadratic, 1e-9))
+    checks.append(_check("quartic_trace_ratio_one_sixteenth", forms.quartic, 1e-8))
     info = {
         "Z": g.Z,
         "N": g.N,
-        "radius_bounds_v_squared": [b.v_squared_bound for b in bl.g2_bound_refine(g)],
+        "radius_bounds_v_squared": [b.v_squared_bound for b in forms.radius_bounds()],
         "depolarizing_on_full_space": ch.detect_depolarizing(ch.build_channel(g, 0.5)),
     }
     return checks, info
 
 
 def _clifford(g: rg.GeneratorSet, seed: int) -> tuple[list, dict]:
-    checks = []
-    worst = 0.0
-    for i in range(50):
-        rng = mc.derived_rng(seed, i)
-        x = rng.normal(size=4)
-        y = rng.normal(size=4)
-        gx = rg.clifford_gamma(x, g)
-        gy = rg.clifford_gamma(y, g)
-        worst = max(worst, mc.max_abs(gx @ gy + gy @ gx - rg.clifford_bilinear(x, y) * np.eye(4)))
-    checks.append(_check("anticommutation", worst, 1e-10))
+    # {X_a, X_b} = 2 delta_ab I on the pair table covers every (x, y) by bilinearity
+    x = g.generators
+    pairs = x[:, None] @ x
+    anti = pairs + pairs.transpose(1, 0, 2, 3) - 2.0 * np.multiply.outer(np.eye(g.k), np.eye(g.d))
+    checks = [_check("anticommutation", mc.max_abs(anti), 1e-10)]
     checks.append(_check("basis_rank_16", float(16 - rg.basis_rank(rg.clifford_basis(g))), 0.0))
     # |tr ch(rho) - 1| = |tr((sum K^dag K - I) rho)| <= the entry sum of
     # |sum K^dag K - I| for every density rho

@@ -633,6 +633,24 @@ def test_g2_bound_chain_closed_form():
     assert bounds[2].v_bound == pytest.approx(3.937, abs=1e-3)
 
 
+def test_g2_trace_forms_are_exact():
+    forms = bl.g2_trace_forms(g2())
+    assert (forms.kappa2, forms.kappa4) == (Fraction(1, 2), Fraction(1, 16))
+    assert type(forms.kappa2) is Fraction and type(forms.kappa4) is Fraction
+    assert max(forms.odd, forms.quadratic, forms.quartic) < 1e-14
+
+
+def test_g2_bound_refine_draws_no_random_number(monkeypatch):
+    def no_rng(*args, **kwargs):
+        raise AssertionError("g2_bound_refine drew a random number")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    bounds = bl.g2_bound_refine(g2())
+    # the values of the sampled-ratio version, bit for bit
+    assert [b.v_squared_bound for b in bounds] == [84.0, 28.0, 15.501938013611609]
+    assert [b.v_bound for b in bounds] == [math.sqrt(84.0), math.sqrt(28.0), math.sqrt(15.501938013611609)]
+
+
 def test_g2_a4_sign_flip_matches_bound():
     # the characteristic-polynomial coefficient computed from the actual
     # matrices changes sign exactly at the closed-form radius
@@ -836,7 +854,8 @@ def _g2_bounds_by_fraction_lists(kappa2, kappa4):
 
 
 def test_g2_bound_refine_equal_to_fraction_list_recursion():
-    kappa2, kappa4 = bl._measured_trace_ratios(g2())
+    forms = bl.g2_trace_forms(g2())
+    kappa2, kappa4 = forms.kappa2, forms.kappa4
     expect = _g2_bounds_by_fraction_lists(kappa2, kappa4)
     assert [b.v_squared_bound for b in bl.g2_bound_refine(g2())] == expect
     assert [b.v_bound for b in bl.g2_bound_refine(g2())] == [math.sqrt(x) for x in expect]

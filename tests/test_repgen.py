@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +112,43 @@ def test_structure_residuals_see_perturbed_q():
     rows = {name: (res, tol) for name, res, tol in rg.structure_residuals(su(3), bad)}
     res, tol = rows["product_identity"]
     assert res > tol
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+def test_structure_tensors_equal_the_commutator_einsums(n):
+    # the former definition: contract [X_i, X_j] and {X_i, X_j} with X_k
+    g, t = su(n), su_tensors(n)
+    x = g.generators
+    prod = np.einsum("iab,jbc->ijac", x, x)
+    f = (np.einsum("ijab,kba->ijk", prod - prod.transpose(1, 0, 2, 3), x) * (-0.25j)).real
+    d_sym = (np.einsum("ijab,kba->ijk", prod + prod.transpose(1, 0, 2, 3), x) * 0.25).real
+    assert t.f.tobytes() == f.tobytes()
+    # Both sides add the same 2 n^3 products X_i X_j X_k / 4, each a product
+    # of two complex multiplications (off by at most 2 sqrt(5) u < 5u
+    # relative, u = 2^-53), through n - 1, then n^2 - 1, then one more
+    # additions.  So each side is within gamma_(n^2 + n + 4) S of the exact
+    # value, S = (A_ijk + A_jik)/4 with A = sum |X_i| |X_j| |X_k| entrywise,
+    # and the two within twice that; f agrees bitwise, so Q differs only in d.
+    u = np.finfo(float).eps / 2
+    m = n * n + n + 4
+    a = np.einsum("iab,jbc,kca->ijk", *(np.abs(x),) * 3, optimize=True)
+    bound = 2 * m * u / (1 - m * u) * (a + a.transpose(1, 0, 2)) / 4
+    assert np.all(np.abs(t.d_sym - d_sym) <= bound)
+    assert np.all(np.abs(t.Q - (d_sym + 1j * f)) <= bound)
+
+
+def test_structure_tensors_peak_at_su8():
+    # alive at the peak: the pair table, T and the complex f and d before
+    # their real parts, 2.27 output sizes when measured
+    g = su(8)
+    rg.structure_tensors(g)   # first call outside the trace: lazy imports and caches
+    tracemalloc.start()
+    try:
+        t = rg.structure_tensors(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * (t.f.nbytes + t.d_sym.nbytes + t.Q.nbytes)
 
 
 def test_d_tensor_fully_symmetric():

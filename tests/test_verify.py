@@ -1,9 +1,11 @@
 import copy
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from liechan import bloch as bl
 from liechan import channel as ch
 from liechan import matcore as mc
 from liechan import repgen as rg
@@ -234,6 +236,7 @@ def test_suite_builds_the_generator_action_once(monkeypatch, algebra, size):
         ("su", {"n": 3}, ("depolarizing_factor", "critical_map_to_uniform")),
         ("spin", {"two_s": 3}, ("triple_product_identity", "quadruple_product_identity")),
         ("g2", {}, ("cubic_identity",)),
+        ("clifford", {}, ("anticommutation",)),
     ],
 )
 def test_pinned_identity_checks_fail_on_a_scaled_generator(monkeypatch, algebra, size, names):
@@ -258,6 +261,31 @@ def test_pinned_identity_checks_fail_on_a_scaled_generator(monkeypatch, algebra,
     for name in names:
         assert not made[name]["pass"]
         assert made[name]["residual"] > 1e-3
+
+
+@pytest.mark.parametrize(
+    "shift, names",
+    [
+        (lambda x: 0.01 * x, ("quadratic_trace", "quartic_trace_ratio_one_sixteenth")),
+        # real symmetric: X_0 stays Hermitian, but is no longer i times a real
+        # antisymmetric matrix
+        (lambda x: 1e-3 * np.diag([1.0, -1.0, 0, 0, 0, 0, 0]), ("odd_trace_powers",)),
+    ],
+    ids=["scaled", "symmetric"],
+)
+def test_g2_trace_form_checks_fail_on_a_perturbed_generator(monkeypatch, shift, names):
+    g = rg.g2_rep()
+    bad = copy.copy(g)   # a copy skips the constructor's checks
+    x0 = g.generators[0]
+    object.__setattr__(bad, "generators", np.concatenate([[x0 + shift(x0)], g.generators[1:]]))
+    forms = bl.g2_trace_forms(bad)
+    # the rest of the suite runs on g: the sampled channel checks reject the bad set
+    monkeypatch.setattr(bl, "g2_trace_forms", lambda g: forms)
+    checks = {c["name"]: c for c in verify.run_suite(g)[0]}
+    for name in names:
+        assert not checks[name]["pass"]
+        assert checks[name]["residual"] > 1e-4
+    assert forms.kappa2 == Fraction(1, 2) and forms.kappa4 == Fraction(1, 16)
 
 
 def test_spin_and_g2_residuals_are_find_identity_pinned_bitwise():
