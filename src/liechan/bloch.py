@@ -498,8 +498,9 @@ def g2_trace_forms(g: GeneratorSet) -> G2TraceForms:
     x, k = g.generators, g.k
     pairs = x[:, None] @ x
     gram = np.trace(pairs, axis1=2, axis2=3).real
-    # rows and columns (a, b) of Q_abcd; (a, a) is every (k + 1)-th
-    quartic = (pairs.reshape(k * k, -1) @ pairs.transpose(0, 1, 3, 2).reshape(k * k, -1).T).real
+    # rows and columns (a, b) of Q_abcd; (a, a) is every (k + 1)-th.  One
+    # real copy, so that the complex product is freed at once
+    quartic = (pairs.reshape(k * k, -1) @ pairs.transpose(0, 1, 3, 2).reshape(k * k, -1).T).real.copy()
     measured = (np.median(np.diag(gram)), np.median(np.diag(quartic)[::k + 1]))
     kappa2, kappa4 = (Fraction(float(m)).limit_denominator(64) for m in measured)
     if abs(float(kappa2) - measured[0]) > 1e-9 or abs(float(kappa4) - measured[1]) > 1e-9:
@@ -507,12 +508,19 @@ def g2_trace_forms(g: GeneratorSet) -> G2TraceForms:
     # less kappa4 delta_ab delta_cd, which the six orderings average to the target
     quartic[::k + 1, ::k + 1] -= float(kappa4)
     quartic = quartic.reshape((k,) * 4)
+    # the six orderings of (b, c, d), summed in place in the order Python's
+    # sum() would take them (only the sign of a zero can differ)
+    orderings = [quartic.transpose(0, *p) for p in itertools.permutations((1, 2, 3))]
+    symmetric = orderings[0] + orderings[1]
+    for ordering in orderings[2:]:
+        symmetric += ordering
+    symmetric /= 6.0
     return G2TraceForms(
         kappa2=kappa2,
         kappa4=kappa4,
         odd=max_abs(x + x.transpose(0, 2, 1)),
         quadratic=max_abs(gram - float(kappa2) * np.eye(k)),
-        quartic=max_abs(sum(quartic.transpose(0, *p) for p in itertools.permutations((1, 2, 3))) / 6.0),
+        quartic=max_abs(symmetric),
     )
 
 

@@ -108,7 +108,7 @@ def _write(text: str, path: str | None) -> None:
 
 
 def _dump_json(obj, path: str | None) -> None:
-    _write(json.dumps(obj, sort_keys=True, indent=2), path)
+    _write(textfmt.json_text(obj), path)
 
 
 # Generator sets built by this process, keyed on the flags that size them.
@@ -138,11 +138,20 @@ def cmd_gen(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # apply
 
+def _holds_bool(obj) -> bool:
+    return type(obj) is bool or isinstance(obj, list) and any(map(_holds_bool, obj))
+
+
 def _real_array(obj, name: str) -> np.ndarray:
     try:
-        return np.asarray(obj, dtype=float)
+        array = np.asarray(obj, dtype=float)
     except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{name} must be a (nested) list of real numbers") from None
+        array = None
+    # numpy reads JSON true/false as 1.0/0.0; the check runs after the
+    # conversion, which bounds the nesting depth it walks
+    if array is None or _holds_bool(obj):
+        raise ValueError(f"{name} must be a (nested) list of real numbers")
+    return array
 
 
 def _load_rho(path: str, g: rg.GeneratorSet) -> mc.DensityMatrix:

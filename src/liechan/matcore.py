@@ -332,6 +332,8 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ValueError(f"expected a list of {d * d} entries")
     try:
         flat = np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
+        if any(type(re) is bool or type(im) is bool for re, im in entries):
+            raise TypeError
     except (TypeError, ValueError, OverflowError):
         raise ValueError("each matrix entry must be a pair of numbers [re, im]") from None
     return flat.reshape(d, d)

@@ -1,16 +1,24 @@
-"""The ``'%.17g'`` text of float tables, which CSV reports are written in.
+"""Report text: the ``'%.17g'`` tables of CSV reports and the layout of JSON
+reports.
 
 :func:`format_rows` gives, for a 2-D float64 table, exactly
 ``[",".join("%.17g" % x for x in row) for row in table.tolist()]``, built
-with array operations instead of one string conversion per value.  Only the
-CLI's CSV writer imports this module, so ``import liechan.repgen`` does not
+with array operations instead of one string conversion per value.
+
+:func:`json_text` gives exactly ``json.dumps(obj, sort_keys=True,
+indent=2)``, with each table of numbers written by json's C encoder and only
+the whitespace between its tokens laid out here.
+
+Only the CLI imports this module, so ``import liechan.repgen`` does not
 compile it.
 """
 
 from __future__ import annotations
 
 import functools
-from itertools import product
+import json
+import re
+from itertools import chain, product
 
 import numpy as np
 
@@ -170,3 +178,65 @@ def format_rows(table) -> list[str]:
     text = b"".join(_chunk(flat[i:i + per], src, offsets, tables)
                     for i in range(0, flat.size, per))
     return text.decode("ascii").split("\n")[:-1]
+
+
+# A number table of a JSON report is a non-empty list of numbers, or a
+# non-empty list of non-empty lists of numbers: a matrix's entries, a Bloch
+# vector.  Numbers are matched by exact type, so a bool or an np.float64
+# stays with the Python encoder.  json's C encoder writes a table as
+# "[[a, b], [c, d]]"; its numbers hold no bracket, comma or space, so the
+# indent-2 layout of the table is two str.replace calls.  In the indent-2
+# text of the rest of the report every value ends its own line and no string
+# holds a raw newline, so a "[]" that ends a line is an empty list: the
+# skeleton's placeholder of a table, or a list that was empty.
+_NUMBERS = frozenset((int, float))
+_ROWS = frozenset((list, tuple))
+_EMPTY_LIST = re.compile(r"\[\](?=,?$)", re.M)
+
+
+def _skeleton(obj, tables: list):
+    """obj with each number table replaced by [], appending to tables, in
+    the order the encoder writes them, each empty list of the result's
+    text: its table, or None for a list that was empty."""
+    if isinstance(obj, dict):
+        return {key: _skeleton(obj[key], tables) for key in sorted(obj)}
+    if not isinstance(obj, (list, tuple)):
+        return obj
+    if not obj:
+        tables.append(None)
+        return obj
+    types = set(map(type, obj))
+    if types <= _NUMBERS or (types <= _ROWS and all(obj)
+                             and set(map(type, chain.from_iterable(obj))) <= _NUMBERS):
+        tables.append(obj)
+        return []
+    return [_skeleton(x, tables) for x in obj]
+
+
+def _table_text(table, indent: str) -> str:
+    """The indent-2 text of a number table whose "[" opens a line indented
+    by indent."""
+    inner = indent + "  "
+    text = json.dumps(table)
+    if type(table[0]) in _ROWS:
+        cell = inner + "  "
+        body = text[2:-2].replace(", ", ",\n" + cell)
+        body = body.replace(f"],\n{cell}[", f"\n{inner}],\n{inner}[\n{cell}")
+        return f"[\n{inner}[\n{cell}{body}\n{inner}]\n{indent}]"
+    return f"[\n{inner}" + text[1:-1].replace(", ", ",\n" + inner) + f"\n{indent}]"
+
+
+def json_text(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, with each number table
+    written by json's C encoder (see the comment above)."""
+    tables: list = []
+    text = json.dumps(_skeleton(obj, tables), sort_keys=True, indent=2)
+    parts, pos = [], 0
+    for match, table in zip(_EMPTY_LIST.finditer(text), tables, strict=True):
+        if table is not None:
+            at = match.start()
+            line = text[text.rfind("\n", 0, at) + 1:at]
+            parts += [text[pos:at], _table_text(table, " " * (len(line) - len(line.lstrip(" "))))]
+            pos = match.end()
+    parts.append(text[pos:])
+    return "".join(parts)

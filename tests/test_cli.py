@@ -596,6 +596,32 @@ def test_malformed_vw_rho_exits_2_without_traceback(tmp_path, text):
     assert "Traceback" not in proc.stderr
 
 
+_SIXTH = 1.0 / 6.0
+
+
+@pytest.mark.parametrize("algebra, obj, message", [
+    (["spin", "--two-s", "2"], {"v": [False, False, False]}, "v must be"),
+    (["spin", "--two-s", "2"], {"v": [0.0, 0.0, True]}, "v must be"),
+    (["spin", "--two-s", "2"], {"v": [0, 0, 0], "w": [[_SIXTH, False, 0], [0, _SIXTH, 0], [0, 0, _SIXTH]]},
+     "w must be"),
+    (["spin", "--two-s", "2"],
+     {"v": [0, 0, 0], "w": {"shape": [3, 3], "data": [_SIXTH, 0, 0, 0, _SIXTH, 0, 0, False, _SIXTH]}},
+     "w 'data' must be"),
+    (["su", "--n", "2"], {"dim": 2, "entries": [[True, 0], [0, 0], [0, 0], [False, 0]]},
+     "each matrix entry must be"),
+    (["su", "--n", "2"], {"dim": 2, "entries": [[0.5, False], [0, 0], [0, 0], [0.5, 0]]},
+     "each matrix entry must be"),
+], ids=["v_false", "v_true", "w", "w_data", "entries_re", "entries_im"])
+def test_json_booleans_in_rho_numbers_exit_2(tmp_path, capsys, algebra, obj, message):
+    # each input reads as a valid state if true/false are taken as 1/0
+    rho_file = tmp_path / "rho.json"
+    rho_file.write_text(json.dumps(obj))
+    code, _ = run(tmp_path, "apply", "--algebra", *algebra, "--p", "0.3", "--rho", str(rho_file))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 def test_import_cli_loads_no_numpy_polynomial():
     # the W iteration and the g2 radius chain run on plain floats and Fractions
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(liechan.__file__)))

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liechan import matcore as mc
+from liechan import repgen as rg
 from liechan import textfmt
+from liechan.cli import main
+
+json_text = textfmt.json_text
 
 
 def _g17_rows(table):
@@ -76,3 +82,101 @@ def test_format_rows_rejects_non_tables():
 def test_format_rows_matches_g17_on_any_floats(values):
     table = np.array(values, dtype=np.float64).reshape(1, -1)
     assert textfmt.format_rows(table) == _g17_rows(table)
+
+
+# ---------------------------------------------------------------------------
+# json_text
+
+_SETS = ([["su", "--n", str(n)] for n in range(2, 9)]
+         + [["spin", "--two-s", str(t)] for t in (*range(1, 8), 15)] + [["g2"], ["clifford"]])
+
+
+def _reference(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+@pytest.fixture
+def reports(monkeypatch):
+    """The objects every JSON report of cli.main is written from, in call order."""
+    seen = []
+
+    def record(obj):
+        seen.append(obj)
+        return json_text(obj)
+
+    monkeypatch.setattr(textfmt, "json_text", record)
+    return seen
+
+
+def _rho_files(tmp_path, algebra) -> list:
+    """A raw matrix, a {v} and, on spin sets with d >= 3, a {v, w} input."""
+    g = rg.build_algebra(algebra[0], n=int(algebra[2]) if algebra[0] == "su" else None,
+                         two_s=int(algebra[2]) if algebra[0] == "spin" else None)
+    rng = np.random.default_rng(g.d)
+    inputs = [mc.matrix_to_json(mc.random_density(g.d, rng).matrix),
+              {"v": (0.05 * rng.normal(size=g.k) / np.sqrt(g.k)).tolist()}]
+    if algebra[0] == "spin" and g.d >= 3:
+        lam = (g.d - 1) * (g.d + 1) / 4.0
+        inputs.append({"v": (0.01 / g.d * rng.normal(size=3)).tolist(), "w": (np.eye(3) / (g.d * lam)).tolist()})
+    paths = []
+    for i, obj in enumerate(inputs):
+        paths.append(tmp_path / f"rho_{i}.json")
+        paths[-1].write_text(json.dumps(obj))
+    return paths
+
+
+@pytest.mark.parametrize("algebra", _SETS, ids=lambda a: "".join(a).replace("--n", "").replace("--two-s", ""))
+def test_json_text_equals_indent2_dumps_on_every_report(tmp_path, reports, algebra):
+    out = str(tmp_path / "out.json")
+    argvs = [["gen"], ["verify"], ["bloch-scan", "--samples", "40", "--format", "json"]]
+    argvs += [["critical", "--max-rank", str(r)] for r in (1, 2, 3)]
+    argvs += [["apply", "--p", p, "--rho", str(path)]
+              for path in _rho_files(tmp_path, algebra) for p in ("0", "0.3", "1")]
+    for argv in argvs:
+        assert main([argv[0], "--algebra", *algebra, *argv[1:], "--seed", "5", "--out", out]) == 0, argv
+    assert len(reports) == len(argvs)
+    for obj in reports:
+        assert json_text(obj) == _reference(obj)
+
+
+_SPECIAL_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e22, -1e22])
+_NUMBER = st.floats() | _SPECIAL_FLOATS | st.integers() | st.integers(-10**30, 10**30)
+_MIXED_NUMBER = _NUMBER | st.booleans() | st.floats().map(np.float64)
+_TRICKY_TEXT = st.lists(st.sampled_from(["[", "]", ",", " ", "\0", "\n", '"', "a", "[]", "], [", ", "]),
+                        max_size=6).map("".join)
+_TABLE = st.lists(_NUMBER, max_size=5) | st.lists(st.lists(_NUMBER, max_size=4), max_size=4)
+_LEAF = (_NUMBER | _MIXED_NUMBER | st.none() | _TRICKY_TEXT | _TABLE
+         | st.lists(_MIXED_NUMBER, max_size=4) | st.lists(st.lists(_MIXED_NUMBER, max_size=3), max_size=3))
+_JSON = st.recursive(
+    _LEAF,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(_TRICKY_TEXT, inner, max_size=5),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@given(_JSON)
+def test_json_text_equals_indent2_dumps_on_any_json(obj):
+    assert json_text(obj) == _reference(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    [], [[]], [[], [1]], [[1], []], [1], [-0.0], [[1, 2], [3, 4]], [[1], [2, 3, 4.5]], {"a": [], "b": [[]]},
+    {"[]": ["], [", [1.5, 2]], "x": {"y": [[1e22, 5e-324], [math.nan, -math.inf]]}},
+    [[[1, 2]], [[3]]], [(1, 2), (3,)], ((1.0, 2.0),), [True, 1], [[1, 0], [0, False]],
+    [np.float64(0.1), 0.2], "[]", 7, None,
+])
+def test_json_text_equals_indent2_dumps_on_edge_cases(obj):
+    assert json_text(obj) == _reference(obj)
+
+
+def test_json_text_hands_tables_to_the_c_encoder_by_exact_type():
+    # a table's every number is an int or a float; a bool or an np.float64
+    # leaves its list to the Python encoder, and an empty list is no table
+    tables = []
+    skeleton = textfmt._skeleton({"a": [1, 2.5], "b": [[1, 2], [3, 4]], "c": [True, 1],
+                                  "d": [[1], [False]], "e": [np.float64(1.0)], "f": [], "g": [[], [1]]},
+                                 tables)
+    assert tables == [[1, 2.5], [[1, 2], [3, 4]], [1], None, None, [1]]
+    assert skeleton == {"a": [], "b": [], "c": [True, 1], "d": [[], [False]], "e": [np.float64(1.0)],
+                        "f": [], "g": [[], []]}
