@@ -52,15 +52,11 @@ class KrausChannel:
     """A trace-preserving channel given by its Kraus operators, one read-only
     complex128 ``(m, d, d)`` array copied once from the given matrices.
 
-    ``p`` is the error probability for channels of the (1-p, p/Z) form and
-    None for channels without one (extensions, double channels, Clifford
-    vector channels).  Normalization sum_mu M_mu^dag M_mu = I is enforced
-    within 1e-9 on construction.
+    Normalization sum_mu M_mu^dag M_mu = I is enforced within 1e-9 on
+    construction.
     """
 
     ops: np.ndarray = field(repr=False)
-    p: float | None
-    source: str
 
     def __post_init__(self):
         if not isinstance(self.ops, np.ndarray) and len({np.shape(m) for m in self.ops}) > 1:
@@ -72,8 +68,6 @@ class KrausChannel:
         dev = normalization_deviation(ops)
         if dev > NORMALIZATION_TOL:
             raise ValueError(f"normalization sum M^dag M = I violated by {dev:.3e}")
-        if self.p is not None and not 0.0 <= self.p <= 1.0:
-            raise POutOfRangeError(f"p = {self.p} lies outside [0, 1]")
 
     @property
     def dim(self) -> int:
@@ -98,7 +92,7 @@ def build_channel(g: GeneratorSet, p: float) -> KrausChannel:
         parts.append(math.sqrt(1.0 - p) * np.eye(g.d, dtype=np.complex128)[None])
     if p > 0.0:
         parts.append(math.sqrt(p / g.Z) * g.generators)
-    return KrausChannel(ops=np.concatenate(parts), p=float(p), source=g.algebra)
+    return KrausChannel(ops=np.concatenate(parts))
 
 
 def apply_matrix(ch: KrausChannel, m) -> np.ndarray:
@@ -276,7 +270,7 @@ def extend(base_ops: Sequence, ext_ops: Sequence, at_index: int) -> KrausChannel
     if not 0 <= at_index < len(a_ops):
         raise ValueError("at_index out of range")
     new_ops = np.concatenate([a_ops[:at_index], b_ops @ a_ops[at_index], a_ops[at_index + 1:]])
-    return KrausChannel(ops=new_ops, p=None, source="extended")
+    return KrausChannel(ops=new_ops)
 
 
 def double_channel(g: GeneratorSet) -> KrausChannel:
@@ -284,7 +278,7 @@ def double_channel(g: GeneratorSet) -> KrausChannel:
     on every element."""
     x = g.generators
     ops = (x[:, None] @ x).reshape(g.k * g.k, g.d, g.d) / g.Z   # [i k + j] = X_i X_j / Z
-    return KrausChannel(ops=ops, p=None, source=f"{g.algebra}:double")
+    return KrausChannel(ops=ops)
 
 
 def clifford_vector_channel(g: GeneratorSet, xs: Sequence) -> KrausChannel:
@@ -304,7 +298,7 @@ def clifford_vector_channel(g: GeneratorSet, xs: Sequence) -> KrausChannel:
     if total <= 0 or max_abs(square_sum - total * np.eye(g.d)) > 1e-10:
         raise ValueError("sum of squared gamma(x_i) is not a positive scalar")
     scale = 1.0 / math.sqrt(total)
-    return KrausChannel(ops=scale * gammas, p=None, source="clifford_weyl:vectors")
+    return KrausChannel(ops=scale * gammas)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,28 +74,6 @@ def _scan_block(d: int) -> int:
     return max(1, ARRAY_BUDGET // (SCAN_LIVE_STACKS * 16 * d * d))
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    algebra: str | None
-    n: int | None
-    two_s: int | None
-    p: float
-    seed: int
-    samples: int
-    output_path: str | None
-    fmt: str
-
-    def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("--samples must be >= 1")
-        for flag, value, bound in (("--n", self.n, MAX_N), ("--two-s", self.two_s, MAX_TWO_S),
-                                   ("--samples", self.samples, MAX_SAMPLES)):
-            if value is not None and value > bound:
-                raise ValueError(f"{flag} must be <= {bound} (the {ARRAY_BUDGET >> 20} MiB array budget)")
-        if self.seed < 0:
-            raise ValueError("--seed (or LIECHAN_SEED) must be >= 0")
-
-
 def _write(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -118,28 +95,28 @@ def _dump_json(obj, path: str | None) -> None:
 _GENSETS: dict = {}
 
 
-def _genset(cfg: RunConfig) -> rg.GeneratorSet:
-    key = (cfg.algebra, cfg.n if cfg.algebra == "su" else None,
-           cfg.two_s if cfg.algebra == "spin" else None)
+def _genset(args: argparse.Namespace) -> rg.GeneratorSet:
+    key = (args.algebra, args.n if args.algebra == "su" else None,
+           args.two_s if args.algebra == "spin" else None)
     if key not in _GENSETS:
-        _GENSETS[key] = rg.build_algebra(cfg.algebra, n=cfg.n, two_s=cfg.two_s)
+        _GENSETS[key] = rg.build_algebra(args.algebra, n=args.n, two_s=args.two_s)
     return _GENSETS[key]
 
 
 # ---------------------------------------------------------------------------
 # gen
 
-def cmd_gen(cfg: RunConfig) -> int:
-    g = _genset(cfg)
-    _dump_json({"generator_set": g.to_json(), "checks": dict(g.residuals)}, cfg.output_path)
+def cmd_gen(args: argparse.Namespace) -> int:
+    g = _genset(args)
+    _dump_json({"generator_set": g.to_json(), "checks": dict(g.residuals)}, args.output_path)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # apply
 
-def _holds_bool(obj) -> bool:
-    return type(obj) is bool or isinstance(obj, list) and any(map(_holds_bool, obj))
+def _all_numbers(obj) -> bool:
+    return all(map(_all_numbers, obj)) if type(obj) is list else type(obj) in (int, float)
 
 
 def _real_array(obj, name: str) -> np.ndarray:
@@ -147,9 +124,10 @@ def _real_array(obj, name: str) -> np.ndarray:
         array = np.asarray(obj, dtype=float)
     except (TypeError, ValueError, OverflowError):
         array = None
-    # numpy reads JSON true/false as 1.0/0.0; the check runs after the
-    # conversion, which bounds the nesting depth it walks
-    if array is None or _holds_bool(obj):
+    # numpy reads JSON true/false as 1.0/0.0, numeric strings as numbers and
+    # null as NaN; the check runs after the conversion, which bounds the
+    # nesting depth it walks
+    if array is None or not _all_numbers(obj):
         raise ValueError(f"{name} must be a (nested) list of real numbers")
     return array
 
@@ -175,14 +153,14 @@ def _load_rho(path: str, g: rg.GeneratorSet) -> mc.DensityMatrix:
     return mc.DensityMatrix(mc.matrix_from_json(obj))
 
 
-def cmd_apply(cfg: RunConfig, rho_path: str) -> int:
-    g = _genset(cfg)
-    channel = ch.build_channel(g, cfg.p)
-    rho = _load_rho(rho_path, g)
+def cmd_apply(args: argparse.Namespace) -> int:
+    g = _genset(args)
+    channel = ch.build_channel(g, args.p)
+    rho = _load_rho(args.rho, g)
     out = ch.apply(channel, rho)
     lam = ch.detect_depolarizing(channel)
     report = {
-        "p": cfg.p,
+        "p": args.p,
         "source": g.algebra,
         "input": rho.to_json(),
         "output": out.to_json(),
@@ -199,37 +177,37 @@ def cmd_apply(cfg: RunConfig, rho_path: str) -> int:
             }
         except bl.SpanDeficientError:
             report["vw_out"] = None
-    _dump_json(report, cfg.output_path)
+    _dump_json(report, args.output_path)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # verify
 
-def cmd_verify(cfg: RunConfig) -> int:
-    checks, info = verify.run_suite(_genset(cfg), cfg.seed)
+def cmd_verify(args: argparse.Namespace) -> int:
+    checks, info = verify.run_suite(_genset(args), args.seed)
     passed = all(c["pass"] for c in checks)
     report = {
-        "algebra": cfg.algebra,
-        "n": cfg.n,
-        "two_s": cfg.two_s,
-        "seed": cfg.seed,
+        "algebra": args.algebra,
+        "n": args.n,
+        "two_s": args.two_s,
+        "seed": args.seed,
         "checks": checks,
         "info": info,
         "passed": passed,
     }
-    _dump_json(report, cfg.output_path)
+    _dump_json(report, args.output_path)
     return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
 # bloch-scan
 
-def cmd_bloch_scan(cfg: RunConfig) -> int:
-    g = _genset(cfg)
-    su3 = cfg.algebra == "su" and cfg.n == 3
+def cmd_bloch_scan(args: argparse.Namespace) -> int:
+    g = _genset(args)
+    su3 = args.algebra == "su" and args.n == 3
     flags = ["member_eig", "member_charpoly"] + (["member_closed_form"] if su3 else [])
-    vs = bl.sample_bloch_vectors(g, cfg.samples, seed=cfg.seed)
+    vs = bl.sample_bloch_vectors(g, args.samples, seed=args.seed)
     columns = {name: [] for name in ["min_eigenvalue"] + flags}
     block = _scan_block(g.d)
     for start in range(0, len(vs), block):
@@ -241,26 +219,26 @@ def cmd_bloch_scan(cfg: RunConfig) -> int:
         columns["member_charpoly"] += bl.psd_by_charpoly(rho).tolist()
         if su3:
             columns["member_closed_form"] += bl.su3_membership_closed(part).tolist()
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         rows = zip(vs.tolist(), *columns.values())
-        _dump_json([dict(zip(["v", *columns], row)) for row in rows], cfg.output_path)
+        _dump_json([dict(zip(["v", *columns], row)) for row in rows], args.output_path)
         return 0
     # each number is its '%.17g' text, signed zeros and non-finite values included
     numbers = textfmt.format_rows(np.column_stack([vs, columns.pop("min_eigenvalue")]))
     words = {True: ",true", False: ",false"}
     lines = [",".join([f"v_{i}" for i in range(g.k)] + ["min_eigenvalue"] + flags)]
     lines += map("".join, zip(numbers, *[[words[f] for f in col] for col in columns.values()]))
-    _write("\n".join(lines) + "\n", cfg.output_path)
+    _write("\n".join(lines) + "\n", args.output_path)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # critical
 
-def cmd_critical(cfg: RunConfig, max_rank: int) -> int:
-    g = _genset(cfg)
-    decomp = ch.critical_values(g, max_rank=max_rank)
-    _dump_json(decomp.to_json(), cfg.output_path)
+def cmd_critical(args: argparse.Namespace) -> int:
+    g = _genset(args)
+    decomp = ch.critical_values(g, max_rank=args.max_rank)
+    _dump_json(decomp.to_json(), args.output_path)
     return 0
 
 
@@ -276,7 +254,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--algebra", choices=("su", "spin", "g2", "clifford"), required=True)
         p.add_argument("--n", type=int, default=None, help="su(n) dimension")
         p.add_argument("--two-s", dest="two_s", type=int, default=None,
@@ -286,49 +266,43 @@ def _build_parser() -> argparse.ArgumentParser:
         # argparse reads only -N and -N.N as negative numbers and other values
         # after a '-' as options; --p -1e-3 or -inf must reach the range check
         p._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+        return p
 
-    common(sub.add_parser("gen", help="dump a generator set"))
-    p_apply = sub.add_parser("apply", help="apply a channel to a density matrix")
-    common(p_apply)
+    command("gen", cmd_gen, "dump a generator set")
+    p_apply = command("apply", cmd_apply, "apply a channel to a density matrix")
     p_apply.add_argument("--p", type=float, default=0.0, help="error probability")
     p_apply.add_argument("--rho", required=True, help="density matrix JSON file")
-    common(sub.add_parser("verify", help="run the identity suite"))
-    p_scan = sub.add_parser("bloch-scan", help="sample Bloch manifold membership")
-    common(p_scan)
+    command("verify", cmd_verify, "run the identity suite")
+    p_scan = command("bloch-scan", cmd_bloch_scan, "sample Bloch manifold membership")
     p_scan.add_argument("--samples", type=int, default=1000)
     p_scan.add_argument("--format", dest="fmt", choices=("json", "csv"), default="csv")
-    p_crit = sub.add_parser("critical", help="critical error probabilities")
-    common(p_crit)
+    p_crit = command("critical", cmd_critical, "critical error probabilities")
     p_crit.add_argument("--max-rank", dest="max_rank", type=int, default=2)
     return parser
 
 
-def _config(args) -> RunConfig:
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("LIECHAN_SEED", "0"))
-    return RunConfig(
-        algebra=args.algebra,
-        n=args.n,
-        two_s=args.two_s,
-        p=getattr(args, "p", 0.0),
-        seed=seed,
-        samples=getattr(args, "samples", 1000),
-        output_path=args.output_path,
-        fmt=getattr(args, "fmt", "json"),
-    )
+def _checked(args: argparse.Namespace) -> argparse.Namespace:
+    """The parsed request with its seed resolved (--seed, then LIECHAN_SEED,
+    then 0), once its sizes and seed pass the checks that run before anything
+    is built or sampled."""
+    if args.seed is None:
+        args.seed = int(os.environ.get("LIECHAN_SEED", "0"))
+    samples = getattr(args, "samples", None)
+    if samples is not None and samples < 1:
+        raise ValueError("--samples must be >= 1")
+    for flag, value, bound in (("--n", args.n, MAX_N), ("--two-s", args.two_s, MAX_TWO_S),
+                               ("--samples", samples, MAX_SAMPLES)):
+        if value is not None and value > bound:
+            raise ValueError(f"{flag} must be <= {bound} (the {ARRAY_BUDGET >> 20} MiB array budget)")
+    if args.seed < 0:
+        raise ValueError("--seed (or LIECHAN_SEED) must be >= 0")
+    return args
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _config(args)
-        if args.command == "apply":
-            return cmd_apply(cfg, args.rho)
-        if args.command == "critical":
-            return cmd_critical(cfg, args.max_rank)
-        return {"gen": cmd_gen, "verify": cmd_verify, "bloch-scan": cmd_bloch_scan}[args.command](cfg)
+        return args.run(_checked(args))
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -156,7 +156,7 @@ def weyl_depolarizing(d, p, rng):
     ops = [math.sqrt((1.0 - p) * (a == b == 0) + p / d**2)
            * u @ np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b) @ u.conj().T
            for a in range(d) for b in range(d)]
-    return ch.KrausChannel(ops=ops, p=None, source="weyl")
+    return ch.KrausChannel(ops=ops)
 
 
 def _depolarizing_channels():
@@ -713,7 +713,7 @@ def test_channel_output_invariants(factory):
 
 def test_channel_rejects_mixed_dimensions():
     with pytest.raises(ValueError, match="^Kraus operators must share one dimension$"):
-        ch.KrausChannel(ops=(np.eye(2), np.eye(3)), p=None, source="custom")
+        ch.KrausChannel(ops=(np.eye(2), np.eye(3)))
     with pytest.raises(ValueError, match="^generator dimension mismatch$"):
         rg.GeneratorSet.from_generators([np.diag([1.0, -1.0]), np.diag([1.0, 0.0, -1.0])])
 
@@ -722,7 +722,7 @@ def test_channel_rejects_mixed_dimensions():
 def test_channel_rejects_a_non_finite_operator(bad):
     ops = (np.eye(2) / math.sqrt(2.0), np.full((2, 2), bad))
     with pytest.raises(ValueError, match=re.escape("matrix entries must be finite (no NaN/Inf)")):
-        ch.KrausChannel(ops=ops, p=None, source="custom")
+        ch.KrausChannel(ops=ops)
 
 
 def test_operator_stacks_are_read_only():
@@ -766,7 +766,7 @@ def test_build_channel_and_apply_bitwise_equal_to_tuple_loop(build, p):
 
 def test_channel_rejects_unnormalized_ops():
     with pytest.raises(ValueError):
-        ch.KrausChannel(ops=(0.5 * np.eye(2),), p=None, source="custom")
+        ch.KrausChannel(ops=(0.5 * np.eye(2),))
 
 
 def test_extend_at_index_out_of_range():

@@ -169,8 +169,10 @@ def test_genset_memo_keys_on_the_sizing_flag_only():
     from liechan import cli
 
     def cfg(algebra, n=None, two_s=None):
-        return cli.RunConfig(algebra=algebra, n=n, two_s=two_s, p=0.0, seed=0, samples=1,
-                             output_path=None, fmt="json")
+        argv = ["gen", "--algebra", algebra]
+        argv += ["--n", str(n)] if n is not None else []
+        argv += ["--two-s", str(two_s)] if two_s is not None else []
+        return cli._checked(cli._build_parser().parse_args(argv))
 
     assert cli._genset(cfg("g2")) is cli._genset(cfg("g2", n=5, two_s=3))
     assert cli._genset(cfg("su", n=3)) is cli._genset(cfg("su", n=3, two_s=7))
@@ -465,9 +467,7 @@ def test_size_flag_over_bound_exits_2_before_allocating(tmp_path, monkeypatch, c
     code, _ = run(tmp_path, *argv, str(bound + 1))
     assert code == 2
     assert capsys.readouterr().err == f"error: {flag} must be <= {bound} (the 256 MiB array budget)\n"
-    cfg = dict(algebra="su", n=None, two_s=None, p=0.0, seed=0, samples=1, output_path=None, fmt="csv")
-    cfg[{"--n": "n", "--two-s": "two_s", "--samples": "samples"}[flag]] = bound
-    cli.RunConfig(**cfg)
+    cli._checked(cli._build_parser().parse_args([*argv, str(bound)]))
 
 
 def test_size_bounds_fit_the_budget_and_every_size_in_use():
@@ -620,6 +620,33 @@ def test_json_booleans_in_rho_numbers_exit_2(tmp_path, capsys, algebra, obj, mes
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("obj, name", [
+    ({"v": ["0.1", "0", "0"]}, "v"),
+    ({"v": [0.1, None, 0]}, "v"),
+    ({"v": [0, 0, 0], "w": [[_SIXTH, "0", 0], [0, _SIXTH, 0], [0, 0, _SIXTH]]}, "w"),
+    ({"v": [0, 0, 0], "w": {"shape": [3, 3], "data": [_SIXTH, 0, 0, 0, _SIXTH, 0, 0, None, _SIXTH]}},
+     "w 'data'"),
+    ({"v": [0, 0, 0], "w": {"shape": [3, 3]}}, "w 'data'"),
+], ids=["v_string", "v_null", "w_string", "w_data_null", "w_data_missing"])
+def test_json_strings_and_null_in_rho_numbers_exit_2(tmp_path, capsys, obj, name):
+    # numpy reads numeric strings as numbers and null as NaN
+    rho_file = tmp_path / "rho.json"
+    rho_file.write_text(json.dumps(obj))
+    code, _ = run(tmp_path, "apply", "--algebra", "spin", "--two-s", "2", "--p", "0.3",
+                  "--rho", str(rho_file))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {name} must be a (nested) list of real numbers\n"
+
+
+def test_every_subcommand_has_a_handler():
+    from liechan import cli
+
+    (sub,) = [a for a in cli._build_parser()._actions if a.dest == "command"]
+    assert sorted(sub.choices) == ["apply", "bloch-scan", "critical", "gen", "verify"]
+    for name, parser in sub.choices.items():
+        assert parser.get_default("run") is getattr(cli, "cmd_" + name.replace("-", "_")), name
 
 
 def test_import_cli_loads_no_numpy_polynomial():

@@ -151,10 +151,10 @@ def test_detect_depolarizing_is_exact():
     # depolarizing, however its sampled outputs look
     rot = np.diag(np.exp(1j * np.array([0.0, 1e-6])))
     ops = [rot @ k for k in ch.build_channel(su(2), 0.37).ops]
-    bent = ch.KrausChannel(ops=tuple(ops), p=None, source="bent")
+    bent = ch.KrausChannel(ops=tuple(ops))
     assert ch.detect_depolarizing(bent) is None
     # on 1 x 1 matrices every lambda fits, so none is reported
-    trivial = ch.KrausChannel(ops=(np.eye(1),), p=None, source="trivial")
+    trivial = ch.KrausChannel(ops=(np.eye(1),))
     assert ch.detect_depolarizing(trivial) is None
 
 
