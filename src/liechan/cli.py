@@ -148,7 +148,9 @@ def _load_rho(path: str, g: rg.GeneratorSet) -> mc.DensityMatrix:
                 if w.get("shape") != [3, 3]:
                     raise ValueError("w 'shape' must be [3, 3]")
                 w = _real_array(w.get("data"), "w 'data'").reshape(3, 3)
-            return mc.DensityMatrix(bl.rho_vw(g, v, _real_array(w, "w")))
+            else:
+                w = _real_array(w, "w")
+            return mc.DensityMatrix(bl.rho_vw(g, v, w))
         return mc.DensityMatrix(bl.bloch_rho(g, v))
     return mc.DensityMatrix(mc.matrix_from_json(obj))
 

@@ -640,6 +640,26 @@ def test_json_strings_and_null_in_rho_numbers_exit_2(tmp_path, capsys, obj, name
     assert capsys.readouterr().err == f"error: {name} must be a (nested) list of real numbers\n"
 
 
+@pytest.mark.parametrize("p", ["0", "0.3", "1"])
+def test_apply_reads_w_as_shape_data_like_a_nested_list(tmp_path, p):
+    # the {shape, data} form is what apply writes in vw_out, so a report's
+    # output can be fed back in
+    w = [[_SIXTH, 0.01, 0], [0.01, _SIXTH, 0], [0, 0, _SIXTH]]
+    texts = []
+    for form in (w, {"shape": [3, 3], "data": [x for row in w for x in row]}):
+        rho_file = tmp_path / "rho.json"
+        rho_file.write_text(json.dumps({"v": [0.1, 0, -0.1], "w": form}))
+        code, text = run(tmp_path, "apply", "--algebra", "spin", "--two-s", "2", "--p", p,
+                         "--rho", str(rho_file))
+        assert code == 0
+        texts.append(text)
+    assert texts[0] == texts[1]
+    report = json.loads(texts[1])
+    rho_file.write_text(json.dumps(report["vw_out"]))
+    assert run(tmp_path, "apply", "--algebra", "spin", "--two-s", "2", "--p", p,
+               "--rho", str(rho_file))[0] == 0
+
+
 def test_every_subcommand_has_a_handler():
     from liechan import cli
 
