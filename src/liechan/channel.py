@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .matcore import (
     max_abs,
     random_pure_statevector,
     readonly_copy,
-    sym_monomials,
+    sym_monomial_slabs,
     symmetric_tensor,
 )
 from .repgen import GeneratorSet, clifford_gamma, require_spin
@@ -318,6 +318,11 @@ class IdentityReport:
     filled on first read, since the critical values need neither; the
     report is the rank's :func:`critical_values` entry, ``verified`` None
     until that checks it.
+
+    Of the monomials M and their transforms the report keeps one row block
+    when the fit was that block (``_block``); from more blocks it keeps the
+    TSQR factor of the traceless parts if the fit is special (``_r``), and
+    ``residual_with`` forms the blocks again from the generators and L.
     """
 
     rank: int
@@ -330,10 +335,12 @@ class IdentityReport:
     informative: tuple = field(repr=False)
     _f: np.ndarray = field(repr=False)            # f_M per monomial
     _g: np.ndarray = field(repr=False)            # g_M per monomial, NaN where not pinned
-    _monomials: np.ndarray = field(repr=False)    # (len(multisets), d, d)
-    _transforms: np.ndarray = field(repr=False)   # sum_i X_i M X_i per monomial
     _tr_m: np.ndarray = field(repr=False)         # Re tr M per monomial
-    _tr_t: np.ndarray = field(repr=False)         # Re tr of each transform
+    _tr_t: np.ndarray = field(repr=False)         # Re tr of each transform sum_i X_i M X_i
+    _generators: np.ndarray = field(repr=False)
+    _action: np.ndarray = field(repr=False)       # L, the transforms' matrix
+    _block: tuple | None = field(repr=False)      # (rows, M, transforms), a fit of one block
+    _r: np.ndarray | None = field(repr=False)     # else a special fit's TSQR factor
     verified: bool | None = None   # map of the traceless rank-r span to 0, if checked
 
     @property
@@ -354,12 +361,26 @@ class IdentityReport:
     def g_tensor(self) -> np.ndarray:
         return symmetric_tensor(self.multisets, self._g, self.k)
 
+    def _traceless_r(self) -> np.ndarray | None:
+        """R of a QR of the monomials' traceless parts, one vec(M) a row: the
+        TSQR factor, or for a fit of one block that block's own QR (the
+        TSQR's first step), formed here; None for a fit of several blocks
+        that is not special."""
+        if self._block is None:
+            return self._r
+        rows, m, _ = self._block
+        return _tsqr_step(None, _traceless(m, self._tr_m[rows]))
+
     def residual_with(self, g0: float) -> float:
         """Worst fit error when g is pinned to g0 and only f re-fitted."""
-        m, t = self._monomials, self._transforms
-        d = m.shape[1]
-        f0 = (self._tr_t - g0 * self._tr_m) / d
-        return max_abs(t - f0[:, None, None] * np.eye(d) - g0 * m)
+        blocks = [self._block] if self._block else _monomial_blocks(
+            self._generators, self.rank, self._action)[1]
+        worst = []
+        for rows, m, t in blocks:
+            d = m.shape[1]
+            f0 = (self._tr_t[rows] - g0 * self._tr_m[rows]) / d
+            worst.append(max_abs(t - f0[:, None, None] * np.eye(d) - g0 * m))
+        return max(worst)
 
 
 def _traces(stack: np.ndarray) -> np.ndarray:
@@ -380,6 +401,65 @@ def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("nk,nk->n", a.reshape(len(a), -1).view(float), b.reshape(len(b), -1).view(float))
 
 
+def _tsqr_step(r_factor: np.ndarray | None, stack: np.ndarray) -> np.ndarray:
+    """R of a QR of the rows of ``r_factor`` over the stack's vec rows: the
+    stack's own R, stacked under ``r_factor`` (if any) and factored again
+    (TSQR: Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34,
+    2012), so at most d^2 x d^2 is held beyond the stack."""
+    part = np.linalg.qr(stack.reshape(len(stack), -1), mode="r")
+    return part if r_factor is None else np.linalg.qr(np.concatenate([r_factor, part]), mode="r")
+
+
+# Bytes of monomials in one row block of the identity fit, which holds about
+# five such stacks at once: the block, its transforms and traceless part,
+# and the QR's two copies.
+FIT_BLOCK_BYTES = 1 << 17
+# Fewest monomials in a row block: each block's product reads all d^4
+# entries of L, which at spin two_s = 63 takes as long as the product of 16
+# rows.  At least 3, so that no block of near-equal size is one row.
+FIT_BLOCK_ROWS = 16
+
+
+def _monomial_blocks(gens: np.ndarray, r: int, action: np.ndarray) -> tuple[tuple, Iterator]:
+    """The rank-r multisets of ``gens`` and an iterator over their monomials M
+    in row blocks ``(rows, M, sum_i X_i M X_i)``, the transforms read from L =
+    ``action``.  The blocks are of near-equal size, at most FIT_BLOCK_BYTES
+    of monomials (or FIT_BLOCK_ROWS), and never one row, since a one-row
+    product is a gemv, whose sums need not match gemm's bits: each row of
+    each array is bitwise what the whole stack gives.  One block is a slab
+    of the fold as it comes; more are copied from the slabs into a scratch
+    buffer, which the next overwrites."""
+    multisets, slabs = sym_monomial_slabs(gens, r)
+    n, d = len(multisets), gens.shape[1]
+    count = -(-n // max(FIT_BLOCK_BYTES // (16 * d * d), FIT_BLOCK_ROWS))
+    sizes = [n * (i + 1) // count - n * i // count for i in range(count)]
+
+    def transformed(rows, m):
+        return rows, m, (m.reshape(len(m), d * d) @ action.T).reshape(m.shape)
+
+    def blocks():
+        block = rows = None
+        want, filled = sizes.pop(), 0
+        for slab_rows, slab in slabs:
+            if len(slab) == want == n:
+                yield transformed(slab_rows, slab)
+                return
+            if block is None:
+                block = np.empty((want, d, d), dtype=np.complex128)   # the last is the largest
+                rows = np.empty(want, dtype=np.intp)
+            at = 0
+            while at < len(slab):
+                take = min(want - filled, len(slab) - at)
+                block[filled:filled + take] = slab[at:at + take]
+                rows[filled:filled + take] = slab_rows[at:at + take]
+                filled, at = filled + take, at + take
+                if filled == want:
+                    yield transformed(rows[:want], block[:want])
+                    want, filled = (sizes.pop() if sizes else 0), 0
+
+    return multisets, blocks()
+
+
 def find_identity(g: GeneratorSet, r: int, action: np.ndarray | None = None) -> IdentityReport:
     """Fit sum_i X_i M X_i = f_M I + g_M M for every symmetrized rank-r
     monomial M of the generators, with r capped at 3.
@@ -395,27 +475,48 @@ def find_identity(g: GeneratorSet, r: int, action: np.ndarray | None = None) -> 
     1e-16 of max(1, |M|^2)); any g fits the others, so they get g_M = 0, a
     NaN entry in ``g_tensor`` and no say in the spread test behind
     ``special``.
+
+    The monomials stream through in row blocks (:func:`_monomial_blocks`),
+    so no stack of all of them is formed unless it is one block.  The
+    report keeps per monomial f_M, g_M, the flag and the two traces, the
+    worst misfit, and the one block or, for a special fit, the TSQR factor
+    of the traceless parts (at most d^2 x d^2), which the blocks stop
+    forming once their g_M spread past SPECIAL_SPREAD_TOL.
     """
     if r not in (1, 2, 3):
         raise ValueError("rank r must be 1, 2 or 3")
     if action is None:
         action = generator_action(g)
     d, k = g.d, g.k
-    multisets, monomials = sym_monomials(g.generators, r)
+    multisets, blocks = _monomial_blocks(g.generators, r, action)
     n = len(multisets)
-    transforms = (monomials.reshape(n, d * d) @ action.T).reshape(n, d, d)
-    tr_m, tr_t = _traces(monomials), _traces(transforms)
-    m0 = _traceless(monomials, tr_m)
-    norm0 = _inner(m0, m0)
-    informative = norm0 > 1e-16 * np.maximum(1.0, _inner(monomials, monomials))
-    # any g fits a monomial that is a multiple of I; pick 0 so f absorbs it
-    g_m = np.where(informative, _inner(m0, transforms) / np.where(informative, norm0, 1.0), 0.0)
-    del m0   # one (n, d, d) stack fewer alive while the misfit is formed
-    f_m = (tr_t - g_m * tr_m) / d
-    misfit = g_m[:, None, None] * monomials
-    misfit -= transforms
-    misfit[:, np.arange(d), np.arange(d)] += f_m[:, None]
-    residual = max_abs(misfit)
+    tr_m, tr_t, f_m, g_m = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    informative = np.empty(n, dtype=bool)
+    kept = r_factor = None
+    worst = []
+    diag = np.arange(d)
+    g_lo, g_hi = np.inf, -np.inf   # over the informative g_M so far
+    for rows, m, t in blocks:
+        trm, trt = _traces(m), _traces(t)
+        m0 = _traceless(m, trm)
+        norm0 = _inner(m0, m0)
+        flags = norm0 > 1e-16 * np.maximum(1.0, _inner(m, m))   # informative
+        # any g fits a monomial that is a multiple of I; pick 0 so f absorbs it
+        gm = np.where(flags, _inner(m0, t) / np.where(flags, norm0, 1.0), 0.0)
+        fm = (trt - gm * trm) / d
+        if len(rows) == n:   # the only block, kept
+            kept = rows, m, t
+        misfit = np.multiply(gm[:, None, None], m, out=None if kept else m)   # else scratch
+        misfit -= t
+        misfit[:, diag, diag] += fm[:, None]
+        worst.append(max_abs(misfit))
+        del misfit, t
+        if kept is None:   # a TSQR step, while the fit can be special: only then is its span read
+            g_lo = min(g_lo, gm.min(where=flags, initial=np.inf))
+            g_hi = max(g_hi, gm.max(where=flags, initial=-np.inf))
+            if g_hi - g_lo <= SPECIAL_SPREAD_TOL:
+                r_factor = _tsqr_step(r_factor, m0)
+        tr_m[rows], tr_t[rows], f_m[rows], g_m[rows], informative[rows] = trm, trt, fm, gm, flags
     g_values = g_m[informative]
     if g_values.size:
         spread = float(g_values.max() - g_values.min())
@@ -432,15 +533,17 @@ def find_identity(g: GeneratorSet, r: int, action: np.ndarray | None = None) -> 
         Z=g.Z,
         special=special,
         g=g_scalar,
-        residual=residual,
+        residual=max(worst),
         multisets=multisets,
         informative=tuple(informative.tolist()),
         _f=f_m,
         _g=np.where(informative, g_m, np.nan),
-        _monomials=monomials,
-        _transforms=transforms,
         _tr_m=tr_m,
         _tr_t=tr_t,
+        _generators=g.generators,
+        _action=action,
+        _block=kept,
+        _r=r_factor if special else None,
     )
 
 
@@ -471,14 +574,19 @@ class CriticalDecomposition:
         }
 
 
+def _row_basis(r_factor: np.ndarray, rows: int) -> np.ndarray:
+    """Orthonormal rows spanning the rows of a (rows, d^2) matrix A = Q R,
+    from the SVD of R, which has A's singular values and right vectors;
+    singular values below max(rows, d^2) eps times the largest are round-off."""
+    _, sv, vh = np.linalg.svd(r_factor, full_matrices=False)
+    return vh[sv > sv[0] * max(rows, r_factor.shape[1]) * np.finfo(float).eps]
+
+
 def traceless_basis(monomials: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning the traceless parts of the monomials (SVD;
-    singular values below max(N, d^2) eps times the largest are round-off)."""
+    """Orthonormal rows spanning the traceless parts of the monomials."""
     n, d, _ = monomials.shape
     flat = _traceless(monomials, _traces(monomials)).reshape(n, d * d)
-    # flat = Q R: R has flat's singular values and right vectors, at d^2 x d^2
-    _, sv, vh = np.linalg.svd(np.linalg.qr(flat, mode="r"), full_matrices=False)
-    return vh[sv > sv[0] * max(flat.shape) * np.finfo(float).eps]
+    return _row_basis(np.linalg.qr(flat, mode="r"), n)
 
 
 def critical_values(g: GeneratorSet, max_rank: int = 2) -> CriticalDecomposition:
@@ -486,8 +594,9 @@ def critical_values(g: GeneratorSet, max_rank: int = 2) -> CriticalDecomposition
     at which the channel sends every I/d + (rank-r) state to I/d.
 
     ``verified`` is True when (1 - p) I + (p/Z) L maps an orthonormal basis
-    of the traceless rank-r span to within CRITICAL_MAP_TOL = 1e-8 of zero;
-    the channel is unital, so that is the map of those states to I/d.
+    of the traceless rank-r span, read from the fit's R factor, to within
+    CRITICAL_MAP_TOL = 1e-8 of zero; the channel is unital, so that is the
+    map of those states to I/d.
 
     p_r = Z / (Z - g_r) lies in [0, 1] exactly when g_r <= 0; the
     ``in_range`` flag records the strict condition g_r < 0, so the boundary
@@ -498,13 +607,12 @@ def critical_values(g: GeneratorSet, max_rank: int = 2) -> CriticalDecomposition
         raise ValueError("max_rank must be 1, 2 or 3")
     entries = []
     action = generator_action(g)   # d^4 complex entries, built once for every rank
-    # highest rank first: an entry keeps its monomial and transform stacks,
-    # so the largest fit runs while no other entry is alive
+    # highest rank first: the largest fit runs while no other entry is alive
     for r in range(max_rank, 0, -1):
         report = find_identity(g, r, action)
         p_r = report.p_value
         if p_r is not None and 0.0 <= p_r <= 1.0:
-            basis = traceless_basis(report._monomials)
+            basis = _row_basis(report._traceless_r(), len(report.multisets))
             images = (1.0 - p_r) * basis + (p_r / g.Z) * (basis @ action.T)
             report = replace(report, verified=max_abs(images) <= CRITICAL_MAP_TOL)
         entries.insert(0, report)

@@ -35,18 +35,33 @@ from . import verify
 
 # Size limits, checked before anything is built or sampled.  Each keeps the
 # largest array its flag can size within ARRAY_BUDGET (256 MiB):
-# * --n: `critical --max-rank 3` on su(n) builds a stack of C(k+2, 3) rank-3
-#   monomials of n x n complex128 (16 byte) entries, k = n^2 - 1: 267 MB at
-#   n = 10, 572 MB at n = 11.  The budget bounds that one array; several of
-#   that size are alive at once (tracemalloc peak over one stack, at su(6) /
-#   su(8)): 2.6 / 2.5 in the monomial fold, whose slabs of triple products
-#   hold at most one stack, and 4.2 / 4.1 in all of critical_values (the
-#   fit, not the fold), about 1.1 GB at n = 10.  The other su(n) arrays (the
-#   k^2 n^2 pair products of the fold and of structure_tensors, the
-#   n^2 x n^2 superoperator) are smaller.
+# * --n: `critical --max-rank 3` on su(n) fits C(k+2, 3) rank-3 monomials
+#   of n x n complex128 (16 byte) entries, k = n^2 - 1: 166,650 at n = 10,
+#   267 MB as one stack (572 MB at n = 11), which set MAX_N.  No such stack
+#   is formed now: the fold hands the monomials out in slabs and the fit
+#   reads them in row blocks (channel.find_identity); raising MAX_N is a
+#   decision of its own.  The process bound of `critical` is
+#   2 x ARRAY_BUDGET above the interpreter, at every --n and --two-s.  At
+#   its peak these are alive, with their sizes at n = 10 (tracemalloc 115 MB
+#   in all):
+#   - the pair table X_a X_b in max-factor order, 16 k^2 n^2 bytes (16 MB);
+#   - one slab of the fold: its triple products, at most
+#     matcore.FOLD_SLAB_BYTES or one largest factor's 3k^2 - 3k + 1
+#     (47 MB; the pair table as built shares this buffer), two buffers of
+#     the slab's monomials (16 MB) and the triples' row index, 8 k^3 bytes
+#     (8 MB);
+#   - one row block of the fit: about five stacks of
+#     channel.FIT_BLOCK_BYTES (under 1 MB), or of channel.FIT_BLOCK_ROWS
+#     monomials where that is more (from d = 23 on; 5 MB at d = 64);
+#   - L, 16 n^4 bytes (0.16 MB), and the fit's R factor, at most as large;
+#   - the per-monomial scalars: the multisets, traces, f_M, g_M and flags
+#     and the fold's factor indices, about 180 bytes a monomial (30 MB).
+#   The other su(n) arrays (the pair products of structure_tensors) are
+#   smaller.
 # * --two-s: the spin superoperator L (channel.generator_action, built once
 #   per verify suite and once by critical) is the largest array, d^2 x d^2
-#   complex128, d = two_s + 1: 16 d^4 bytes, 256 MiB at d = 64.  Building it
+#   complex128, d = two_s + 1: 16 d^4 bytes, 256 MiB at d = 64, where it is
+#   most of critical's peak (tracemalloc 273 MB).  Building it
 #   holds one L and a d^3 block, and apply's depolarizing test one Choi matrix
 #   of that size and its float abs (tracemalloc at d = 16: 1.06 L and 1.5 L).
 # * --samples: a scan keeps each sample's k <= MAX_N^2 - 1 coordinates as a
@@ -142,16 +157,16 @@ def _load_rho(path: str, g: rg.GeneratorSet) -> mc.DensityMatrix:
         raise ValueError("--rho must hold a JSON object")
     if "v" in obj:
         v = _real_array(obj["v"], "v")
-        w = obj.get("w")
-        if w is not None:
-            if isinstance(w, dict):
-                if w.get("shape") != [3, 3]:
-                    raise ValueError("w 'shape' must be [3, 3]")
-                w = _real_array(w.get("data"), "w 'data'").reshape(3, 3)
-            else:
-                w = _real_array(w, "w")
-            return mc.DensityMatrix(bl.rho_vw(g, v, w))
-        return mc.DensityMatrix(bl.bloch_rho(g, v))
+        if "w" not in obj:
+            return mc.DensityMatrix(bl.bloch_rho(g, v))
+        w = obj["w"]   # present, so null is a bad leaf like any other
+        if isinstance(w, dict):
+            if w.get("shape") != [3, 3]:
+                raise ValueError("w 'shape' must be [3, 3]")
+            w = _real_array(w.get("data"), "w 'data'").reshape(3, 3)
+        else:
+            w = _real_array(w, "w")
+        return mc.DensityMatrix(bl.rho_vw(g, v, w))
     return mc.DensityMatrix(mc.matrix_from_json(obj))
 
 
@@ -288,7 +303,11 @@ def _checked(args: argparse.Namespace) -> argparse.Namespace:
     then 0), once its sizes and seed pass the checks that run before anything
     is built or sampled."""
     if args.seed is None:
-        args.seed = int(os.environ.get("LIECHAN_SEED", "0"))
+        env = os.environ.get("LIECHAN_SEED", "0")
+        try:
+            args.seed = int(env)
+        except ValueError:
+            raise ValueError(f"LIECHAN_SEED must be a non-negative integer, got {env!r}") from None
     samples = getattr(args, "samples", None)
     if samples is not None and samples < 1:
         raise ValueError("--samples must be >= 1")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain, combinations_with_replacement, permutations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -79,7 +79,7 @@ def sym_product(mats: Sequence) -> np.ndarray:
     ms = as_complex_stack(mats)
     if len(ms) == 1:
         return ms[0].copy()
-    return _sym_fold(ms, [tuple(range(len(ms)))])[0]
+    return _collect(_sym_fold(ms, [tuple(range(len(ms)))]), 1)[0]
 
 
 def sym_monomials(mats: Sequence, r: int) -> tuple[tuple, np.ndarray]:
@@ -91,32 +91,65 @@ def sym_monomials(mats: Sequence, r: int) -> tuple[tuple, np.ndarray]:
     same fold, which reads each term from a table of ordered products (see
     :func:`_sym_fold`).  For r = 1 it is ``as_complex_stack(mats)``.
     """
+    multisets, slabs = sym_monomial_slabs(mats, r)
+    return multisets, (next(slabs)[1] if r == 1 else _collect(slabs, len(multisets)))
+
+
+def sym_monomial_slabs(mats: Sequence, r: int) -> tuple[tuple, Iterator]:
+    """The multisets of :func:`sym_monomials` and an iterator over its
+    monomials in slabs ``(rows, stack)``: ``stack[i]`` is monomial
+    ``rows[i]``, bitwise the array's, and every row comes once.  A slab is a
+    buffer of the fold, valid until the next is drawn.  At r = 1 the one
+    slab is ``as_complex_stack(mats)``."""
     if r < 1:
         raise ValueError("rank r must be >= 1")
     stack = as_complex_stack(mats)
     multisets = tuple(combinations_with_replacement(range(len(stack)), r))
-    return multisets, (stack if r == 1 else _sym_fold(stack, multisets))
+    slabs = iter([(np.arange(len(stack)), stack)]) if r == 1 else _sym_fold(stack, multisets)
+    return multisets, slabs
 
 
-def _sym_fold(stack: np.ndarray, multisets) -> np.ndarray:
+def _collect(slabs: Iterator, n: int) -> np.ndarray:
+    """The (n, d, d) stack whose rows the slabs of :func:`_sym_fold` fill."""
+    total = None
+    for rows, slab in slabs:
+        if total is None:
+            total = np.empty((n,) + slab.shape[1:], dtype=np.complex128)
+        total[rows] = slab
+    return total
+
+
+# Bytes of ordered products in one slab of the fold.  A slab of rank-3
+# triples also holds no more products than the fold has multisets, unless
+# one largest factor's triples (at most 3k^2 - 3k + 1) are more.
+FOLD_SLAB_BYTES = 1 << 18
+# Rows of one gemm of the fold: OpenBLAS keeps the packing-buffer pages a
+# gemm touched, and the cap keeps ``critical --algebra su --n 8``'s peak RSS
+# 5.6 MB lower than whole-slab gemms.
+GEMM_ROWS = 1 << 13
+
+
+def _sym_fold(stack: np.ndarray, multisets) -> Iterator:
     """Symmetrized products of the stacked matrices over each index multiset
-    of one rank r >= 2: the factors in content-key order, so the result is
-    bitwise reproducible under any reordering, the permutations summed in
-    ``permutations()`` order as left folds onto zeros, and the sum divided
-    by r! last.
+    of one rank r >= 2, yielded in slabs ``(rows, products)`` (positions in
+    ``multisets``; each slab a buffer reused for the next): the factors in
+    content-key order, so the result is bitwise reproducible under any
+    reordering, the permutations summed in ``permutations()`` order as left
+    folds onto zeros, and the sum divided by r! last.
 
     Each term is read from a table of ordered products, formed as gemms of
-    at most 2^13 rows (a row of a gemm is bitwise the lone product): the
+    at most GEMM_ROWS rows (a row of a gemm is bitwise the lone product): the
     pairs X_a X_b at rank 2; from rank 3 on the triples X_a X_b X_c, from
     the pairs in max-factor order, then stacked matmuls for later factors.
-    The triples come in slabs of the largest factor, which all terms of a
-    rank-3 multiset share, each of at most n matrices (or one factor's):
-    ``sym_monomials(su(n), 3)`` peaks at 2.74 and 2.61 output stacks for
-    n = 6 and 8.  OpenBLAS keeps the packing-buffer pages a gemm touched;
-    the row cap keeps ``critical --algebra su --n 8``'s peak RSS 5.6 MB lower.
+    A slab holds at most FOLD_SLAB_BYTES of products.  Rank-3 triples come in
+    slabs of the largest factor, which all terms of a multiset share: the
+    slab's triples number at most the budget and the multisets' count, or
+    one factor's.  ``sym_monomials(su(n), 3)`` peaks at 2.07 and 1.62 output
+    stacks for n = 6 and 8, its output included.
     """
     k, d, _ = stack.shape
     n, r = len(multisets), len(multisets[0])
+    cap = max(FOLD_SLAB_BYTES // (16 * d * d), 1)   # products per slab
     # the matrices in content-key order (ties only between equal matrices);
     # factors[:, j] is multiset order[j] as ascending key ranks, grouped by the largest
     by_key = np.array(sorted(range(k), key=[m.tobytes() for m in stack].__getitem__), dtype=np.intp)
@@ -129,12 +162,15 @@ def _sym_fold(stack: np.ndarray, multisets) -> np.ndarray:
     factors = factors[order].T
     bounds = [0]   # slabs [c0, c1) of the largest factor; one slab unless r = 3
     for c in range(1, k + 1):
-        if c == k or (r == 3 and (c + 1) ** 3 - bounds[-1] ** 3 > n):
+        if c == k or (r == 3 and (c + 1) ** 3 - bounds[-1] ** 3 > min(n, cap)):
             bounds.append(c)
     ends = np.searchsorted(factors[-1], bounds).tolist()
+    slabs = list(zip(bounds, bounds[1:], ends, ends[1:]))
+    if r == 2:   # the pair table serves any rows: slabs of at most cap of them
+        slabs = [(0, k, lo, min(lo + cap, n)) for lo in range(0, n, cap)]
     # X_a X_b at row b k + a of the table, which from rank 3 on holds each
     # slab's triples once the pairs are copied out in max-factor order
-    room = max([k * k] + [c1 ** 3 - c0 ** 3 for c0, c1 in zip(bounds, bounds[1:]) if r > 2])
+    room = max([k * k] + [c1 ** 3 - c0 ** 3 for c0, c1, _, _ in slabs if r > 2])
     table = np.empty((room, d, d), dtype=np.complex128)
     np.matmul(keyed.reshape(k * d, d), keyed, out=table[:k * k].reshape(k, k * d, d))
     if r > 2:
@@ -142,11 +178,10 @@ def _sym_fold(stack: np.ndarray, multisets) -> np.ndarray:
         by_max = np.argsort(np.maximum(a, b), kind="stable")
         pairs = table[:k * k].take(by_max, 0)
         at = np.empty((k * k, k), dtype=np.intp)   # at[b k + a, c]: X_a X_b X_c's row in the slab
-    total = np.empty((n, d, d), dtype=np.complex128)
-    sums = np.empty((max(hi - lo for lo, hi in zip(ends, ends[1:])), d, d), dtype=np.complex128)
+    sums = np.empty((max(hi - lo for _, _, lo, hi in slabs), d, d), dtype=np.complex128)
     terms = np.empty_like(sums)
-    step = max((1 << 13) // d, 1)   # pairs per gemm
-    for c0, c1, lo, hi in zip(bounds, bounds[1:], ends, ends[1:]):
+    step = max(GEMM_ROWS // d, 1)   # pairs per gemm
+    for c0, c1, lo, hi in slabs:
         if lo == hi:
             continue
         rows = factors[:, lo:hi]
@@ -172,8 +207,7 @@ def _sym_fold(stack: np.ndarray, multisets) -> np.ndarray:
                 x = x @ keyed[rows[i]]
             part += x
         part /= math.factorial(r)
-        total[order[lo:hi]] = part
-    return total
+        yield order[lo:hi], part
 
 
 def symmetric_tensor(multisets, values, k: int) -> np.ndarray:

@@ -505,11 +505,17 @@ def test_find_identity_transforms_match_per_monomial_einsum(gens):
     u = np.finfo(float).eps / 2
     n = g.k * g.d * g.d + 4
     bound = 2 * n * u / (1 - n * u)
-    report = ch.find_identity(g, 2)
-    for m, t in zip(report._monomials, report._transforms):
-        ref = np.einsum("iab,bc,icd->ad", stack, m, stack)
-        scale = np.einsum("iab,bc,icd->ad", np.abs(stack), np.abs(m), np.abs(stack))
-        assert np.all(np.abs(t - ref) <= bound * scale)
+    _, monomials = mc.sym_monomials(g.generators, 2)
+    _, blocks = ch._monomial_blocks(g.generators, 2, ch.generator_action(g))
+    seen = []
+    for rows, block, transforms in blocks:   # the fit's monomials and transforms
+        assert block.tobytes() == monomials[rows].tobytes()
+        for m, t in zip(block, transforms):
+            ref = np.einsum("iab,bc,icd->ad", stack, m, stack)
+            scale = np.einsum("iab,bc,icd->ad", np.abs(stack), np.abs(m), np.abs(stack))
+            assert np.all(np.abs(t - ref) <= bound * scale)
+        seen += rows.tolist()
+    assert sorted(seen) == list(range(len(monomials)))
 
 
 @pytest.mark.parametrize(
@@ -523,9 +529,11 @@ def test_find_identity_fit_matches_per_monomial_loop(gens, r):
     g = gens()
     report = ch.find_identity(g, r)
     d, eye = g.d, np.eye(g.d)
+    multisets, monomials = mc.sym_monomials(g.generators, r)
+    assert multisets == report.multisets
+    transforms = (monomials.reshape(-1, d * d) @ ch.generator_action(g).T).reshape(monomials.shape)
     worst = 0.0
-    for ms, m, t, informative in zip(report.multisets, report._monomials, report._transforms,
-                                     report.informative):
+    for ms, m, t, informative in zip(multisets, monomials, transforms, report.informative):
         tr_m, tr_t = np.trace(m).real, np.trace(t).real
         m0 = m - (tr_m / d) * eye
         norm0 = float(np.vdot(m0, m0).real)
@@ -801,7 +809,8 @@ def test_find_identity_tensors_bitwise_equal_to_scatter_loop(build, r):
 def test_critical_values_report_unchanged_under_reference_fold(monkeypatch, build):
     g = build()
     texts = [json.dumps(ch.critical_values(g, r).to_json()) for r in (1, 2, 3)]
-    monkeypatch.setattr(mc, "_sym_fold", reference_sym_fold)
+    monkeypatch.setattr(mc, "_sym_fold", lambda stack, multisets: iter(
+        [(np.arange(len(multisets)), reference_sym_fold(stack, multisets))]))
     assert [json.dumps(ch.critical_values(g, r).to_json()) for r in (1, 2, 3)] == texts
 
 
@@ -827,18 +836,135 @@ def test_critical_values_builds_the_generator_action_once(monkeypatch, build):
 
 
 def test_identity_fit_takes_each_trace_once(monkeypatch):
-    # find_identity traces the monomial and transform stacks once each, and
-    # residual_with reads those traces instead of taking them again
+    # find_identity traces each block of monomials and of transforms once,
+    # so every monomial and transform once, and residual_with reads those
+    # traces instead of taking them again
     calls = []
     real = ch._traces
-    monkeypatch.setattr(ch, "_traces", lambda stack: calls.append(stack) or real(stack))
-    for g, r in ((su(3), 2), (spin(3), 3), (g2(), 1)):
+    monkeypatch.setattr(ch, "_traces", lambda stack: calls.append(stack.copy()) or real(stack))
+    monkeypatch.setattr(ch, "FIT_BLOCK_BYTES", 4096)   # several blocks at su(4) rank 3
+    monkeypatch.setattr(ch, "FIT_BLOCK_ROWS", 3)
+    for g, r in ((su(3), 2), (spin(3), 3), (g2(), 1), (su(4), 3)):
+        _, monomials = mc.sym_monomials(g.generators, r)
+        n, d = len(monomials), g.d
+        transforms = (monomials.reshape(n, d * d) @ ch.generator_action(g).T).reshape(n, d, d)
         calls.clear()
         rep = ch.find_identity(g, r)
-        assert [c is rep._monomials or c is rep._transforms for c in calls] == [True, True]
+        for traced, whole in ((calls[::2], monomials), (calls[1::2], transforms)):
+            assert sorted(m.tobytes() for c in traced for m in c) == sorted(m.tobytes() for m in whole)
         calls.clear()
         rep.residual_with(0.5)
         assert calls == []
+
+
+def _whole_stack_fit(g, r):
+    """The fit as find_identity ran it on whole stacks of monomials and
+    transforms, and its residual_with on them."""
+    multisets, monomials = mc.sym_monomials(g.generators, r)
+    n, d = len(monomials), g.d
+    transforms = (monomials.reshape(n, d * d) @ ch.generator_action(g).T).reshape(n, d, d)
+    tr_m, tr_t = ch._traces(monomials), ch._traces(transforms)
+    m0 = ch._traceless(monomials, tr_m)
+    norm0 = ch._inner(m0, m0)
+    informative = norm0 > 1e-16 * np.maximum(1.0, ch._inner(monomials, monomials))
+    g_m = np.where(informative, ch._inner(m0, transforms) / np.where(informative, norm0, 1.0), 0.0)
+    f_m = (tr_t - g_m * tr_m) / d
+    misfit = g_m[:, None, None] * monomials
+    misfit -= transforms
+    misfit[:, np.arange(d), np.arange(d)] += f_m[:, None]
+    g_values = g_m[informative]
+    special = not g_values.size or float(g_values.max() - g_values.min()) <= ch.SPECIAL_SPREAD_TOL
+    g_scalar = float(np.mean(g_values)) if special and g_values.size else None
+
+    def residual_with(g0):
+        f0 = (tr_t - g0 * tr_m) / d
+        return mc.max_abs(transforms - f0[:, None, None] * np.eye(d) - g0 * monomials)
+
+    return dict(multisets=multisets, informative=tuple(informative.tolist()), special=special,
+                g=g_scalar, residual=mc.max_abs(misfit), f=f_m, g_m=np.where(informative, g_m, np.nan),
+                tr_m=tr_m, tr_t=tr_t, residual_with=residual_with)
+
+
+STREAMED_SETS = {
+    **{f"su{n}": (lambda n=n: su(n)) for n in range(2, 7)},
+    **{f"spin{t}_2": (lambda t=t: spin(t)) for t in (1, 2, 3, 4, 5, 6, 7, 15)},
+    "g2": g2,
+    "clifford": lambda: clifford()[0],
+}
+
+
+def _small_slabs_and_blocks(monkeypatch):
+    # fold slabs of one product's bytes (one pair row, or one largest
+    # factor's triples) and fit blocks of 512 bytes of monomials (eight
+    # 2 x 2 ones, three from d = 4 on)
+    monkeypatch.setattr(mc, "FOLD_SLAB_BYTES", 64)
+    monkeypatch.setattr(ch, "FIT_BLOCK_BYTES", 512)
+    monkeypatch.setattr(ch, "FIT_BLOCK_ROWS", 3)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("name", list(STREAMED_SETS))
+def test_streamed_fit_bitwise_equal_to_whole_stack_fit(monkeypatch, name, r):
+    g = STREAMED_SETS[name]()
+    ref = _whole_stack_fit(g, r)
+    _small_slabs_and_blocks(monkeypatch)
+    if r > 1:   # the fold runs in several slabs
+        assert len(list(mc.sym_monomial_slabs(g.generators, r)[1])) > 1
+    if r == 3:  # and the fit in several blocks
+        assert len(list(ch._monomial_blocks(g.generators, r, ch.generator_action(g))[1])) > 1
+    rep = ch.find_identity(g, r)
+    assert rep.multisets == ref["multisets"] and rep.informative == ref["informative"]
+    assert (rep.special, rep.g, rep.residual) == (ref["special"], ref["g"], ref["residual"])
+    for got, want in ((rep._f, "f"), (rep._g, "g_m"), (rep._tr_m, "tr_m"), (rep._tr_t, "tr_t")):
+        assert got.tobytes() == ref[want].tobytes()
+    for g0 in (0.5, g.Z - 3.0):
+        assert rep.residual_with(g0) == ref["residual_with"](g0)
+
+
+@pytest.mark.parametrize("small", [False, True], ids=["default", "small_blocks"])
+@pytest.mark.parametrize("name", list(STREAMED_SETS))
+def test_verified_from_the_fit_agrees_with_the_traceless_basis(monkeypatch, name, small):
+    # critical_values reads the span of the traceless parts from the R
+    # factor the fit stacked block by block; the whole-stack QR behind
+    # traceless_basis must give the same span, rank and verdict
+    g = STREAMED_SETS[name]()
+    action = ch.generator_action(g)
+    if small:
+        _small_slabs_and_blocks(monkeypatch)
+    checked = 0
+    for entry in ch.critical_values(g, 3).entries:
+        p = entry.p_value
+        if p is None or not 0.0 <= p <= 1.0:
+            assert entry.verified is None
+            continue
+        basis = ch.traceless_basis(mc.sym_monomials(g.generators, entry.rank)[1])
+        images = (1.0 - p) * basis + (p / g.Z) * (basis @ action.T)
+        assert entry.verified == (mc.max_abs(images) <= ch.CRITICAL_MAP_TOL)
+        streamed = ch._row_basis(entry._traceless_r(), len(entry.multisets))
+        assert streamed.shape == basis.shape
+        assert mc.max_abs(streamed.conj().T @ streamed - basis.conj().T @ basis) < 1e-10
+        checked += 1
+    assert checked or name.startswith("spin") and g.d > 3
+
+
+# tracemalloc peak of critical_values(su(n), 3) in rank-3 output stacks: a
+# fit over whole stacks holds about 4.2 / 4.1 of them.  It reads 1.26 / 0.67
+# streamed; at su(6) one largest factor's slab of triple products is 0.46
+# stacks by itself and the pair table 0.16.
+CRITICAL_PEAK_STACKS = {6: 1.3, 8: 1.0}
+
+
+@pytest.mark.parametrize("n", sorted(CRITICAL_PEAK_STACKS))
+def test_critical_values_peak_below_the_output_stack(n):
+    g = su(n)
+    stack_bytes = math.comb(g.k + 2, 3) * 16 * g.d * g.d   # 4.48 MB at n = 6, 44.7 MB at n = 8
+    tracemalloc.start()
+    try:
+        ch.critical_values(g, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < CRITICAL_PEAK_STACKS[n] * stack_bytes
 
 
 def test_critical_values_fills_no_symmetric_tensor(monkeypatch):
@@ -855,15 +981,9 @@ def test_critical_values_fills_no_symmetric_tensor(monkeypatch):
 
 def _eager_tensors(g, rep):
     # the fit and fill that find_identity ran before the tensors were lazy
-    monomials, transforms = rep._monomials, rep._transforms
-    tr_m, tr_t = ch._traces(monomials), ch._traces(transforms)
-    m0 = ch._traceless(monomials, tr_m)
-    norm0 = ch._inner(m0, m0)
-    informative = norm0 > 1e-16 * np.maximum(1.0, ch._inner(monomials, monomials))
-    g_m = np.where(informative, ch._inner(m0, transforms) / np.where(informative, norm0, 1.0), 0.0)
-    f_m = (tr_t - g_m * tr_m) / g.d
-    return (mc.symmetric_tensor(rep.multisets, f_m, g.k),
-            mc.symmetric_tensor(rep.multisets, np.where(informative, g_m, np.nan), g.k))
+    ref = _whole_stack_fit(g, rep.rank)
+    return (mc.symmetric_tensor(ref["multisets"], ref["f"], g.k),
+            mc.symmetric_tensor(ref["multisets"], ref["g_m"], g.k))
 
 
 @pytest.mark.parametrize("build, r", [

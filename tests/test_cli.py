@@ -629,9 +629,11 @@ def test_json_booleans_in_rho_numbers_exit_2(tmp_path, capsys, algebra, obj, mes
     ({"v": [0, 0, 0], "w": {"shape": [3, 3], "data": [_SIXTH, 0, 0, 0, _SIXTH, 0, 0, None, _SIXTH]}},
      "w 'data'"),
     ({"v": [0, 0, 0], "w": {"shape": [3, 3]}}, "w 'data'"),
-], ids=["v_string", "v_null", "w_string", "w_data_null", "w_data_missing"])
+    ({"v": [0, 0, 0], "w": None}, "w"),
+], ids=["v_string", "v_null", "w_string", "w_data_null", "w_data_missing", "w_null"])
 def test_json_strings_and_null_in_rho_numbers_exit_2(tmp_path, capsys, obj, name):
-    # numpy reads numeric strings as numbers and null as NaN
+    # numpy reads numeric strings as numbers and null as NaN; a w that is
+    # present is read as one, even when it is null
     rho_file = tmp_path / "rho.json"
     rho_file.write_text(json.dumps(obj))
     code, _ = run(tmp_path, "apply", "--algebra", "spin", "--two-s", "2", "--p", "0.3",
@@ -790,6 +792,16 @@ def test_negative_seed_exits_2(tmp_path, capsys, monkeypatch, argv):
     code, _ = run(tmp_path, *argv)
     assert code == 2
     assert capsys.readouterr().err == SEED_MESSAGE
+
+
+@pytest.mark.parametrize("value", ["abc", "", "1.5", "0x10", "7 seeds"])
+def test_non_integer_seed_env_exits_2_naming_the_variable(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("LIECHAN_SEED", value)
+    code, _ = run(tmp_path, "verify", "--algebra", "g2")
+    assert code == 2
+    assert capsys.readouterr().err == f"error: LIECHAN_SEED must be a non-negative integer, got {value!r}\n"
+    # --seed wins, so the variable is not read
+    assert run(tmp_path, "verify", "--algebra", "g2", "--seed", "3")[0] == 0
 
 
 def test_gen_reports_stored_residuals(tmp_path):

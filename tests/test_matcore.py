@@ -138,7 +138,7 @@ def test_rank3_fold_bitwise_equal_to_reference_over_many_slabs(gens, step):
     k = len(stack)
     multisets = tuple(combinations_with_replacement(range(k), 3))[::-step]
     assert 2 * len(multisets) < k**3
-    out = mc._sym_fold(stack, multisets)
+    out = mc._collect(mc._sym_fold(stack, multisets), len(multisets))
     assert out.tobytes() == reference_sym_fold(stack, multisets).tobytes()
 
 
