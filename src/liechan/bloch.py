@@ -183,27 +183,40 @@ def _su3_tensors() -> StructureTensors:
 # ---------------------------------------------------------------------------
 # Second-order (v, w) parameterization for spin representations.
 
+# The spin sets' (v, w) form has k = 3 generators, so its rank-2 multisets
+# are the six (a, b), a <= b, of combinations_with_replacement(range(3), 2).
+_VW_PAIRS = tuple(itertools.combinations_with_replacement(range(3), 2))
+_VW_DIAGONAL = np.array([a == b for a, b in _VW_PAIRS])
+# w_ab = vals[_VW_INDEX[a, b]], the entry symmetric_tensor(_VW_PAIRS, vals, 3) fills
+_VW_INDEX = symmetric_tensor(_VW_PAIRS, np.arange(len(_VW_PAIRS)), 3).astype(np.intp)
+# sum_ab w_ab J_a J_b counts each off-diagonal pair twice
+_VW_WEIGHTS = 2.0 - _VW_DIAGONAL
+
+
 def rho_vw(g: GeneratorSet, v, w) -> np.ndarray:
-    """rho = v.J + sum_ab w_ab J_(a J_b) for the spin-s set g.
+    """rho = v.J + sum_ab w_ab J_(a J_b) for the spin-s set g, contracted
+    with the set's table of the products J_a J_b (``g.pair_products``).
 
     The trace comes entirely from the w term; unit trace requires
     tr(w) = 3/(d lam) with lam = s(s+1), which is enforced here.
     Positivity is not guaranteed.
     """
     v, w = spin_vw_input(g, v, w)
-    return _contract(g.generators, v, w)
+    return _contract(g.generators, v, w, prods=g.pair_products)
 
 
-def _contract(gens, v, w=None, u=None) -> np.ndarray:
+def _contract(gens, v, w=None, u=None, prods=None) -> np.ndarray:
     """sum_a v_a X_a + sum_ab w_ab X_a X_b + sum_abc u_abc X_a X_b X_c over
     the (k, d, d) generator stack X; w enters through its symmetric part,
-    and an absent higher-rank tensor is skipped."""
+    and an absent higher-rank tensor is skipped.  ``prods`` is the
+    (k, k, d, d) table of the X_a X_b, formed here when not given."""
     acc = np.zeros(gens.shape[1:], dtype=np.complex128)
     for va, x in zip(v, gens):
         acc += va * x
     if w is None:
         return acc
-    prods = np.einsum("aij,bjk->abik", gens, gens)
+    if prods is None:
+        prods = np.einsum("aij,bjk->abik", gens, gens)
     acc += np.einsum("ab,abik->ik", (w + w.T) / 2.0, prods)
     if u is not None:
         acc += np.einsum("abc,abcil->il", u, np.einsum("abij,cjl->abcil", prods, gens))
@@ -219,8 +232,9 @@ def extract_vw(rho, g: GeneratorSet) -> tuple[np.ndarray, np.ndarray]:
 
     with tr(w) = 3/(d lam).  Only meaningful for d >= 3 (for d = 2 the
     symmetrized pair products collapse onto the identity).  A residual above
-    1e-8 of the reconstruction from the J_(j J_k) formed for w raises
-    SpanDeficientError, signaling a rho outside the (v, w) span.
+    1e-8 of the reconstruction from the J_(j J_k) raises SpanDeficientError,
+    signaling a rho outside the (v, w) span.  The J_(j J_k) are the set's
+    table ``g.pair_monomials``.
     """
     if require_spin(g).d < 3:
         raise ValueError("extract_vw requires two_s >= 2 (dimension >= 3)")
@@ -231,14 +245,12 @@ def extract_vw(rho, g: GeneratorSet) -> tuple[np.ndarray, np.ndarray]:
     lam = g.Z
     v = (3.0 / (d * lam)) * np.trace(m @ g.generators, axis1=1, axis2=2).real
     trw = 3.0 / (d * lam) * np.trace(m).real
-    pairs, products = sym_monomials(g.generators, 2)
+    products = g.pair_monomials[1]
     vals = (30.0 / (lam * d * (d * d - 4.0))) * np.trace(m @ products, axis1=1, axis2=2).real
-    diagonal = np.array([j == k for j, k in pairs])
-    vals[diagonal] -= (2.0 * lam + 1.0) / (d * d - 4.0) * trw
-    w = symmetric_tensor(pairs, vals, 3)
-    # sum_jk w_jk J_j J_k counts each off-diagonal pair twice
+    vals[_VW_DIAGONAL] -= (2.0 * lam + 1.0) / (d * d - 4.0) * trw
+    w = vals[_VW_INDEX]
     recon = np.einsum("a,aij->ij", v, g.generators)
-    resid = max_abs(m - recon - np.einsum("p,pij->ij", (2.0 - diagonal) * vals, products))
+    resid = max_abs(m - recon - np.einsum("p,pij->ij", _VW_WEIGHTS * vals, products))
     if resid > SPAN_TOL:
         raise SpanDeficientError(
             f"rho lies outside the span of {{J_a, J_(a J_b)}} (residual {resid:.3e})"
@@ -600,9 +612,9 @@ def spin_vw_purity_search(g: GeneratorSet) -> float:
     entry i (J_3 = diag(s, ..., -s)) is proportional to sqrt(C(2s, i)) z^i,
     z = (n_1 + i n_2)/(1 + n_3).  It has weight along every multipole
     direction, so a span missing any monomial shows; |s, s> sees only the
-    diagonal ones."""
+    diagonal ones.  The rank-2 monomials are the set's table ``g.pair_monomials``."""
     d = require_spin(g).d
-    basis = traceless_basis(np.concatenate([sym_monomials(g.generators, r)[1] for r in (1, 2)]))
+    basis = traceless_basis(np.concatenate([g.generators, g.pair_monomials[1]]))
     z = (1.0 + 1j * math.sqrt(2.0)) / (math.sqrt(6.0) + math.sqrt(3.0))
     psi = np.sqrt([float(math.comb(d - 1, i)) for i in range(d)]) * z ** np.arange(d)
     rest = np.outer(psi, psi.conj()).ravel() / np.vdot(psi, psi).real

@@ -47,13 +47,22 @@ class POutOfRangeError(ValueError):
     normalized and the map is not trace preserving."""
 
 
+class NormalizationError(ValueError):
+    """Kraus operators with sum M^dag M != I beyond 1e-9; ``deviation`` is
+    the max-norm of sum M^dag M - I (:func:`normalization_deviation`)."""
+
+    def __init__(self, deviation: float):
+        super().__init__(f"normalization sum M^dag M = I violated by {deviation:.3e}")
+        self.deviation = deviation
+
+
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
     """A trace-preserving channel given by its Kraus operators, one read-only
     complex128 ``(m, d, d)`` array copied once from the given matrices.
 
     Normalization sum_mu M_mu^dag M_mu = I is enforced within 1e-9 on
-    construction.
+    construction (NormalizationError).
     """
 
     ops: np.ndarray = field(repr=False)
@@ -67,7 +76,7 @@ class KrausChannel:
         object.__setattr__(self, "ops", ops)
         dev = normalization_deviation(ops)
         if dev > NORMALIZATION_TOL:
-            raise ValueError(f"normalization sum M^dag M = I violated by {dev:.3e}")
+            raise NormalizationError(dev)
 
     @property
     def dim(self) -> int:

@@ -32,6 +32,7 @@ from .matcore import (
     matrix_to_json,
     max_abs,
     readonly_copy,
+    sym_monomials,
 )
 
 SU_N_DEFINING = "su_n_defining"
@@ -146,6 +147,25 @@ class GeneratorSet:
         for a in (order, base, *(a for _, *arrays in slots for a in arrays)):
             a.flags.writeable = False   # shared by every request that holds the set
         return order, base, tuple(slots)
+
+    @cached_property
+    def pair_monomials(self) -> tuple:
+        """``sym_monomials(self.generators, 2)``: the multisets (a, b), a <= b,
+        and the read-only ``(C(k+1, 2), d, d)`` stack of the X_(a X_b).  Built
+        on first read and kept with the set; only spin sets are read for it
+        (:func:`liechan.bloch.extract_vw`, :func:`liechan.bloch.spin_vw_purity_search`)."""
+        multisets, stack = sym_monomials(self.generators, 2)
+        stack.flags.writeable = False
+        return multisets, stack
+
+    @cached_property
+    def pair_products(self) -> np.ndarray:
+        """The read-only ``(k, k, d, d)`` table of the ordered products
+        X_a X_b, formed as :func:`liechan.bloch.rho_vw` contracts them.  Built
+        on first read and kept with the set; only spin sets are read for it."""
+        products = np.einsum("aij,bjk->abik", self.generators, self.generators)
+        products.flags.writeable = False
+        return products
 
     @classmethod
     def from_generators(cls, generators: Sequence, algebra: str = CUSTOM) -> "GeneratorSet":

@@ -100,15 +100,26 @@ def _g2(g: rg.GeneratorSet, seed: int) -> tuple[list, dict]:
     # L X_b = 0, as the fitted f_b = tr(L X_b)/d = Z tr(X_b)/d vanishes
     cubic = ch.find_identity(g, 1, ch.generator_action(g)).residual_with(0.0)
     checks.append(_check("cubic_identity", cubic, 1e-12))
+    # a draw whose Kraus family is not normalized (a faulty set) has no
+    # channel; its normalization deviation stands in for the misfit, so the
+    # check fails and the trace-form checks below still run
     worst = 0.0
     for i in range(5):
         rng = mc.derived_rng(seed, i)
         p = rng.uniform(0.0, 1.0)
         v = rng.normal(size=14) * 0.2
-        rho = bl.bloch_rho(g, v)
-        out = ch.apply_matrix(ch.build_channel(g, p), rho)
+        try:
+            channel = ch.build_channel(g, p)
+        except ch.NormalizationError as exc:
+            worst = max(worst, exc.deviation)
+            continue
+        out = ch.apply_matrix(channel, bl.bloch_rho(g, v))
         worst = max(worst, mc.max_abs(out - bl.bloch_rho(g, (1.0 - p) * v)))
     checks.append(_check("bloch_scaling", worst, 1e-9))
+    try:
+        depolarizing = ch.detect_depolarizing(ch.build_channel(g, 0.5))
+    except ch.NormalizationError:   # no channel, so none that depolarizes
+        depolarizing = None
     forms = bl.g2_trace_forms(g)
     checks.append(_check("odd_trace_powers", forms.odd, 1e-8))
     checks.append(_check("quadratic_trace", forms.quadratic, 1e-9))
@@ -117,7 +128,7 @@ def _g2(g: rg.GeneratorSet, seed: int) -> tuple[list, dict]:
         "Z": g.Z,
         "N": g.N,
         "radius_bounds_v_squared": [b.v_squared_bound for b in forms.radius_bounds()],
-        "depolarizing_on_full_space": ch.detect_depolarizing(ch.build_channel(g, 0.5)),
+        "depolarizing_on_full_space": depolarizing,
     }
     return checks, info
 

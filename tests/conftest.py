@@ -58,6 +58,26 @@ def spin_rep_calls(monkeypatch):
 
 
 @pytest.fixture
+def sym_pair_calls(monkeypatch):
+    """The dimension d of every rank-2 matcore.sym_monomials call made during
+    the test (also where a module imported the name)."""
+    from liechan import bloch
+
+    calls = []
+    original = matcore.sym_monomials
+
+    def counted(mats, r):
+        multisets, stack = original(mats, r)
+        if r == 2:
+            calls.append(stack.shape[-1])
+        return multisets, stack
+
+    for module in (matcore, repgen, bloch):
+        monkeypatch.setattr(module, "sym_monomials", counted)
+    return calls
+
+
+@pytest.fixture
 def reps():
     """Accessor bundle so tests can grab cached representations."""
     return {

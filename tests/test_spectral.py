@@ -10,6 +10,7 @@ import pytest
 from liechan import bloch as bl
 from liechan import channel as ch
 from liechan import matcore as mc
+from liechan import repgen as rg
 from tests.conftest import clifford, g2, spin, su
 
 
@@ -206,14 +207,15 @@ def test_spin_vw_purity_search_needs_no_eigendecomposition_of_l(monkeypatch):
 def test_spin_vw_purity_search_sees_every_off_diagonal_monomial(monkeypatch, drop):
     # A span that misses one J_(a J_b), a != b, must move the witness off the
     # closed form; the diagonal |s, s><s, s| has no weight on such a direction.
-    def without(mats, r, _original=bl.sym_monomials):
+    # The witness reads the set's table of them, built on a fresh set's first read.
+    def without(mats, r, _original=rg.sym_monomials):
         multisets, monomials = _original(mats, r)
         keep = [j for j, m in enumerate(multisets) if m != drop]
         return tuple(multisets[j] for j in keep), monomials[keep]
 
-    monkeypatch.setattr(bl, "sym_monomials", without)
+    monkeypatch.setattr(rg, "sym_monomials", without)
     for two_s in (2, 3, 7, 15):
-        assert abs(bl.spin_vw_purity_search(spin(two_s)) - bl.spin_vw_pure_weight(two_s)) > 1e-2
+        assert abs(bl.spin_vw_purity_search(rg.spin_rep(two_s)) - bl.spin_vw_pure_weight(two_s)) > 1e-2
 
 
 @pytest.mark.parametrize("two_s", range(3, 8))

@@ -1,0 +1,223 @@
+"""The spin sets' product tables (``GeneratorSet.pair_monomials`` and
+``GeneratorSet.pair_products``): the (v, w) readers that use them give the
+bytes of the per-call refold, each set builds its own once, and only spin
+sets are read for them."""
+
+import json
+import math
+import sys
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from liechan import bloch as bl
+from liechan import channel as ch
+from liechan import cli
+from liechan import matcore as mc
+from liechan import repgen as rg
+from tests.conftest import spin
+
+TWO_S = list(range(2, 9)) + [15, 63]
+TABLES = ("pair_monomials", "pair_products")
+
+
+# The readers as they were written before the tables: every call refolds the
+# rank-2 monomials with sym_monomials and forms the products with einsum.
+
+def refold_extract_vw(rho, g):
+    m = mc.as_complex_matrix(rho)
+    d = g.d
+    lam = g.Z
+    v = (3.0 / (d * lam)) * np.trace(m @ g.generators, axis1=1, axis2=2).real
+    trw = 3.0 / (d * lam) * np.trace(m).real
+    pairs, products = mc.sym_monomials(g.generators, 2)
+    vals = (30.0 / (lam * d * (d * d - 4.0))) * np.trace(m @ products, axis1=1, axis2=2).real
+    diagonal = np.array([j == k for j, k in pairs])
+    vals[diagonal] -= (2.0 * lam + 1.0) / (d * d - 4.0) * trw
+    w = mc.symmetric_tensor(pairs, vals, 3)
+    recon = np.einsum("a,aij->ij", v, g.generators)
+    resid = mc.max_abs(m - recon - np.einsum("p,pij->ij", (2.0 - diagonal) * vals, products))
+    if resid > bl.SPAN_TOL:
+        raise bl.SpanDeficientError(
+            f"rho lies outside the span of {{J_a, J_(a J_b)}} (residual {resid:.3e})"
+        )
+    return v, w
+
+
+def refold_rho_vw(g, v, w):
+    v, w = ch.spin_vw_input(g, v, w)
+    gens = g.generators
+    acc = np.zeros(gens.shape[1:], dtype=np.complex128)
+    for va, x in zip(v, gens):
+        acc += va * x
+    prods = np.einsum("aij,bjk->abik", gens, gens)
+    acc += np.einsum("ab,abik->ik", (w + w.T) / 2.0, prods)
+    return acc
+
+
+def refold_purity_search(g):
+    d = g.d
+    basis = ch.traceless_basis(np.concatenate([mc.sym_monomials(g.generators, r)[1] for r in (1, 2)]))
+    z = (1.0 + 1j * math.sqrt(2.0)) / (math.sqrt(6.0) + math.sqrt(3.0))
+    psi = np.sqrt([float(math.comb(d - 1, i)) for i in range(d)]) * z ** np.arange(d)
+    rest = np.outer(psi, psi.conj()).ravel() / np.vdot(psi, psi).real
+    rest -= basis.T @ (basis.conj() @ rest)
+    rest[::d + 1] -= 1.0 / d
+    return float(np.vdot(rest, rest).real)
+
+
+def unit_trace_vw(g, rng):
+    w = rng.normal(size=(3, 3)) * 0.2
+    w = (w + w.T) / 2.0
+    w += np.eye(3) * (3.0 / (g.d * g.Z) - np.trace(w)) / 3.0
+    return rng.normal(size=3) * 0.2, w
+
+
+def span_inputs(g, rng):
+    """Matrices inside the (v, w) span, then outside it: a random density
+    matrix (inside at d = 3, where the span is all of gl(3)'s Hermitian part)
+    and a state made non-Hermitian in one entry."""
+    inside = [refold_rho_vw(g, *unit_trace_vw(g, rng)) for _ in range(3)]
+    a = rng.normal(size=(g.d, g.d)) + 1j * rng.normal(size=(g.d, g.d))
+    density = a @ a.conj().T
+    density /= np.trace(density).real
+    skewed = inside[0].copy()
+    skewed[0, -1] += 1e-3
+    return inside + [density, skewed]
+
+
+def outcome(fn, *args):
+    """The result's bytes, or the raised error's type and message."""
+    try:
+        return [np.asarray(x).tobytes() for x in fn(*args)]
+    except bl.SpanDeficientError as exc:
+        return ("SpanDeficientError", str(exc))
+
+
+@pytest.mark.parametrize("two_s", TWO_S)
+def test_extract_vw_matches_the_refold_bitwise(two_s):
+    g = spin(two_s)
+    rng = np.random.default_rng([two_s, 1])
+    raised = 0
+    for rho in span_inputs(g, rng):
+        expected = outcome(refold_extract_vw, rho, g)
+        assert outcome(bl.extract_vw, rho, g) == expected
+        raised += isinstance(expected, tuple)
+    assert raised == (1 if two_s == 2 else 2)   # the inputs reach both outcomes
+
+
+@pytest.mark.parametrize("two_s", TWO_S)
+def test_rho_vw_matches_the_refold_bitwise(two_s):
+    g = spin(two_s)
+    rng = np.random.default_rng([two_s, 2])
+    for _ in range(4):
+        v, w = unit_trace_vw(g, rng)
+        assert bl.rho_vw(g, v, w).tobytes() == refold_rho_vw(g, v, w).tobytes()
+
+
+@pytest.mark.parametrize("two_s", TWO_S)
+def test_spin_vw_purity_search_matches_the_refold_bitwise(two_s):
+    g = spin(two_s)
+    assert np.float64(bl.spin_vw_purity_search(g)).tobytes() == np.float64(refold_purity_search(g)).tobytes()
+
+
+def write_inputs(tmp_path, g, count):
+    """``count`` apply inputs for the spin set g, cycling raw, {v} and {v, w};
+    each {v, w} pulled towards I/d until its least eigenvalue is 0.5/d."""
+    rng = np.random.default_rng(g.d)
+    base = np.eye(3) / (g.d * g.Z)
+    paths = []
+    for i in range(count):
+        if i % 3 == 0:
+            a = rng.normal(size=(g.d, g.d)) + 1j * rng.normal(size=(g.d, g.d))
+            obj = mc.matrix_to_json(a @ a.conj().T / np.trace(a @ a.conj().T).real)
+        elif i % 3 == 1:
+            obj = {"v": (rng.normal(size=3) * 0.1 / g.d).tolist()}
+        else:
+            v, w = unit_trace_vw(g, rng)
+            lo = np.linalg.eigvalsh(refold_rho_vw(g, v, w))[0]
+            t = min(1.0, 0.5 / (1.0 - g.d * lo))
+            obj = {"v": (t * v).tolist(), "w": (base + t * (w - base)).tolist()}
+        paths.append(tmp_path / f"rho-{g.d}-{i}.json")
+        paths[-1].write_text(json.dumps(obj))
+    return paths
+
+
+def test_each_spin_set_folds_its_pair_monomials_once(tmp_path, monkeypatch, capsys, sym_pair_calls):
+    monkeypatch.setattr(cli, "_GENSETS", {})
+    reports = []
+    for two_s in (2, 7):
+        for path in write_inputs(tmp_path, rg.spin_rep(two_s), 10):
+            out = tmp_path / "out.json"
+            argv = ["apply", "--algebra", "spin", "--two-s", str(two_s), "--p", "0.25",
+                    "--rho", str(path), "--out", str(out)]
+            assert cli.main(argv) == 0
+            reports.append(json.loads(out.read_text()))
+    assert cli.main(["verify", "--algebra", "spin", "--two-s", "3", "--out", str(tmp_path / "v.json")]) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(sym_pair_calls) == [3, 4, 8]
+    assert all(r["vw_out"] is not None for r in reports[:10])   # d = 3: every input in the span
+    assert any(r["vw_out"] is None for r in reports[10:])
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_tables_are_read_only(name):
+    table = getattr(spin(3), name)
+    array = table[1] if name == "pair_monomials" else table
+    with pytest.raises(ValueError):
+        array[0, 0, 0] = 1.0
+    assert not array.flags.writeable
+
+
+def test_a_second_set_builds_its_own_tables():
+    first = rg.build_algebra("spin", two_s=4)
+    second = rg.build_algebra("spin", two_s=4)
+    for name in TABLES:
+        getattr(first, name)
+        assert name not in vars(second)
+        assert getattr(first, name) is getattr(first, name)   # kept with the set
+    assert second.pair_products is not first.pair_products
+    assert second.pair_monomials[1] is not first.pair_monomials[1]
+    assert second.pair_products.tobytes() == first.pair_products.tobytes()
+    assert second.pair_monomials[1].tobytes() == first.pair_monomials[1].tobytes()
+
+
+def test_only_spin_sets_build_tables(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_GENSETS", {})
+    sizes = {"su": ["--n", "3"], "g2": [], "clifford": [], "spin": ["--two-s", "3"]}
+    for algebra, size in sizes.items():
+        g = rg.build_algebra(algebra, n=3, two_s=3)
+        rho = tmp_path / f"{algebra}.json"
+        rho.write_text(json.dumps({"v": [0.01] * g.k}))
+        out = str(tmp_path / "out")
+        head = ["--algebra", algebra, *size, "--out", out]
+        for argv in (["apply", *head, "--p", "0.3", "--rho", str(rho)], ["verify", *head],
+                     ["critical", *head, "--max-rank", "2"], ["bloch-scan", *head, "--samples", "20"]):
+            assert cli.main(argv) == 0, argv
+    for (algebra, *_), g in cli._GENSETS.items():
+        built = [name for name in TABLES if name in vars(g)]
+        assert built == (list(TABLES) if algebra == "spin" else []), algebra
+
+
+def test_spin_tables_hold_fifteen_matrices():
+    # numpy traces its data buffers in a tracemalloc domain of their own: the
+    # tables' entries are exactly the 6 + 9 matrices; the rest is the
+    # multisets and a few hundred bytes of array and tuple objects
+    g = rg.spin_rep(63)
+    entries = 15 * g.d * g.d * 16
+    numpy_domain = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(numpy_domain)
+        total = tracemalloc.get_traced_memory()[0]
+        multisets, _ = g.pair_monomials
+        g.pair_products
+        total = tracemalloc.get_traced_memory()[0] - total
+        after = tracemalloc.take_snapshot().filter_traces(numpy_domain)
+    finally:
+        tracemalloc.stop()
+    data = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+    multiset_bytes = sys.getsizeof(multisets) + sum(map(sys.getsizeof, multisets))
+    assert data == entries
+    assert total <= entries + multiset_bytes + 1024

@@ -273,18 +273,29 @@ def test_pinned_identity_checks_fail_on_a_scaled_generator(monkeypatch, algebra,
     ],
     ids=["scaled", "symmetric"],
 )
-def test_g2_trace_form_checks_fail_on_a_perturbed_generator(monkeypatch, shift, names):
+def test_g2_trace_form_checks_fail_on_a_perturbed_generator(shift, names):
     g = rg.g2_rep()
     bad = copy.copy(g)   # a copy skips the constructor's checks
     x0 = g.generators[0]
     object.__setattr__(bad, "generators", np.concatenate([[x0 + shift(x0)], g.generators[1:]]))
-    forms = bl.g2_trace_forms(bad)
-    # the rest of the suite runs on g: the sampled channel checks reject the bad set
-    monkeypatch.setattr(bl, "g2_trace_forms", lambda g: forms)
-    checks = {c["name"]: c for c in verify.run_suite(g)[0]}
+    # the bad set has no normalized Kraus family, so bloch_scaling fails on
+    # the normalization deviation and the suite goes on to the trace forms
+    checks, info = verify.run_suite(bad)
+    by_name = {c["name"]: c for c in checks}
+    assert list(by_name) == [c["name"] for c in verify.run_suite(g)[0]]
     for name in names:
-        assert not checks[name]["pass"]
-        assert checks[name]["residual"] > 1e-4
+        assert not by_name[name]["pass"]
+        assert by_name[name]["residual"] > 1e-4
+    scaling = by_name["bloch_scaling"]
+    assert not scaling["pass"] and scaling["tolerance"] == 1e-9
+    deviations = []
+    for i in range(5):
+        p = mc.derived_rng(0, i).uniform(0.0, 1.0)
+        ops = np.concatenate([np.sqrt(1.0 - p) * np.eye(7)[None], np.sqrt(p / bad.Z) * bad.generators])
+        deviations.append(ch.normalization_deviation(ops))
+    assert scaling["residual"] == max(deviations)
+    assert info["depolarizing_on_full_space"] is None
+    forms = bl.g2_trace_forms(bad)
     assert forms.kappa2 == Fraction(1, 2) and forms.kappa4 == Fraction(1, 16)
 
 
