@@ -61,15 +61,12 @@ def _coefficients(v, k: int) -> np.ndarray:
     return v
 
 
-def _squares(x) -> np.ndarray:
-    """sum_i x_i^2 along the last axis, formed per row as np.dot forms it
-    (a numpy scalar for one row)."""
-    return (x[..., None, :] @ x[..., :, None])[..., 0, 0][()]
-
-
-def _flags(x) -> bool | np.ndarray:
-    """A Python bool for one input, the boolean array for a stack."""
-    return bool(x) if x.ndim == 0 else x
+def _squares(x) -> float | np.ndarray:
+    """sum_i x_i^2 along the last axis, formed per row as np.dot forms it: a
+    Python float for one row, by np.dot itself."""
+    if x.ndim == 1:
+        return float(np.dot(x, x))
+    return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
 
 
 def bloch_rho(g: GeneratorSet, v) -> np.ndarray:
@@ -82,12 +79,24 @@ def bloch_rho(g: GeneratorSet, v) -> np.ndarray:
     generator order, only the terms of the generators nonzero there
     (``g.nonzero_terms``).  That is bitwise the sum over every i: a
     skipped term is +-0 for finite v, and the sum, which starts at I's
-    components, never holds -0, so adding +-0 leaves it unchanged."""
+    components, never holds -0, so adding +-0 leaves it unchanged.  A stack
+    adds slot t to the first ``sizes[t]`` components of each row; one vector
+    gathers the whole padded table at once, under the identity's row, and
+    sums it down the slot axis, a row-by-row left fold whose padded terms
+    are +-0 too; the components no generator is nonzero on keep I's."""
     v = _coefficients(v, g.k)
-    order, base, slots = g.nonzero_terms
-    acc = np.tile(base, v.shape[:-1] + (1,))
-    for m, gens, coefs in slots:
-        acc[..., :m] += v[..., gens] * coefs
+    order, base, sizes, gens, coefs = g.nonzero_terms
+    if v.ndim == 1:
+        width = gens.shape[1]
+        terms = np.empty((len(sizes) + 1, width))
+        terms[0] = base[:width]
+        np.multiply(v.take(gens), coefs, out=terms[1:])
+        acc = base.copy()
+        np.add.reduce(terms, axis=0, out=acc[:width])
+    else:
+        acc = np.tile(base, (len(v), 1))
+        for m, gens_t, coefs_t in zip(sizes, gens, coefs):
+            acc[:, :m] += v[:, gens_t[:m]] * coefs_t[:m]
     return acc.take(order, axis=-1).view(np.complex128).reshape(v.shape[:-1] + (g.d, g.d)) / g.d
 
 
@@ -99,8 +108,12 @@ def bloch_vector(g: GeneratorSet, rho) -> np.ndarray:
 
 def psd_by_eigenvalues(ev) -> bool | np.ndarray:
     """The eig oracle's rule on the ascending eigenvalues of rho(v), shape
-    (d,) or (n, d): the least one is >= -1e-10."""
-    return _flags(np.asarray(ev).T[0] >= -MEMBERSHIP_TOL)
+    (d,) or (n, d): the least one is >= -1e-10; a Python bool for one
+    input."""
+    ev = np.asarray(ev)
+    if ev.ndim == 1:
+        return float(ev[0]) >= -MEMBERSHIP_TOL
+    return ev[:, 0] >= -MEMBERSHIP_TOL
 
 
 def membership_eig(g: GeneratorSet, v) -> bool | np.ndarray:
@@ -140,14 +153,18 @@ def psd_by_charpoly(rho) -> bool | np.ndarray:
     """The charpoly oracle's rule on rho(v), shape (d, d) or (n, d, d):
     Descartes' rule of signs, all characteristic-polynomial coefficients
     nonnegative, read on rho/||rho||_F to within the recursion's rounding,
-    d^3 eps max_k |b_k|."""
+    d^3 eps max_k |b_k|.  One matrix is decided on Python floats, a Python
+    bool."""
     rho = np.asarray(rho)
     d = rho.shape[-1]
     # ||rho||_F as np.linalg.norm forms it for one matrix
     flat = rho.reshape(rho.shape[:-2] + (d * d,))
+    if rho.ndim == 2:
+        b = char_poly_coeffs(rho / math.sqrt(_squares(flat.real) + _squares(flat.imag))).tolist()
+        return min(b) >= -d ** 3 * CHARPOLY_EPS * max(map(abs, b))
     norm = np.sqrt(_squares(flat.real) + _squares(flat.imag))
     b = char_poly_coeffs(rho / norm[..., None, None])
-    return _flags(b.min(axis=0) >= -d ** 3 * CHARPOLY_EPS * np.abs(b).max(axis=0))
+    return b.min(axis=0) >= -d ** 3 * CHARPOLY_EPS * np.abs(b).max(axis=0)
 
 
 def membership_charpoly(g: GeneratorSet, v) -> bool | np.ndarray:
@@ -164,15 +181,19 @@ def norm_bound(g: GeneratorSet) -> float:
 def su3_membership_closed(v, tensors: StructureTensors | None = None) -> bool | np.ndarray:
     """Exact su(3) Bloch manifold: v^2 <= min(3, 1 + det(v.lambda)), with
     det(v.lambda) = (2/3) d_ijk v_i v_j v_k; one bool per row for an (n, 8)
-    stack."""
+    stack.  One vector is decided on Python floats, its products formed as
+    np.dot forms them, which is how matmul forms each row's."""
     v = _coefficients(v, 8)
     t = tensors if tensors is not None else _su3_tensors()
     # d_ijk v_i as one (n, 8) @ (8, 64) product, then the j and k contractions
     dv = (v @ t.d_sym.reshape(8, 64)).reshape(v.shape[:-1] + (8, 8))
-    det = (2.0 / 3.0) * (v[..., None, :] @ (dv @ v[..., :, None]))[..., 0, 0]
+    if v.ndim == 1:
+        det = (2.0 / 3.0) * float(np.dot(v, dv @ v))
+    else:
+        det = (2.0 / 3.0) * (v[:, None, :] @ (dv @ v[:, :, None]))[:, 0, 0]
     vv = _squares(v)
     # vv <= min(3, 1 + det) + tol, as two comparisons (adding tol is monotone)
-    return _flags((vv <= 3.0 + MEMBERSHIP_TOL) & (vv <= 1.0 + det + MEMBERSHIP_TOL))
+    return (vv <= 3.0 + MEMBERSHIP_TOL) & (vv <= 1.0 + det + MEMBERSHIP_TOL)
 
 
 @functools.cache

@@ -109,7 +109,7 @@ def _dump_json(obj, path: str | None) -> None:
 # spin sets only, pair_monomials and pair_products (the (v, w) readers), 15
 # d^2 complex128 entries, 0.98 MB at d = 64.  The caps on --n and --two-s
 # bound the memo to 9 su(n), 63 spin, g2 and Clifford sets: 4.7 MB of sets,
-# 7.9 MB with their nonzero_terms, 29.4 MB once every spin set holds its
+# 7.9 MB with their nonzero_terms, 29.5 MB once every spin set holds its
 # tables (tracemalloc); a failed build raises and is not stored.
 _GENSETS: dict = {}
 

@@ -14,6 +14,7 @@ tolerances declared below.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import chain, combinations_with_replacement, permutations
@@ -253,9 +254,11 @@ def char_poly_coeffs(m) -> np.ndarray:
     The traces come in pairs from the powers P_e = m^e up to e = ceil(d/2):
     c_(2e-1) = sum_ij (P_e)_ij (P_(e-1))_ji and c_2e = sum_ij (P_e)_ij
     (P_e)_ji, with P_0 = I, so c_1 is the diagonal sum.  That is ceil(d/2) - 1
-    stacked matrix products, and besides ``m`` at most two powers are alive.
-    The rounding bound on the c_q is derived beside ``bloch.psd_by_charpoly``,
-    which reads the signs.
+    matrix products.  A stack forms them stacked, and besides ``m`` at most
+    two powers are alive; one matrix keeps its powers and reads every pair
+    in one einsum over the stacked pairs, the contraction the stack reads
+    pair by pair, on Python floats.  The rounding bound on the c_q is
+    derived beside ``bloch.psd_by_charpoly``, which reads the signs.
 
     ``m`` is one (d, d) matrix or an (n, d, d) stack; the result is (d + 1,)
     or (d + 1, n), the sample axis last, and each column is bitwise what the
@@ -269,6 +272,15 @@ def char_poly_coeffs(m) -> np.ndarray:
     if not is_hermitian(m, EIG_INPUT_TOL):
         raise ValueError("char_poly_coeffs expects a Hermitian matrix")
     d = m.shape[-1]
+    if m.ndim == 2:
+        powers = np.empty(((d + 1) // 2, d, d), dtype=np.complex128)   # P_1, ..., P_ceil(d/2)
+        powers[0] = m
+        for e in range(1, len(powers)):
+            np.matmul(powers[e - 1], m, out=powers[e])
+        left, right = _power_pairs(d)
+        c = [float(m.trace().real)]
+        c += np.einsum("...ij,...ji->...", powers.take(left, 0), powers.take(right, 0)).real.tolist()
+        return np.array(newton_recursion(c), dtype=float)
     c = np.empty((d,) + m.shape[:-2])           # c[q - 1] = c_q
     c[0] = m.trace(axis1=-2, axis2=-1).real     # against P_0 = I
     prev = power = m                            # P_(e-1) and P_e, from e = 1
@@ -282,8 +294,19 @@ def char_poly_coeffs(m) -> np.ndarray:
     del prev, power   # the recursion's temporaries need not sit beside two powers
     a = np.empty((d + 1,) + m.shape[:-2])
     a[0] = 1.0
-    a[1:] = newton_recursion(c.tolist() if m.ndim == 2 else c)[1:]   # Python floats: same bits
+    a[1:] = newton_recursion(c)[1:]
     return a
+
+
+@functools.cache
+def _power_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows e - 1 of the powers P_e that :func:`char_poly_coeffs` pairs for
+    c_q, q = 2..d: P_ceil(q/2) and P_floor(q/2)."""
+    q = np.arange(2, d + 1)
+    rows = (q - 1) // 2, q // 2 - 1
+    for r in rows:
+        r.flags.writeable = False   # shared by every call at this d
+    return rows
 
 
 def newton_recursion(c: Sequence) -> list:

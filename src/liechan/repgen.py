@@ -19,7 +19,7 @@ basis) is built from that set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, reduce
 from itertools import combinations
 from types import MappingProxyType
@@ -111,6 +111,18 @@ class GeneratorSet:
         if res["trace_form_deviation"] > TRACE_FORM_TOL:
             raise ValueError("trace form deviates from N*d*delta beyond 1e-9")
 
+    def __getstate__(self) -> dict:
+        """The dataclass fields only, so that copies (``copy.copy``,
+        ``copy.deepcopy``) build their own tables on first read: a copy whose
+        generators are replaced must not read the original's."""
+        state = {f.name: getattr(self, f.name) for f in fields(self)}
+        state["residuals"] = dict(self.residuals)   # a mappingproxy cannot be copied deeply
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        state["generators"].flags.writeable = False   # a deep copy's is a new array
+        self.__dict__.update(state, residuals=MappingProxyType(state["residuals"]))
+
     @property
     def d(self) -> int:
         return self.generators.shape[1]
@@ -126,27 +138,33 @@ class GeneratorSet:
 
         A matrix is read as its 2 d^2 float components (real and imaginary
         part of each entry, row-major), sorted by the number of generators
-        nonzero there, most first.  Returns ``(order, base, slots)``: the
-        identity's components in sorted order as ``base``, the gather
-        ``order`` back to row-major, and per slot t ``(m, gens, coefs)``:
-        for each of the m components with more than t nonzero generators,
-        the t-th of them by index and its value there.  Built on first read
-        and kept with the set.
+        nonzero there, most first.  Returns ``(order, base, sizes, gens,
+        coefs)``: the identity's components in sorted order as ``base``, the
+        gather ``order`` back to row-major, and one C-contiguous ``(slots,
+        sizes[0])`` rectangle each of generator indices and values over the
+        components where some generator is nonzero (at spin-63/2, 316 of
+        8192).  Row t holds, for each of the first ``sizes[t]`` components
+        (those with more than t nonzero generators), the t-th of them by
+        index and its value there; the rest of the row is padded with
+        generator 0 and value 0.0.  Built on first read and kept with the
+        set.
         """
         flat = self.generators.reshape(self.k, -1).view(np.float64)
         counts = np.count_nonzero(flat, axis=0)
         perm = np.argsort(-counts, kind="stable")
-        cols, gens = np.nonzero(flat[:, perm].T)       # by component, then generator
+        cols, nonzero = np.nonzero(flat[:, perm].T)    # by component, then generator
         rank = np.arange(len(cols)) - np.searchsorted(cols, cols)
-        slots = []
-        for t in range(int(counts.max())):
-            pick = rank == t                             # components 0..m-1 in sorted order
-            slots.append((int(pick.sum()), gens[pick], flat[gens[pick], perm[cols[pick]]]))
+        slots = int(counts.max())
+        sizes = tuple(int(m) for m in np.count_nonzero(counts > np.arange(slots)[:, None], axis=1))
+        gens = np.zeros((slots, sizes[0] if sizes else 0), dtype=np.intp)
+        coefs = np.zeros(gens.shape)
+        gens[rank, cols] = nonzero
+        coefs[rank, cols] = flat[nonzero, perm[cols]]
         base = np.eye(self.d, dtype=np.complex128).reshape(-1).view(np.float64)[perm]
         order = np.argsort(perm)
-        for a in (order, base, *(a for _, *arrays in slots for a in arrays)):
+        for a in (order, base, gens, coefs):
             a.flags.writeable = False   # shared by every request that holds the set
-        return order, base, tuple(slots)
+        return order, base, sizes, gens, coefs
 
     @cached_property
     def pair_monomials(self) -> tuple:

@@ -174,20 +174,38 @@ def test_bloch_rho_bitwise_equal_to_dense_sum(name):
     vs[2, ::2] = -0.0          # signed zeros in the sum must match too
     vs[3] *= 1e-300            # products that underflow to +-0
     assert bl.bloch_rho(g, vs).tobytes() == reference_bloch_rho(g, vs).tobytes()
-    for v in vs[:12]:
+    for v in vs:   # the one-vector path
         assert bl.bloch_rho(g, v).tobytes() == reference_bloch_rho(g, v).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(STACK_SETS) + ["rotated_su3"])
+def test_psd_rules_on_one_input_equal_the_stacked_row(name):
+    g = rotated_su3() if name == "rotated_su3" else STACK_SETS[name]()
+    rho = bl.bloch_rho(g, stack_inputs(g))
+    ev = np.linalg.eigvalsh(rho)
+    for rule, stacked_input in ((bl.psd_by_eigenvalues, ev), (bl.psd_by_charpoly, rho)):
+        flags = rule(stacked_input)
+        assert flags.dtype == bool and flags.shape == (len(rho),)
+        ones = [rule(x) for x in stacked_input]
+        assert all(type(flag) is bool for flag in ones)
+        assert ones == flags.tolist()
 
 
 def test_nonzero_terms_cover_every_nonzero_component_once():
     g = g2()
-    order, base, slots = g.nonzero_terms
+    order, base, sizes, gens, coefs = g.nonzero_terms
     assert g.nonzero_terms is g.nonzero_terms   # built once per set
     flat = np.stack(g.generators).reshape(g.k, -1).view(float)
+    assert gens.shape == coefs.shape == (len(sizes), sizes[0])   # the components some generator is nonzero on
+    assert gens.flags.c_contiguous and coefs.flags.c_contiguous
     comps = [[] for _ in range(flat.shape[1])]
     sorted_comps = np.argsort(order)
-    for m, gens, coefs in slots:
-        for c, i, x in zip(sorted_comps[:m], gens, coefs):
+    for m, gens_t, coefs_t in zip(sizes, gens, coefs):
+        for c, i, x in zip(sorted_comps[:m], gens_t[:m], coefs_t[:m]):
             comps[c].append((i, x))
+        # the pads: generator 0 with the value +0.0 exactly
+        assert gens_t[m:].tolist() == [0] * (len(gens_t) - m)
+        assert coefs_t[m:].tobytes() == np.zeros(len(coefs_t) - m).tobytes()
     assert comps == [[(i, flat[i, c]) for i in np.flatnonzero(flat[:, c])] for c in range(flat.shape[1])]
     assert base[order].tolist() == np.eye(g.d, dtype=complex).reshape(-1).view(float).tolist()
 

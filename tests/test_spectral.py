@@ -1,6 +1,7 @@
 """The operator-space core L = sum_i X_i (x) conj(X_i) and the closed forms it
 explains: depolarizing factors, the spin (v, w) action, the n-fold spin-1
-iteration, the eigenvalue table of ROADMAP item 1 and the spin purity answer."""
+iteration, the eigenvalue table of ROADMAP's "Every critical probability from
+one spectrum" item and the spin purity answer."""
 
 from fractions import Fraction
 

@@ -3,6 +3,7 @@
 bytes of the per-call refold, each set builds its own once, and only spin
 sets are read for them."""
 
+import copy
 import json
 import math
 import sys
@@ -221,3 +222,23 @@ def test_spin_tables_hold_fifteen_matrices():
     multiset_bytes = sys.getsizeof(multisets) + sum(map(sys.getsizeof, multisets))
     assert data == entries
     assert total <= entries + multiset_bytes + 1024
+
+
+@pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy], ids=["copy", "deepcopy"])
+def test_a_copy_with_replaced_generators_reads_its_own_tables(copier):
+    g = rg.spin_rep(3)
+    g.nonzero_terms, g.pair_monomials, g.pair_products   # every table built on the original
+    bad = copier(g)
+    assert not {"nonzero_terms", *TABLES} & set(vars(bad))
+    object.__setattr__(bad, "generators", np.concatenate([1.01 * g.generators[:1], g.generators[1:]]))
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        v, w = unit_trace_vw(g, rng)
+        dense = np.eye(bad.d, dtype=np.complex128)
+        for va, x in zip(v, bad.generators):
+            dense = dense + va * x
+        assert bl.bloch_rho(bad, v).tobytes() == (dense / bad.d).tobytes()
+        rho = refold_rho_vw(bad, v, w)
+        assert bl.rho_vw(bad, v, w).tobytes() == rho.tobytes()
+        for m in (rho, bl.rho_vw(g, v, w)):
+            assert outcome(bl.extract_vw, m, bad) == outcome(refold_extract_vw, m, bad)
