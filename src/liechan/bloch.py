@@ -220,10 +220,19 @@ def rho_vw(g: GeneratorSet, v, w) -> np.ndarray:
 
     The trace comes entirely from the w term; unit trace requires
     tr(w) = 3/(d lam) with lam = s(s+1), which is enforced here.
-    Positivity is not guaranteed.
+    Positivity is not guaranteed.  An (n, 3) stack of v with an (n, 3, 3)
+    stack of w gives the (n, d, d) stack of the rho, v's ndim choosing the
+    path; each row is bitwise the one-input result, its terms added in the
+    same order.
     """
     v, w = spin_vw_input(g, v, w)
-    return _contract(g.generators, v, w, prods=g.pair_products)
+    if v.ndim == 1:
+        return _contract(g.generators, v, w, prods=g.pair_products)
+    acc = np.zeros((len(v), g.d, g.d), dtype=np.complex128)
+    for va, x in zip(v.T, g.generators):
+        acc += va[:, None, None] * x
+    acc += np.einsum("nab,abik->nik", (w + w.transpose(0, 2, 1)) / 2.0, g.pair_products)
+    return acc
 
 
 def _contract(gens, v, w=None, u=None, prods=None) -> np.ndarray:

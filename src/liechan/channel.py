@@ -89,13 +89,17 @@ def normalization_deviation(ops: Sequence) -> float:
     return max_abs(flat.conj().T @ flat - np.eye(flat.shape[1]))
 
 
+def _p_outside(p) -> POutOfRangeError:
+    return POutOfRangeError(
+        f"p = {p} lies outside [0, 1]; no normalization constant makes "
+        "the map trace preserving for such p"
+    )
+
+
 def build_channel(g: GeneratorSet, p: float) -> KrausChannel:
     """Kraus operators sqrt(1-p) I and sqrt(p/Z) X_i for the generator set."""
     if not 0.0 <= p <= 1.0:
-        raise POutOfRangeError(
-            f"p = {p} lies outside [0, 1]; no normalization constant makes "
-            "the map trace preserving for such p"
-        )
+        raise _p_outside(p)
     parts = []
     if p < 1.0:
         parts.append(math.sqrt(1.0 - p) * np.eye(g.d, dtype=np.complex128)[None])
@@ -111,6 +115,62 @@ def apply_matrix(ch: KrausChannel, m) -> np.ndarray:
         raise ValueError(f"dimension mismatch: channel {ch.dim}, input {m.shape}")
     # the terms summed in operator order onto +0, as a loop over the operators would
     return (ch.ops @ m @ ch.ops.conj().transpose(0, 2, 1)).sum(axis=0, initial=0.0)
+
+
+@dataclass(frozen=True, eq=False)
+class KrausStack:
+    """The channels of one generator set at each p of a stack, each row's
+    Kraus family formed as :func:`build_channel` forms it, with no
+    normalization enforced: ``deviations[i]`` is row i's
+    :func:`normalization_deviation`, for the caller to judge against
+    NORMALIZATION_TOL.  The rows whose families keep the same parts (p = 0
+    drops the generators', p = 1 the identity's) share one ``(rows, ops)``
+    group, ``ops`` of shape ``(len(rows), m, d, d)``."""
+
+    d: int
+    groups: tuple = field(repr=False)
+    deviations: np.ndarray = field(repr=False)
+
+
+def build_channels(g: GeneratorSet, ps) -> KrausStack:
+    """:func:`build_channel` at each p of a 1-D stack, every family and its
+    deviation bitwise the one-p result; a p outside [0, 1] raises the same
+    POutOfRangeError, for the first such p."""
+    ps = np.asarray(ps, dtype=float)
+    if ps.ndim != 1:
+        raise ValueError("expected a 1-D stack of p")
+    outside = ~((0.0 <= ps) & (ps <= 1.0))
+    if outside.any():
+        raise _p_outside(float(ps[outside][0]))
+    eye = np.eye(g.d, dtype=np.complex128)
+    groups, deviations = [], np.empty(len(ps))
+    for keep_eye, keep_gens in ((True, True), (True, False), (False, True)):
+        rows = np.flatnonzero(((ps < 1.0) == keep_eye) & ((ps > 0.0) == keep_gens))
+        if not len(rows):
+            continue
+        parts = []
+        if keep_eye:
+            parts.append((np.sqrt(1.0 - ps[rows])[:, None, None] * eye)[:, None])
+        if keep_gens:
+            parts.append(np.sqrt(ps[rows] / g.Z)[:, None, None, None] * g.generators)
+        ops = np.concatenate(parts, axis=1)
+        flat = ops.reshape(len(rows), -1, g.d)   # normalization_deviation's product, row by row
+        deviations[rows] = np.abs(flat.conj().transpose(0, 2, 1) @ flat - np.eye(g.d)).max(axis=(1, 2))
+        groups.append((rows, ops))
+    return KrausStack(d=g.d, groups=tuple(groups), deviations=deviations)
+
+
+def apply_matrices(chs: KrausStack, ms) -> np.ndarray:
+    """Row i of the ``(n, d, d)`` stack ``ms`` through row i's channel,
+    bitwise :func:`apply_matrix`: the same two products per operator and
+    the same fold over the operators, for each group of rows at once."""
+    ms = as_complex_stack(ms)
+    if ms.shape != (len(chs.deviations), chs.d, chs.d):
+        raise ValueError(f"expected {len(chs.deviations)} matrices of dimension {chs.d}, got {ms.shape}")
+    out = np.empty_like(ms)
+    for rows, ops in chs.groups:
+        out[rows] = (ops @ ms[rows, None] @ ops.conj().transpose(0, 1, 3, 2)).sum(axis=1, initial=0.0)
+    return out
 
 
 def superoperator(ops: np.ndarray) -> np.ndarray:
@@ -185,17 +245,19 @@ def detect_depolarizing(ch: KrausChannel) -> float | None:
 def spin_vw_input(g: GeneratorSet, v, w) -> tuple[np.ndarray, np.ndarray]:
     """(v, w) as float arrays for the spin set g, or ValueError unless v is a
     3-vector and w a symmetric 3x3 tensor with the unit-trace normalization
-    tr(w) = 3/(d lam), lam = s(s+1)."""
+    tr(w) = 3/(d lam), lam = s(s+1).  An (n, 3) stack of v with an (n, 3, 3)
+    stack of w is checked row by row, v's ndim choosing the path: a stack
+    with one bad row raises that row's own message."""
     require_spin(g)
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
-    if v.shape != (3,) or w.shape != (3, 3):
+    if v.ndim not in (1, 2) or v.shape[-1] != 3 or w.shape != v.shape[:-1] + (3, 3):
         raise ValueError("expected a 3-vector v and 3x3 tensor w")
     if not (np.isfinite(v).all() and np.isfinite(w).all()):
         raise ValueError("v and w must be finite (no NaN/Inf)")
-    if max_abs(w - w.T) > 1e-10:
+    if max_abs(w - np.swapaxes(w, -1, -2)) > 1e-10:
         raise ValueError("w must be symmetric")
-    if abs(np.trace(w) - 3.0 / (g.d * g.Z)) > 1e-10:
+    if max_abs(np.trace(w, axis1=-2, axis2=-1) - 3.0 / (g.d * g.Z)) > 1e-10:
         raise ValueError(f"tr(w) must equal 3/(d lam) = {3.0 / (g.d * g.Z)}")
     return v, w
 
@@ -208,14 +270,21 @@ def spin_channel_vw(g: GeneratorSet, p: float, v, w) -> tuple[np.ndarray, np.nda
 
     with lam = s(s+1).  Requires tr(w) = 3/(d lam), the unit-trace
     normalization; for s = 1 this specializes to v' = (1 - p/2) v and
-    w' = (1 - 3p/2) w + (p/4) delta.
+    w' = (1 - 3p/2) w + (p/4) delta.  A 1-D stack of p with stacks of v
+    and w (:func:`spin_vw_input`) gives stacks of v' and w', each row
+    bitwise the one-p result.
     """
-    if not 0.0 <= p <= 1.0:
-        raise POutOfRangeError(f"p = {p} lies outside [0, 1]")
+    p_arr = np.asarray(p, dtype=float)
+    outside = ~((0.0 <= p_arr) & (p_arr <= 1.0))
+    if outside.any():
+        raise POutOfRangeError(f"p = {p if p_arr.ndim == 0 else float(p_arr[outside][0])} lies outside [0, 1]")
     v, w = spin_vw_input(g, v, w)
+    if p_arr.shape != v.shape[:-1]:
+        raise ValueError("expected one p per (v, w) row")
     lam = g.Z
-    v2 = (1.0 - p / lam) * v
-    w2 = (1.0 - 3.0 * p / lam) * w + (p * float(np.trace(w)) / lam) * np.eye(3)
+    v2 = (1.0 - p_arr / lam)[..., None] * v
+    trace = np.trace(w, axis1=-2, axis2=-1)
+    w2 = (1.0 - 3.0 * p_arr / lam)[..., None, None] * w + (p_arr * trace / lam)[..., None, None] * np.eye(3)
     return v2, w2
 
 
@@ -228,18 +297,21 @@ class WIteration:
     F = 0 for zero applications (so one application gives F = p/4, which
     reproduces w -> (1 - 3p/2) w + (p/4) delta).  In closed form
     F(p) = (1 - (1 - 3p/2)^n) / 6.
+
+    For a 1-D stack of p, ``p`` and ``value`` are arrays and ``apply_to``
+    takes one w per p; every entry is bitwise the one-p result.
     """
 
     n: int
-    p: float
+    p: float | np.ndarray
     coefficients: tuple  # ascending powers of p
-    value: float
+    value: float | np.ndarray
 
     def apply_to(self, w) -> np.ndarray:
         w = np.asarray(w, dtype=float)
-        if w.shape != (3, 3):
-            raise ValueError("expected a 3x3 tensor")
-        return self.value * (np.eye(3) - 6.0 * w) + w
+        if w.shape != np.shape(self.value) + (3, 3):
+            raise ValueError("expected a 3x3 tensor" + (" per p" if np.ndim(self.value) else ""))
+        return np.asarray(self.value)[..., None, None] * (np.eye(3) - 6.0 * w) + w
 
 
 def iterate_w_polynomial(p: float, n: int) -> WIteration:
@@ -254,9 +326,12 @@ def iterate_w_polynomial(p: float, n: int) -> WIteration:
         coeffs[1] += 0.25
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs.pop()
+    p = np.asarray(p, dtype=float)
     value = coeffs[-1] + p * 0
     for c in reversed(coeffs[:-1]):
         value = c + value * p
+    if p.ndim:
+        return WIteration(n=n, p=p, coefficients=tuple(coeffs), value=value)
     return WIteration(n=n, p=float(p), coefficients=tuple(coeffs), value=float(value))
 
 

@@ -170,6 +170,11 @@ def _load_rho(path: str, g: rg.GeneratorSet) -> mc.DensityMatrix:
             w = _real_array(w.get("data"), "w 'data'").reshape(3, 3)
         else:
             w = _real_array(w, "w")
+        # rho_vw reads an (n, 3) v as a stack, but --rho holds one state;
+        # rho_vw's checks keep their order, the set's kind first
+        rg.require_spin(g)
+        if v.ndim != 1:
+            raise ValueError("expected a 3-vector v and 3x3 tensor w")
         return mc.DensityMatrix(bl.rho_vw(g, v, w))
     return mc.DensityMatrix(mc.matrix_from_json(obj))
 

@@ -2,7 +2,14 @@
 caller built (:func:`run_suite`).  Invariants that the library enforces on
 construction are reported through the same repgen functions.  Each su, spin
 and g2 suite builds L = ``channel.generator_action(g)`` once and reads every
-product identity from it as a ``channel.find_identity`` fit with g pinned."""
+product identity from it as a ``channel.find_identity`` fit with g pinned.
+
+The sampled checks draw each sample from its own ``derived_rng(seed, i)``
+stream.  The spin and g2 checks draw every sample first and evaluate the
+check as one stack: the states, the channels at every drawn p
+(``channel.build_channels``, ``channel.apply_matrices``) and the closed
+form.  Each row is bitwise what one sample at a time gives, so the
+residuals are the per-sample loop's."""
 
 from __future__ import annotations
 
@@ -48,60 +55,64 @@ def _spin(g: rg.GeneratorSet, seed: int) -> tuple[list, dict]:
     # a draw whose Kraus family is not normalized (a faulty set) has no
     # channel; its normalization deviation stands in for the misfit, as in
     # the g2 suite's bloch_scaling, and the suite goes on
-    worst = 0.0
-    for i in range(5):
-        rng = mc.derived_rng(seed, i)
-        p = rng.uniform(0.0, 1.0)
-        v, w = _random_unit_trace_vw(g, rng)
-        v2, w2 = ch.spin_channel_vw(g, p, v, w)
-        try:
-            channel = ch.build_channel(g, p)
-        except ch.NormalizationError as exc:
-            worst = max(worst, exc.deviation)
-            continue
-        direct = ch.apply_matrix(channel, bl.rho_vw(g, v, w))
-        worst = max(worst, mc.max_abs(direct - bl.rho_vw(g, v2, w2)))
-    checks.append(_check("vw_closed_form", worst, 1e-8))
+    ps, v, w, rho = _random_unit_trace_vw(g, seed, range(5))
+    v2, w2 = ch.spin_channel_vw(g, ps, v, w)
+    channels = ch.build_channels(g, ps)
+    misfits = _row_max_abs(ch.apply_matrices(channels, rho) - bl.rho_vw(g, v2, w2))
+    checks.append(_check("vw_closed_form", _worst(channels, misfits), 1e-8))
     info = {"Z": lam, "N": g.N, "critical_p_rank2": lam / 3.0}
     if g.d == 3:
-        worst = 0.0
-        for i in range(3):
-            rng = mc.derived_rng(seed, 50 + i)
-            p = rng.uniform(0.0, 1.0)
-            _, w = _random_unit_trace_vw(g, rng)
-            rho = bl.rho_vw(g, np.zeros(3), w)
-            try:
-                channel = ch.build_channel(g, p)
-            except ch.NormalizationError as exc:
-                worst = max(worst, exc.deviation)
-                continue
-            acc = rho.copy()
-            for nfold in range(1, 7):
-                acc = ch.apply_matrix(channel, acc)
-                wn = ch.iterate_w_polynomial(p, nfold).apply_to(w)
-                worst = max(worst, mc.max_abs(acc - bl.rho_vw(g, np.zeros(3), wn)))
-        checks.append(_check("iteration_formula", worst, 1e-9))
+        ps, _, w, _ = _random_unit_trace_vw(g, seed, range(50, 53))
+        zeros = np.zeros((len(ps), 3))
+        channels = ch.build_channels(g, ps)
+        acc, misfits = bl.rho_vw(g, zeros, w), 0.0
+        for nfold in range(1, 7):
+            acc = ch.apply_matrices(channels, acc)
+            wn = ch.iterate_w_polynomial(ps, nfold).apply_to(w)
+            misfits = np.maximum(misfits, _row_max_abs(acc - bl.rho_vw(g, zeros, wn)))
+        checks.append(_check("iteration_formula", _worst(channels, misfits), 1e-9))
     least = bl.spin_vw_pure_weight(g.d - 1)
     checks.append(_check("vw_pure_weight_witness", abs(bl.spin_vw_purity_search(g) - least), 1e-12))
     info["vw_pure_weight_min"] = least
     return checks, info
 
 
-def _random_unit_trace_vw(g: rg.GeneratorSet, rng: np.random.Generator):
+def _row_max_abs(stack: np.ndarray) -> np.ndarray:
+    """mc.max_abs of each matrix of an (n, d, d) stack."""
+    return np.abs(stack).max(axis=(1, 2))
+
+
+def _worst(channels: ch.KrausStack, misfits: np.ndarray) -> float:
+    """The largest misfit over the draws whose Kraus family is normalized,
+    and the largest deviation over those whose family is not, as the
+    per-draw loop ``max(worst, ...)`` from 0.0 gives them."""
+    faulty = channels.deviations > ch.NORMALIZATION_TOL
+    return max(0.0, *np.where(faulty, channels.deviations, misfits).tolist())
+
+
+def _random_unit_trace_vw(g: rg.GeneratorSet, seed: int, indices) -> tuple:
+    """(p, v, w, rho_vw(v, w)) stacks, row i drawn from derived_rng(seed,
+    indices[i]): p, then the 3 x 3 and the 3 normals; rows where rho_vw
+    has an eigenvalue below 1e-3/d are shrunk toward I/d."""
     d = g.d
+    rngs = [mc.derived_rng(seed, i) for i in indices]
+    ps, dw, v = (np.array(draw) for draw in zip(*[
+        (r.uniform(0.0, 1.0), r.normal(size=(3, 3)), r.normal(size=3)) for r in rngs]))
     base = np.eye(3) * (1.0 / (d * g.Z))
-    dw = rng.normal(size=(3, 3)) * 0.2
-    dw = (dw + dw.T) / 2.0
-    dw -= np.eye(3) * np.trace(dw) / 3.0
-    v = rng.normal(size=3) * 0.2
+    dw = dw * 0.2
+    dw = (dw + dw.transpose(0, 2, 1)) / 2.0
+    dw -= np.eye(3) * np.trace(dw, axis1=1, axis2=2)[:, None, None] / 3.0
+    v = v * 0.2
     w = base + dw
     rho = bl.rho_vw(g, v, w)
-    lo = float(np.linalg.eigvalsh(rho).min())
-    if lo < 1e-3 / d:
-        shrink = 0.5 * (1.0 / d) / max(1.0 / d - lo, 1e-12)
-        v = shrink * v
-        w = base + shrink * dw
-    return v, w
+    lo = np.linalg.eigvalsh(rho).min(axis=1)
+    low = np.flatnonzero(lo < 1e-3 / d)
+    if len(low):
+        shrink = 0.5 * (1.0 / d) / np.maximum(1.0 / d - lo[low], 1e-12)
+        v[low] = shrink[:, None] * v[low]
+        w[low] = base + shrink[:, None, None] * dw[low]
+        rho[low] = bl.rho_vw(g, v[low], w[low])
+    return ps, v, w, rho
 
 
 def _g2(g: rg.GeneratorSet, seed: int) -> tuple[list, dict]:
@@ -115,19 +126,13 @@ def _g2(g: rg.GeneratorSet, seed: int) -> tuple[list, dict]:
     # a draw whose Kraus family is not normalized (a faulty set) has no
     # channel; its normalization deviation stands in for the misfit, so the
     # check fails and the trace-form checks below still run
-    worst = 0.0
-    for i in range(5):
-        rng = mc.derived_rng(seed, i)
-        p = rng.uniform(0.0, 1.0)
-        v = rng.normal(size=14) * 0.2
-        try:
-            channel = ch.build_channel(g, p)
-        except ch.NormalizationError as exc:
-            worst = max(worst, exc.deviation)
-            continue
-        out = ch.apply_matrix(channel, bl.bloch_rho(g, v))
-        worst = max(worst, mc.max_abs(out - bl.bloch_rho(g, (1.0 - p) * v)))
-    checks.append(_check("bloch_scaling", worst, 1e-9))
+    rngs = [mc.derived_rng(seed, i) for i in range(5)]
+    ps, v = (np.array(draw) for draw in zip(*[(r.uniform(0.0, 1.0), r.normal(size=14)) for r in rngs]))
+    v = v * 0.2
+    channels = ch.build_channels(g, ps)
+    out = ch.apply_matrices(channels, bl.bloch_rho(g, v))
+    misfits = _row_max_abs(out - bl.bloch_rho(g, (1.0 - ps)[:, None] * v))
+    checks.append(_check("bloch_scaling", _worst(channels, misfits), 1e-9))
     try:
         depolarizing = ch.detect_depolarizing(ch.build_channel(g, 0.5))
     except ch.NormalizationError:   # no channel, so none that depolarizes

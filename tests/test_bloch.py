@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import permutations
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from liechan import bloch as bl
+from liechan import channel as ch
 from liechan import matcore as mc
 from liechan import repgen as rg
 from tests.conftest import clifford, g2, spin, su, su_tensors
@@ -809,15 +811,66 @@ def _unit_trace_vw(g, rng):
     return rng.normal(size=3) * 0.1, np.eye(3) / (g.d * g.Z) + dw
 
 
-@pytest.mark.parametrize("two_s", [2, 3, 7])
+@pytest.mark.parametrize("two_s", [1, 2, 3, 7, 63])
 def test_rho_vw_bitwise_equal_to_loop(two_s):
     g = spin(two_s)
     rng = np.random.default_rng(60 + two_s)
-    for _ in range(4):
-        v, w = _unit_trace_vw(g, rng)
+    draws = [_unit_trace_vw(g, rng) for _ in range(4)]
+    for v, w in draws:
         assert bl.rho_vw(g, v, w).tobytes() == _rho_vw_by_loop(g.generators, v, w).tobytes()
+    # a stack: every row bitwise the one-input result, signed zeros included
+    v, w = map(np.stack, zip(*draws))
+    v[0, 1], w[1] = -0.0, np.eye(3) / (g.d * g.Z)
+    v[2] = 0.0
+    stacked = bl.rho_vw(g, v, w)
+    assert stacked.shape == (4, g.d, g.d)
+    for i in range(4):
+        assert stacked[i].tobytes() == bl.rho_vw(g, v[i], w[i]).tobytes()
     v, w = bl.pure_from_psi(mc.random_pure_statevector(3, rng))
     assert bl.rho_vw_s_basis(v, w).tobytes() == _rho_vw_by_loop(bl.spin1_s_basis(), v, w).tobytes()
+
+
+def _one_bad_row(kind, g):
+    """Four valid (v, w) rows and row 2 made bad by ``kind``."""
+    v = np.zeros((4, 3)) + 0.01
+    w = np.tile(np.eye(3) / (g.d * g.Z), (4, 1, 1))
+    if kind == "non_finite_v":
+        v[2, 1] = np.nan
+    elif kind == "non_finite_w":
+        w[2, 0, 0] = np.inf
+    elif kind == "asymmetric":
+        w[2, 0, 1] += 1e-9
+    elif kind == "trace":
+        w[2, 2, 2] += 1e-9
+    return v, w
+
+
+@pytest.mark.parametrize("kind", ["non_finite_v", "non_finite_w", "asymmetric", "trace"])
+@pytest.mark.parametrize("check", [ch.spin_vw_input, bl.rho_vw], ids=["spin_vw_input", "rho_vw"])
+def test_stacked_vw_input_raises_the_bad_rows_own_message(check, kind):
+    g = spin(3)
+    v, w = _one_bad_row(kind, g)
+    with pytest.raises(ValueError) as alone:
+        check(g, v[2], w[2])
+    with pytest.raises(ValueError) as stacked:
+        check(g, v, w)
+    assert str(stacked.value) == str(alone.value)
+    for i in (0, 1, 3):
+        check(g, v[i], w[i])   # the other rows pass alone
+
+
+@pytest.mark.parametrize("check", [ch.spin_vw_input, bl.rho_vw], ids=["spin_vw_input", "rho_vw"])
+def test_stacked_vw_input_of_the_wrong_shape_raises_the_shape_message(check):
+    g = spin(3)
+    v, w = _one_bad_row(None, g)
+    message = "expected a 3-vector v and 3x3 tensor w"
+    # rows of the wrong shape, as each such row alone gives it, and stacks that do not pair up
+    for bad_v, bad_w in ((np.zeros((4, 4)), w), (v, w[:, :, :2]), (v, w[:3]), (v[:, None], w[:, None]),
+                         (v[0], w), (v, w[0])):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check(g, bad_v, bad_w)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check(g, np.zeros(4), w[0])
 
 
 def _extract_vw_by_loop(m, g):

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import math
@@ -292,6 +293,22 @@ def test_spin_vw_helpers_reject_non_spin_sets():
         bl.spin_vw_purity_search(su(2))
 
 
+@pytest.mark.parametrize("two_s", [1, 2, 3, 7, 63])
+def test_stacked_spin_channel_vw_bitwise_equal_to_one_p(two_s):
+    g = spin(two_s)
+    rng = mc.derived_rng(12, two_s)
+    ps = np.array([0.0, 1.0] + rng.uniform(size=4).tolist())
+    v, w = map(np.stack, zip(*[random_unit_trace_vw(two_s, rng) for _ in ps]))
+    v2, w2 = ch.spin_channel_vw(g, ps, v, w)
+    for i, p in enumerate(ps.tolist()):
+        one_v, one_w = ch.spin_channel_vw(g, p, v[i], w[i])
+        assert v2[i].tobytes() == one_v.tobytes() and w2[i].tobytes() == one_w.tobytes()
+    with pytest.raises(ch.POutOfRangeError, match=re.escape("p = 1.5 lies outside [0, 1]")):
+        ch.spin_channel_vw(g, np.array([0.5, 1.5]), v[:2], w[:2])
+    with pytest.raises(ValueError, match="expected one p per"):
+        ch.spin_channel_vw(g, ps[:2], v, w)
+
+
 def test_spin_vw_trace_precondition():
     with pytest.raises(ValueError):
         ch.spin_channel_vw(spin(2), 0.5, np.zeros(3), np.eye(3))  # tr w = 3 != 1/2
@@ -345,6 +362,15 @@ def test_iterate_w_polynomial_bitwise_equal_to_numpy_polynomial(n):
         it = ch.iterate_w_polynomial(p, n)
         assert np.array(it.coefficients).tobytes() == coeffs.tobytes()
         assert np.float64(it.value).tobytes() == np.float64(npoly.polyval(p, coeffs)).tobytes()
+    # a stack of p: every value, and every w it maps, bitwise the one-p result
+    stacked = ch.iterate_w_polynomial(np.array(ps), n)
+    assert stacked.coefficients == it.coefficients
+    assert stacked.value.tobytes() == np.array([ch.iterate_w_polynomial(p, n).value for p in ps]).tobytes()
+    ws = np.random.default_rng(n).normal(size=(len(ps), 3, 3))
+    one = [ch.iterate_w_polynomial(p, n).apply_to(w) for p, w in zip(ps, ws)]
+    assert stacked.apply_to(ws).tobytes() == np.stack(one).tobytes()
+    with pytest.raises(ValueError, match="expected a 3x3 tensor per p"):
+        stacked.apply_to(ws[0])
 
 
 def test_iterate_w_rejects_nonpositive_n():
@@ -770,6 +796,51 @@ def test_build_channel_and_apply_bitwise_equal_to_tuple_loop(build, p):
         for k in ops:
             out += k @ rho @ k.conj().T
         assert ch.apply_matrix(kraus, rho).tobytes() == out.tobytes()
+
+
+STACK_PS = (0.0, 1e-12, 0.3, 1.0)   # build_channel drops a Kraus part at p = 0 and at p = 1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: su(3), lambda: spin(3), lambda: spin(63), g2, lambda: clifford()[0]],
+    ids=["su3", "spin3_2", "spin63_2", "g2", "clifford"],
+)
+def test_stacked_channels_bitwise_equal_to_one_channel_each(build):
+    g = build()
+    ps = np.array(STACK_PS + STACK_PS[::-1])   # every group of rows, interleaved
+    rhos = np.stack([mc.random_density(g.d, mc.derived_rng(43, i)).matrix for i in range(len(ps))])
+    chs = ch.build_channels(g, ps)
+    out = ch.apply_matrices(chs, rhos)
+    for i, p in enumerate(ps.tolist()):
+        channel = ch.build_channel(g, p)
+        assert out[i].tobytes() == ch.apply_matrix(channel, rhos[i]).tobytes()
+        assert chs.deviations[i] == ch.normalization_deviation(channel.ops)
+    with pytest.raises(ValueError, match="expected 8 matrices"):
+        ch.apply_matrices(chs, rhos[1:])
+
+
+def test_stacked_channels_keep_a_faulty_family_with_its_deviation():
+    g = copy.copy(g2())   # a copy skips the constructor's checks
+    object.__setattr__(g, "generators", np.concatenate([1.01 * g.generators[:1], g.generators[1:]]))
+    chs = ch.build_channels(g, STACK_PS)
+    for p, deviation in zip(STACK_PS, chs.deviations.tolist()):
+        try:
+            ch.build_channel(g, p)
+            assert deviation <= ch.NORMALIZATION_TOL
+        except ch.NormalizationError as exc:
+            assert deviation == exc.deviation
+    # p = 1e-12 scales the fault below the tolerance
+    assert (chs.deviations > ch.NORMALIZATION_TOL).tolist() == [False, False, True, True]
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan")])
+def test_stacked_channels_reject_p_out_of_range_as_one_p(bad):
+    with pytest.raises(ch.POutOfRangeError) as one:
+        ch.build_channel(su(2), bad)
+    with pytest.raises(ch.POutOfRangeError) as stacked:
+        ch.build_channels(su(2), [0.3, bad, 2.0])
+    assert str(stacked.value) == str(one.value)
 
 
 def test_channel_rejects_unnormalized_ops():

@@ -107,6 +107,27 @@ def test_apply_non_finite_vw_exits_2(tmp_path, capsys, text):
     assert err.startswith("error: ") and "finite" in err
 
 
+STACKED_VW = [
+    '{"v": [[0, 0, 0]], "w": [[[0.5, 0, 0], [0, 0, 0], [0, 0, 0]]]}',
+    '{"v": [[0, 0, 0]], "w": {"shape": [3, 3], "data": [0.5, 0, 0, 0, 0, 0, 0, 0, 0]}}',
+    '{"v": [[0, NaN, 0]], "w": [[[0.5, 1, 0], [0, 0, 0], [0, 0, 0]]]}',
+]
+
+
+@pytest.mark.parametrize("algebra, message", [
+    (["spin", "--two-s", "2"], "error: expected a 3-vector v and 3x3 tensor w\n"),
+    (["su", "--n", "3"], "error: expected a spin generator set (su2_spin), got 'su_n_defining'\n"),
+], ids=["spin1", "su3"])
+@pytest.mark.parametrize("text", STACKED_VW, ids=["w_list", "w_data", "bad_entries"])
+def test_apply_stacked_vw_exits_2_as_one_bad_state(tmp_path, capsys, algebra, message, text):
+    # rho_vw takes (n, 3) and (n, 3, 3) stacks, but --rho holds one state
+    rho_file = tmp_path / "rho.json"
+    rho_file.write_text(text)
+    code, _ = run(tmp_path, "apply", "--algebra", *algebra, "--p", "0.1", "--rho", str(rho_file))
+    assert code == 2
+    assert capsys.readouterr().err == message
+
+
 FINITE_V = "error: Bloch coefficients must be finite (no NaN/Inf)"
 UNREPRESENTABLE_RHO = [
     ('{"v": [Infinity, 0, 0]}', FINITE_V),

@@ -334,3 +334,117 @@ def test_dependent_clifford_basis_fails_basis_rank_16(tmp_path, monkeypatch):
     out = tmp_path / "report.json"
     assert main(["verify", "--algebra", "clifford", "--out", str(out)]) == 1
     assert not json.loads(out.read_text())["passed"]
+
+
+# ---------------------------------------------------------------------------
+# The sampled checks against the per-draw loops they replaced: one
+# derived_rng stream, one build_channel, one apply_matrix and one closed
+# form per draw.  run_suite evaluates each check as one stack and must
+# report the same residual.
+
+def _draw_unit_trace_vw(g, rng):
+    d = g.d
+    base = np.eye(3) * (1.0 / (d * g.Z))
+    dw = rng.normal(size=(3, 3)) * 0.2
+    dw = (dw + dw.T) / 2.0
+    dw -= np.eye(3) * np.trace(dw) / 3.0
+    v = rng.normal(size=3) * 0.2
+    w = base + dw
+    rho = bl.rho_vw(g, v, w)
+    lo = float(np.linalg.eigvalsh(rho).min())
+    if lo < 1e-3 / d:
+        shrink = 0.5 * (1.0 / d) / max(1.0 / d - lo, 1e-12)
+        v = shrink * v
+        w = base + shrink * dw
+    return v, w
+
+
+def _vw_closed_form_by_loop(g, seed):
+    worst = 0.0
+    for i in range(5):
+        rng = mc.derived_rng(seed, i)
+        p = rng.uniform(0.0, 1.0)
+        v, w = _draw_unit_trace_vw(g, rng)
+        v2, w2 = ch.spin_channel_vw(g, p, v, w)
+        try:
+            channel = ch.build_channel(g, p)
+        except ch.NormalizationError as exc:
+            worst = max(worst, exc.deviation)
+            continue
+        direct = ch.apply_matrix(channel, bl.rho_vw(g, v, w))
+        worst = max(worst, mc.max_abs(direct - bl.rho_vw(g, v2, w2)))
+    return worst
+
+
+def _iteration_formula_by_loop(g, seed):
+    worst = 0.0
+    for i in range(3):
+        rng = mc.derived_rng(seed, 50 + i)
+        p = rng.uniform(0.0, 1.0)
+        _, w = _draw_unit_trace_vw(g, rng)
+        rho = bl.rho_vw(g, np.zeros(3), w)
+        try:
+            channel = ch.build_channel(g, p)
+        except ch.NormalizationError as exc:
+            worst = max(worst, exc.deviation)
+            continue
+        acc = rho.copy()
+        for nfold in range(1, 7):
+            acc = ch.apply_matrix(channel, acc)
+            wn = ch.iterate_w_polynomial(p, nfold).apply_to(w)
+            worst = max(worst, mc.max_abs(acc - bl.rho_vw(g, np.zeros(3), wn)))
+    return worst
+
+
+def _bloch_scaling_by_loop(g, seed):
+    worst = 0.0
+    for i in range(5):
+        rng = mc.derived_rng(seed, i)
+        p = rng.uniform(0.0, 1.0)
+        v = rng.normal(size=14) * 0.2
+        try:
+            channel = ch.build_channel(g, p)
+        except ch.NormalizationError as exc:
+            worst = max(worst, exc.deviation)
+            continue
+        out = ch.apply_matrix(channel, bl.bloch_rho(g, v))
+        worst = max(worst, mc.max_abs(out - bl.bloch_rho(g, (1.0 - p) * v)))
+    return worst
+
+
+SAMPLED_SEEDS = (0, 1, 7, 2**63 + 5)
+
+
+@pytest.mark.parametrize("seed", SAMPLED_SEEDS)
+@pytest.mark.parametrize("two_s", [1, 2, 3, 4, 5, 6, 7, 15])
+def test_spin_sampled_residuals_equal_the_per_draw_loops(two_s, seed):
+    g = rg.spin_rep(two_s)
+    by_name = {c["name"]: c["residual"] for c in verify.run_suite(g, seed)[0]}
+    assert by_name["vw_closed_form"] == _vw_closed_form_by_loop(g, seed)
+    if two_s == 2:
+        assert by_name["iteration_formula"] == _iteration_formula_by_loop(g, seed)
+    else:
+        assert "iteration_formula" not in by_name
+
+
+@pytest.mark.parametrize("seed", SAMPLED_SEEDS)
+def test_g2_sampled_residual_equals_the_per_draw_loop(seed):
+    g = rg.g2_rep()
+    by_name = {c["name"]: c["residual"] for c in verify.run_suite(g, seed)[0]}
+    assert by_name["bloch_scaling"] == _bloch_scaling_by_loop(g, seed)
+
+
+@pytest.mark.parametrize("two_s, name, first", [(3, "vw_closed_form", 0), (2, "iteration_formula", 50)])
+def test_spin_faulty_set_residual_is_the_largest_normalization_deviation(two_s, name, first):
+    g = rg.spin_rep(two_s)
+    bad = copy.copy(g)   # a copy skips the constructor's checks
+    object.__setattr__(bad, "generators", np.concatenate([1.01 * g.generators[:1], g.generators[1:]]))
+    by_name = {c["name"]: c for c in verify.run_suite(bad)[0]}
+    deviations = []
+    for i in range(5 if name == "vw_closed_form" else 3):
+        p = mc.derived_rng(0, first + i).uniform(0.0, 1.0)
+        ops = np.concatenate([np.sqrt(1.0 - p) * np.eye(g.d)[None], np.sqrt(p / bad.Z) * bad.generators])
+        deviations.append(ch.normalization_deviation(ops))
+    assert min(deviations) > ch.NORMALIZATION_TOL   # every draw is faulty
+    assert by_name[name]["residual"] == max(deviations)
+    assert not by_name[name]["pass"]
