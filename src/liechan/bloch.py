@@ -221,33 +221,28 @@ def rho_vw(g: GeneratorSet, v, w) -> np.ndarray:
     The trace comes entirely from the w term; unit trace requires
     tr(w) = 3/(d lam) with lam = s(s+1), which is enforced here.
     Positivity is not guaranteed.  An (n, 3) stack of v with an (n, 3, 3)
-    stack of w gives the (n, d, d) stack of the rho, v's ndim choosing the
-    path; each row is bitwise the one-input result, its terms added in the
-    same order.
+    stack of w gives the (n, d, d) stack of the rho, each row bitwise the
+    one-input result.
     """
     v, w = spin_vw_input(g, v, w)
-    if v.ndim == 1:
-        return _contract(g.generators, v, w, prods=g.pair_products)
-    acc = np.zeros((len(v), g.d, g.d), dtype=np.complex128)
-    for va, x in zip(v.T, g.generators):
-        acc += va[:, None, None] * x
-    acc += np.einsum("nab,abik->nik", (w + w.transpose(0, 2, 1)) / 2.0, g.pair_products)
-    return acc
+    return _contract(g.generators, v, w, prods=g.pair_products)
 
 
 def _contract(gens, v, w=None, u=None, prods=None) -> np.ndarray:
     """sum_a v_a X_a + sum_ab w_ab X_a X_b + sum_abc u_abc X_a X_b X_c over
     the (k, d, d) generator stack X; w enters through its symmetric part,
     and an absent higher-rank tensor is skipped.  ``prods`` is the
-    (k, k, d, d) table of the X_a X_b, formed here when not given."""
-    acc = np.zeros(gens.shape[1:], dtype=np.complex128)
-    for va, x in zip(v, gens):
-        acc += va * x
+    (k, k, d, d) table of the X_a X_b, formed here when not given.  (n, k)
+    and (n, k, k) stacks of v and w (no u) give the (n, d, d) stack, each
+    row's terms added in the one-input order."""
+    acc = np.zeros(v.shape[:-1] + gens.shape[1:], dtype=np.complex128)
+    for va, x in zip(np.moveaxis(v, -1, 0), gens):
+        acc += va[..., None, None] * x
     if w is None:
         return acc
     if prods is None:
         prods = np.einsum("aij,bjk->abik", gens, gens)
-    acc += np.einsum("ab,abik->ik", (w + w.T) / 2.0, prods)
+    acc += np.einsum("...ab,abik->...ik", (w + np.swapaxes(w, -1, -2)) / 2.0, prods)
     if u is not None:
         acc += np.einsum("abc,abcil->il", u, np.einsum("abij,cjl->abcil", prods, gens))
     return acc

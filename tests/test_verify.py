@@ -416,6 +416,23 @@ SAMPLED_SEEDS = (0, 1, 7, 2**63 + 5)
 
 
 @pytest.mark.parametrize("seed", SAMPLED_SEEDS)
+@pytest.mark.parametrize("two_s", [1, 2, 3, 15])
+def test_spin_draws_bitwise_equal_to_the_per_draw_loop(two_s, seed):
+    # every row, shrunk toward I/d or not, is the one-draw result: the
+    # stacked eigvalsh decides each row's shrink as the one-draw eigvalsh does
+    g = rg.spin_rep(two_s)
+    for indices in (range(5), range(50, 53)):
+        ps, v, w, rho = verify._random_unit_trace_vw(g, seed, indices)
+        for row, i in enumerate(indices):
+            rng = mc.derived_rng(seed, i)
+            p = rng.uniform(0.0, 1.0)
+            one_v, one_w = _draw_unit_trace_vw(g, rng)
+            assert ps[row] == p
+            assert v[row].tobytes() == one_v.tobytes() and w[row].tobytes() == one_w.tobytes()
+            assert rho[row].tobytes() == bl.rho_vw(g, one_v, one_w).tobytes()
+
+
+@pytest.mark.parametrize("seed", SAMPLED_SEEDS)
 @pytest.mark.parametrize("two_s", [1, 2, 3, 4, 5, 6, 7, 15])
 def test_spin_sampled_residuals_equal_the_per_draw_loops(two_s, seed):
     g = rg.spin_rep(two_s)
