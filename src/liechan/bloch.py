@@ -225,23 +225,22 @@ def rho_vw(g: GeneratorSet, v, w) -> np.ndarray:
     one-input result.
     """
     v, w = spin_vw_input(g, v, w)
-    return _contract(g.generators, v, w, prods=g.pair_products)
+    return _contract(g, v, w)
 
 
-def _contract(gens, v, w=None, u=None, prods=None) -> np.ndarray:
+def _contract(g: GeneratorSet, v, w=None, u=None) -> np.ndarray:
     """sum_a v_a X_a + sum_ab w_ab X_a X_b + sum_abc u_abc X_a X_b X_c over
-    the (k, d, d) generator stack X; w enters through its symmetric part,
-    and an absent higher-rank tensor is skipped.  ``prods`` is the
-    (k, k, d, d) table of the X_a X_b, formed here when not given.  (n, k)
-    and (n, k, k) stacks of v and w (no u) give the (n, d, d) stack, each
-    row's terms added in the one-input order."""
+    the generators X of g, the X_a X_b read from its table
+    ``g.pair_products``; w enters through its symmetric part, and an absent
+    higher-rank tensor is skipped.  (n, k) and (n, k, k) stacks of v and w
+    (no u) give the (n, d, d) stack, each row's terms added in the one-input
+    order."""
+    gens, prods = g.generators, g.pair_products
     acc = np.zeros(v.shape[:-1] + gens.shape[1:], dtype=np.complex128)
     for va, x in zip(np.moveaxis(v, -1, 0), gens):
         acc += va[..., None, None] * x
     if w is None:
         return acc
-    if prods is None:
-        prods = np.einsum("aij,bjk->abik", gens, gens)
     acc += np.einsum("...ab,abik->...ik", (w + np.swapaxes(w, -1, -2)) / 2.0, prods)
     if u is not None:
         acc += np.einsum("abc,abcil->il", u, np.einsum("abij,cjl->abcil", prods, gens))
@@ -317,7 +316,7 @@ def decompose_density(rho, g: GeneratorSet, max_rank: int = 2) -> BlochState:
     if m.shape != (g.d, g.d):
         raise ValueError("dimension mismatch")
     target = m - (np.trace(m) / g.d) * np.eye(g.d)
-    monomials = {r: sym_monomials(g.generators, r) for r in range(1, max_rank + 1)}
+    monomials = {r: sym_monomials(g.generators, r, g.pair_products) for r in range(1, max_rank + 1)}
     # columns are the flattened monomials, rank by rank
     a = np.concatenate([stack.reshape(len(stack), -1) for _, stack in monomials.values()]).T.copy()
     design = np.vstack([a.real, a.imag])
@@ -354,7 +353,7 @@ def decompose_density(rho, g: GeneratorSet, max_rank: int = 2) -> BlochState:
 
 def reconstruct(state: BlochState, g: GeneratorSet) -> np.ndarray:
     """I/d plus the tensor contractions of the BlochState coefficients."""
-    return np.eye(g.d) / g.d + _contract(g.generators, state.v, state.w, state.u)
+    return np.eye(g.d) / g.d + _contract(g, state.v, state.w, state.u)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +523,7 @@ class G2TraceForms:
 
 def g2_trace_forms(g: GeneratorSet) -> G2TraceForms:
     """The trace forms of the g2 set g (:func:`liechan.repgen.g2_rep`), read
-    from the pair table P_ab = X_a X_b: tr(X_a X_b) from its traces, and
+    from the set's pair table P_ab = X_a X_b: tr(X_a X_b) from its traces, and
     Q_abcd = tr(P_ab P_cd) as one 196 x 196 gemm.  kappa2 and kappa4 are the
     median diagonal values tr(X_a X_a) and Q_aaaa, rationalized (denominator
     at most 64), so that a minority of faulty generators shows in the
@@ -532,8 +531,7 @@ def g2_trace_forms(g: GeneratorSet) -> G2TraceForms:
     ArithmeticError."""
     if g.d != 7 or g.k != 14:
         raise ValueError("expected the 7-dimensional g2 generator set")
-    x, k = g.generators, g.k
-    pairs = x[:, None] @ x
+    x, k, pairs = g.generators, g.k, g.pair_products
     gram = np.trace(pairs, axis1=2, axis2=3).real
     # rows and columns (a, b) of Q_abcd; (a, a) is every (k + 1)-th.  One
     # real copy, so that the complex product is freed at once
@@ -633,15 +631,16 @@ def spin_vw_purity_search(g: GeneratorSet) -> float:
     (:func:`spin_vw_pure_weight`); g is the spin-s set.  P projects onto
     I/sqrt(d) and the orthonormal rows that span the traceless parts of the
     rank-1 and rank-2 monomials (``channel.traceless_basis``).  psi is the
-    top eigenvector of n.J on the generic axis n = (1, sqrt 2, sqrt 3)/sqrt 6:
-    entry i (J_3 = diag(s, ..., -s)) is proportional to sqrt(C(2s, i)) z^i,
-    z = (n_1 + i n_2)/(1 + n_3).  It has weight along every multipole
-    direction, so a span missing any monomial shows; |s, s> sees only the
-    diagonal ones.  The rank-2 monomials are the set's table ``g.pair_monomials``."""
+    top eigenvector of n.J on the generic axis n = (1, sqrt 2, sqrt 3)/sqrt 6,
+    formed from the set's own J, so the witness holds in any basis: the null
+    vector of n.J - s, whose other singular values are 1, ..., 2s.  It has
+    weight along every multipole direction, so a span missing any monomial
+    shows; |s, s> sees only the diagonal ones.  The rank-2 monomials are the
+    set's table ``g.pair_monomials``."""
     d = require_spin(g).d
     basis = traceless_basis(np.concatenate([g.generators, g.pair_monomials[1]]))
-    z = (1.0 + 1j * math.sqrt(2.0)) / (math.sqrt(6.0) + math.sqrt(3.0))
-    psi = np.sqrt([float(math.comb(d - 1, i)) for i in range(d)]) * z ** np.arange(d)
+    nj = np.einsum("a,aij->ij", np.sqrt([1.0, 2.0, 3.0]) / math.sqrt(6.0), g.generators)
+    psi = np.linalg.svd(nj - (d - 1) / 2 * np.eye(d))[2][-1].conj()
     rest = np.outer(psi, psi.conj()).ravel() / np.vdot(psi, psi).real
     rest -= basis.T @ (basis.conj() @ rest)
     rest[::d + 1] -= 1.0 / d

@@ -360,8 +360,7 @@ def extend(base_ops: Sequence, ext_ops: Sequence, at_index: int) -> KrausChannel
 def double_channel(g: GeneratorSet) -> KrausChannel:
     """Kraus operators {X_i X_j / Z}: the base channel extended by itself
     on every element."""
-    x = g.generators
-    ops = (x[:, None] @ x).reshape(g.k * g.k, g.d, g.d) / g.Z   # [i k + j] = X_i X_j / Z
+    ops = g.pair_products.reshape(g.k * g.k, g.d, g.d) / g.Z   # [i k + j] = X_i X_j / Z
     return KrausChannel(ops=ops)
 
 
@@ -406,7 +405,7 @@ class IdentityReport:
     Of the monomials M and their transforms the report keeps one row block
     when the fit was that block (``_block``); from more blocks it keeps the
     TSQR factor of the traceless parts if the fit is special (``_r``), and
-    ``residual_with`` forms the blocks again from the generators and L.
+    ``residual_with`` forms the blocks again from the set and L.
     """
 
     rank: int
@@ -421,7 +420,7 @@ class IdentityReport:
     _g: np.ndarray = field(repr=False)            # g_M per monomial, NaN where not pinned
     _tr_m: np.ndarray = field(repr=False)         # Re tr M per monomial
     _tr_t: np.ndarray = field(repr=False)         # Re tr of each transform sum_i X_i M X_i
-    _generators: np.ndarray = field(repr=False)
+    _set: GeneratorSet = field(repr=False)
     _action: np.ndarray = field(repr=False)       # L, the transforms' matrix
     _block: tuple | None = field(repr=False)      # (rows, M, transforms), a fit of one block
     _r: np.ndarray | None = field(repr=False)     # else a special fit's TSQR factor
@@ -458,7 +457,7 @@ class IdentityReport:
     def residual_with(self, g0: float) -> float:
         """Worst fit error when g is pinned to g0 and only f re-fitted."""
         blocks = [self._block] if self._block else _monomial_blocks(
-            self._generators, self.rank, self._action)[1]
+            self._set.generators, self.rank, self._action, self._set.pair_products)[1]
         worst = []
         for rows, m, t in blocks:
             d = m.shape[1]
@@ -504,16 +503,16 @@ FIT_BLOCK_BYTES = 1 << 17
 FIT_BLOCK_ROWS = 16
 
 
-def _monomial_blocks(gens: np.ndarray, r: int, action: np.ndarray) -> tuple[tuple, Iterator]:
+def _monomial_blocks(gens: np.ndarray, r: int, action: np.ndarray, products=None) -> tuple[tuple, Iterator]:
     """The rank-r multisets of ``gens`` and an iterator over their monomials M
-    in row blocks ``(rows, M, sum_i X_i M X_i)``, the transforms read from L =
-    ``action``.  The blocks are of near-equal size, at most FIT_BLOCK_BYTES
-    of monomials (or FIT_BLOCK_ROWS), and never one row, since a one-row
-    product is a gemv, whose sums need not match gemm's bits: each row of
-    each array is bitwise what the whole stack gives.  One block is a slab
-    of the fold as it comes; more are copied from the slabs into a scratch
-    buffer, which the next overwrites."""
-    multisets, slabs = sym_monomial_slabs(gens, r)
+    (folded on the pair table ``products``) in row blocks ``(rows, M, sum_i
+    X_i M X_i)``, the transforms read from L = ``action``.  The blocks are of
+    near-equal size, at most FIT_BLOCK_BYTES of monomials (or
+    FIT_BLOCK_ROWS), and never one row, since a one-row product is a gemv,
+    whose sums need not match gemm's bits: each row of each array is bitwise
+    what the whole stack gives.  One block is a slab of the fold as it
+    comes; more are copied from the slabs into a scratch buffer."""
+    multisets, slabs = sym_monomial_slabs(gens, r, products)
     n, d = len(multisets), gens.shape[1]
     count = -(-n // max(FIT_BLOCK_BYTES // (16 * d * d), FIT_BLOCK_ROWS))
     sizes = [n * (i + 1) // count - n * i // count for i in range(count)]
@@ -572,7 +571,7 @@ def find_identity(g: GeneratorSet, r: int, action: np.ndarray | None = None) -> 
     if action is None:
         action = generator_action(g)
     d, k = g.d, g.k
-    multisets, blocks = _monomial_blocks(g.generators, r, action)
+    multisets, blocks = _monomial_blocks(g.generators, r, action, g.pair_products)
     n = len(multisets)
     tr_m, tr_t, f_m, g_m = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
     informative = np.empty(n, dtype=bool)
@@ -624,7 +623,7 @@ def find_identity(g: GeneratorSet, r: int, action: np.ndarray | None = None) -> 
         _g=np.where(informative, g_m, np.nan),
         _tr_m=tr_m,
         _tr_t=tr_t,
-        _generators=g.generators,
+        _set=g,
         _action=action,
         _block=kept,
         _r=r_factor if special else None,

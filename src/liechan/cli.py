@@ -44,19 +44,18 @@ from . import verify
 #   2 x ARRAY_BUDGET above the interpreter, at every --n and --two-s.  At
 #   its peak these are alive, with their sizes at n = 10 (tracemalloc 115 MB
 #   in all):
-#   - the pair table X_a X_b in max-factor order, 16 k^2 n^2 bytes (16 MB);
+#   - the set's pair table X_a X_b, 16 k^2 n^2 bytes (16 MB), kept with it;
 #   - one slab of the fold: its triple products, at most
-#     matcore.FOLD_SLAB_BYTES or one largest factor's 3k^2 - 3k + 1
-#     (47 MB; the pair table as built shares this buffer), two buffers of
-#     the slab's monomials (16 MB) and the triples' row index, 8 k^3 bytes
-#     (8 MB);
+#     matcore.FOLD_SLAB_BYTES or one largest factor's 3k^2 - 3k + 1 (47 MB),
+#     two buffers of the slab's monomials, which also take each gemm's pairs
+#     (16 MB), and the triples' row index, 8 k^3 bytes (8 MB);
 #   - one row block of the fit: about five stacks of
 #     channel.FIT_BLOCK_BYTES (under 1 MB), or of channel.FIT_BLOCK_ROWS
 #     monomials where that is more (from d = 23 on; 5 MB at d = 64);
 #   - L, 16 n^4 bytes (0.16 MB), and the fit's R factor, at most as large;
 #   - the per-monomial scalars: the multisets, traces, f_M, g_M and flags
 #     and the fold's factor indices, about 180 bytes a monomial (30 MB).
-#   The other su(n) arrays (the pair products of structure_tensors) are
+#   The other su(n) arrays (structure_tensors' T_ijk and tensors) are
 #   smaller.
 # * --two-s: the spin superoperator L (channel.generator_action, built once
 #   per verify suite and once by critical) is the largest array, d^2 x d^2
@@ -105,11 +104,12 @@ def _dump_json(obj, path: str | None) -> None:
 
 # Generator sets built by this process, keyed on the flags that size them.
 # A set is frozen with read-only arrays, so requests can share it, and keeps
-# the read-only tables built on first read: nonzero_terms (bloch_rho) and, on
-# spin sets only, pair_monomials and pair_products (the (v, w) readers), 15
-# d^2 complex128 entries, 0.98 MB at d = 64.  The caps on --n and --two-s
-# bound the memo to 9 su(n), 63 spin, g2 and Clifford sets: 4.7 MB of sets,
-# 7.9 MB with their nonzero_terms, 29.5 MB once every spin set holds its
+# the read-only tables built on first read: nonzero_terms (bloch_rho),
+# pair_products (every reader of X_a X_b; k^2 d^2 complex128 entries, 15 MiB
+# at su(10)) and, on spin sets only, pair_monomials.  The caps on --n and
+# --two-s bound the memo to 9 su(n), 63 spin, g2 and Clifford sets: 4.7 MB of
+# sets, 7.9 MB with their nonzero_terms, 29.5 MB once every spin set holds
+# its tables and 60.5 MB once every set does, 31 MB of it the su(n) pair
 # tables (tracemalloc); a failed build raises and is not stored.
 _GENSETS: dict = {}
 

@@ -83,20 +83,20 @@ def sym_product(mats: Sequence) -> np.ndarray:
     return _collect(_sym_fold(ms, [tuple(range(len(ms)))]), 1)[0]
 
 
-def sym_monomials(mats: Sequence, r: int) -> tuple[tuple, np.ndarray]:
+def sym_monomials(mats: Sequence, r: int, products: np.ndarray | None = None) -> tuple[tuple, np.ndarray]:
     """Every symmetrized rank-r monomial of ``mats``, built batched.
 
     Returns the multisets in ``combinations_with_replacement`` order and a
     ``(C(k+r-1, r), d, d)`` array whose slice ``j`` is bitwise equal to
     ``sym_product([mats[i] for i in multisets[j]])``, since both run the
-    same fold, which reads each term from a table of ordered products (see
-    :func:`_sym_fold`).  For r = 1 it is ``as_complex_stack(mats)``.
+    same fold, on the :func:`pair_table` ``products`` of ``mats`` (formed when
+    not given; see :func:`_sym_fold`).  For r = 1 it is the stack of ``mats``.
     """
-    multisets, slabs = sym_monomial_slabs(mats, r)
+    multisets, slabs = sym_monomial_slabs(mats, r, products)
     return multisets, (next(slabs)[1] if r == 1 else _collect(slabs, len(multisets)))
 
 
-def sym_monomial_slabs(mats: Sequence, r: int) -> tuple[tuple, Iterator]:
+def sym_monomial_slabs(mats: Sequence, r: int, products: np.ndarray | None = None) -> tuple[tuple, Iterator]:
     """The multisets of :func:`sym_monomials` and an iterator over its
     monomials in slabs ``(rows, stack)``: ``stack[i]`` is monomial
     ``rows[i]``, bitwise the array's, and every row comes once.  A slab is a
@@ -106,8 +106,15 @@ def sym_monomial_slabs(mats: Sequence, r: int) -> tuple[tuple, Iterator]:
         raise ValueError("rank r must be >= 1")
     stack = as_complex_stack(mats)
     multisets = tuple(combinations_with_replacement(range(len(stack)), r))
-    slabs = iter([(np.arange(len(stack)), stack)]) if r == 1 else _sym_fold(stack, multisets)
+    slabs = iter([(np.arange(len(stack)), stack)]) if r == 1 else _sym_fold(stack, multisets, products)
     return multisets, slabs
+
+
+def pair_table(stack: np.ndarray) -> np.ndarray:
+    """The read-only ``(k, k, d, d)`` table of the products X_a X_b of a ``(k, d, d)`` stack."""
+    table = stack[:, None] @ stack
+    table.flags.writeable = False
+    return table
 
 
 def _collect(slabs: Iterator, n: int) -> np.ndarray:
@@ -130,7 +137,7 @@ FOLD_SLAB_BYTES = 1 << 18
 GEMM_ROWS = 1 << 13
 
 
-def _sym_fold(stack: np.ndarray, multisets) -> Iterator:
+def _sym_fold(stack: np.ndarray, multisets, products: np.ndarray | None = None) -> Iterator:
     """Symmetrized products of the stacked matrices over each index multiset
     of one rank r >= 2, yielded in slabs ``(rows, products)`` (positions in
     ``multisets``; each slab a buffer reused for the next): the factors in
@@ -138,18 +145,20 @@ def _sym_fold(stack: np.ndarray, multisets) -> Iterator:
     reordering, the permutations summed in ``permutations()`` order as left
     folds onto zeros, and the sum divided by r! last.
 
-    Each term is read from a table of ordered products, formed as gemms of
-    at most GEMM_ROWS rows (a row of a gemm is bitwise the lone product): the
-    pairs X_a X_b at rank 2; from rank 3 on the triples X_a X_b X_c, from
-    the pairs in max-factor order, then stacked matmuls for later factors.
-    A slab holds at most FOLD_SLAB_BYTES of products.  Rank-3 triples come in
-    slabs of the largest factor, which all terms of a multiset share: the
-    slab's triples number at most the budget and the multisets' count, or
-    one factor's.  ``sym_monomials(su(n), 3)`` peaks at 2.07 and 1.62 output
-    stacks for n = 6 and 8, its output included.
+    Each term is read from ordered products: the pairs X_a X_b from the
+    stack's :func:`pair_table` ``products`` (formed here when not given); from
+    rank 3 on the triples X_a X_b X_c, gemms of at most GEMM_ROWS rows (a row
+    is bitwise the lone product) on the pairs in max-factor order, which each
+    gemm gathers into the slab's scratch, then stacked matmuls for later
+    factors.  A slab holds at most FOLD_SLAB_BYTES of products.  Rank-3
+    triples come in slabs of the largest factor, which all terms of a
+    multiset share: the slab's triples number at most the budget and the
+    multisets' count, or one factor's.  ``sym_monomials(su(n), 3)`` peaks
+    at 2.10 and 1.63 output stacks for n = 6 and 8, its output included.
     """
     k, d, _ = stack.shape
     n, r = len(multisets), len(multisets[0])
+    products = (pair_table(stack) if products is None else products).reshape(k * k, d, d)
     cap = max(FOLD_SLAB_BYTES // (16 * d * d), 1)   # products per slab
     # the matrices in content-key order (ties only between equal matrices);
     # factors[:, j] is multiset order[j] as ascending key ranks, grouped by the largest
@@ -169,40 +178,36 @@ def _sym_fold(stack: np.ndarray, multisets) -> Iterator:
     slabs = list(zip(bounds, bounds[1:], ends, ends[1:]))
     if r == 2:   # the pair table serves any rows: slabs of at most cap of them
         slabs = [(0, k, lo, min(lo + cap, n)) for lo in range(0, n, cap)]
-    # X_a X_b at row b k + a of the table, which from rank 3 on holds each
-    # slab's triples once the pairs are copied out in max-factor order
-    room = max([k * k] + [c1 ** 3 - c0 ** 3 for c0, c1, _, _ in slabs if r > 2])
-    table = np.empty((room, d, d), dtype=np.complex128)
-    np.matmul(keyed.reshape(k * d, d), keyed, out=table[:k * k].reshape(k, k * d, d))
+    pair = (by_key * k + by_key[:, None]).ravel()   # X_a X_b of key ranks at row pair[b k + a]
+    # each slab's sums and terms; before its terms are taken, each gemm's pairs
+    scratch = np.empty((2 * max(hi - lo for _, _, lo, hi in slabs), d, d), dtype=np.complex128)
+    sums, terms = scratch.reshape(2, -1, d, d)
+    table = products   # the terms' table: from rank 3 on, each slab's triples
     if r > 2:
-        b, a = np.divmod(np.arange(k * k), k)
-        by_max = np.argsort(np.maximum(a, b), kind="stable")
-        pairs = table[:k * k].take(by_max, 0)
+        by_max = np.argsort(np.maximum(*np.divmod(np.arange(k * k), k)), kind="stable")
+        table = np.empty((max(c1 ** 3 - c0 ** 3 for c0, c1, _, _ in slabs), d, d), dtype=np.complex128)
         at = np.empty((k * k, k), dtype=np.intp)   # at[b k + a, c]: X_a X_b X_c's row in the slab
-    sums = np.empty((max(hi - lo for _, _, lo, hi in slabs), d, d), dtype=np.complex128)
-    terms = np.empty_like(sums)
-    step = max(GEMM_ROWS // d, 1)   # pairs per gemm
+    step = max(min(GEMM_ROWS // d, len(scratch)), 1)   # pairs per gemm
     for c0, c1, lo, hi in slabs:
         if lo == hi:
             continue
         rows = factors[:, lo:hi]
-        if r > 2:   # pairs[:c1^2] @ X_c for c in [c0, c1), then pairs[c0^2:c1^2] @ X_c for c < c0
-            w0, w1, filled = c0 * c0, c1 * c1, 0
-            for start, cs in ((0, slice(c0, c1)), (w0, slice(0, c0))):
+        if r > 2:   # pairs[:c0^2] @ X_c for c in [c0, c1), then pairs[c0^2:c1^2] @ X_c for c < c1
+            filled = 0
+            for start, stop, cs in ((0, c0 * c0, slice(c0, c1)), (c0 * c0, c1 * c1, slice(0, c1))):
                 count = cs.stop - cs.start
-                for p in range(start, w1, step):
-                    size = min(step, w1 - p)
+                for p in range(start, stop, step):
+                    size = min(step, stop - p)
                     block = table[filled:filled + count * size]
-                    np.matmul(pairs[p:p + size].reshape(size * d, d), keyed[cs],
-                              out=block.reshape(count, size * d, d))
+                    pairs = products.take(pair[by_max[p:p + size]], 0, scratch[:size], "clip")
+                    np.matmul(pairs.reshape(size * d, d), keyed[cs], out=block.reshape(count, size * d, d))
                     at[by_max[p:p + size], cs] = np.arange(filled, filled + len(block)).reshape(count, size).T
                     filled += len(block)
         part, term = sums[:hi - lo], terms[:hi - lo]
         part.fill(0.0)
         for perm in permutations(range(r)):
-            row = rows[perm[1]] * k + rows[perm[0]]   # the term's row in the table
-            if r > 2:
-                row = at[row, rows[perm[2]]]
+            row = rows[perm[1]] * k + rows[perm[0]]
+            row = at[row, rows[perm[2]]] if r > 2 else pair[row]   # the term's row in the table
             x = table.take(row, 0, term, "clip")   # 'raise' would buffer a copy; none clips
             for i in perm[3:]:
                 x = x @ keyed[rows[i]]

@@ -31,6 +31,7 @@ from .matcore import (
     as_complex_matrix,
     matrix_to_json,
     max_abs,
+    pair_table,
     readonly_copy,
     sym_monomials,
 )
@@ -168,22 +169,20 @@ class GeneratorSet:
 
     @cached_property
     def pair_monomials(self) -> tuple:
-        """``sym_monomials(self.generators, 2)``: the multisets (a, b), a <= b,
-        and the read-only ``(C(k+1, 2), d, d)`` stack of the X_(a X_b).  Built
-        on first read and kept with the set; only spin sets are read for it
+        """The multisets (a, b), a <= b, and the read-only ``(C(k+1, 2), d, d)``
+        stack of the X_(a X_b), folded on ``pair_products``.  Built on first
+        read and kept with the set; only spin sets are read for it
         (:func:`liechan.bloch.extract_vw`, :func:`liechan.bloch.spin_vw_purity_search`)."""
-        multisets, stack = sym_monomials(self.generators, 2)
+        multisets, stack = sym_monomials(self.generators, 2, self.pair_products)
         stack.flags.writeable = False
         return multisets, stack
 
     @cached_property
     def pair_products(self) -> np.ndarray:
-        """The read-only ``(k, k, d, d)`` table of the ordered products
-        X_a X_b, formed as :func:`liechan.bloch.rho_vw` contracts them.  Built
-        on first read and kept with the set; only spin sets are read for it."""
-        products = np.einsum("aij,bjk->abik", self.generators, self.generators)
-        products.flags.writeable = False
-        return products
+        """The read-only ``(k, k, d, d)`` table of the ordered products X_a X_b
+        (:func:`liechan.matcore.pair_table`), which every reader of them
+        takes.  Built on first read and kept with the set."""
+        return pair_table(self.generators)
 
     @classmethod
     def from_generators(cls, generators: Sequence, algebra: str = CUSTOM) -> "GeneratorSet":
@@ -271,18 +270,17 @@ def structure_tensors(g: GeneratorSet) -> StructureTensors:
     """f, d and Q tensors of su(n) on its defining set ``g`` (:func:`gell_mann`),
     read from T_ijk = tr(X_i X_j X_k): f_ijk = -(i/4)(T_ijk - T_jik) =
     -(i/4) tr([X_i,X_j] X_k), d_ijk = (T_ijk + T_jik)/4 = (1/4) tr({X_i,X_j} X_k),
-    Q = d + i f, beta = 2/n.  T is one gemm of the pair table X_i X_j with
-    the transposed generators."""
+    Q = d + i f, beta = 2/n.  T is one gemm of the set's pair table X_i X_j
+    (``g.pair_products``) with the transposed generators."""
     if g.algebra != SU_N_DEFINING:
         raise ValueError(f"structure_tensors needs the su(n) defining representation, got {g.algebra!r}")
     n, k, x = g.d, g.k, g.generators
-    pairs = x[:, None] @ x
-    t = (pairs.reshape(k * k, n * n) @ x.transpose(0, 2, 1).reshape(k, n * n).T).reshape(k, k, k)
+    t = (g.pair_products.reshape(k * k, n * n) @ x.transpose(0, 2, 1).reshape(k, n * n).T).reshape(k, k, k)
     f = t - t.transpose(1, 0, 2)
     f *= -0.25j
     d_sym = t + t.transpose(1, 0, 2)
     d_sym *= 0.25
-    del pairs, t
+    del t
     if max_abs(f.imag) > 1e-12 or max_abs(d_sym.imag) > 1e-12:
         raise ArithmeticError("structure tensors acquired an imaginary part")
     f = np.ascontiguousarray(f.real)   # the contractions read them as gemm operands
@@ -308,7 +306,7 @@ def structure_residuals(g: GeneratorSet, t: StructureTensors) -> tuple:
         ("f_contraction", max_abs(f @ f.T - n * np.eye(k)), 1e-8),
         ("Q_contraction", max_abs(q @ q.T + (4.0 / n) * np.eye(k)), 1e-8),
         ("d_traceless", max_abs(np.einsum("iik->k", t.d_sym)), 1e-9),
-        ("product_identity", max_abs(x[:, None] @ x - recon), 1e-9),
+        ("product_identity", max_abs(g.pair_products - recon), 1e-9),
     )
 
 

@@ -152,8 +152,7 @@ def _g2(g: rg.GeneratorSet, seed: int) -> tuple[list, dict]:
 
 def _clifford(g: rg.GeneratorSet, seed: int) -> tuple[list, dict]:
     # {X_a, X_b} = 2 delta_ab I on the pair table covers every (x, y) by bilinearity
-    x = g.generators
-    pairs = x[:, None] @ x
+    pairs = g.pair_products
     anti = pairs + pairs.transpose(1, 0, 2, 3) - 2.0 * np.multiply.outer(np.eye(g.k), np.eye(g.d))
     checks = [_check("anticommutation", mc.max_abs(anti), 1e-10)]
     checks.append(_check("basis_rank_16", float(16 - rg.basis_rank(rg.clifford_basis(g))), 0.0))

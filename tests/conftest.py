@@ -66,8 +66,8 @@ def sym_pair_calls(monkeypatch):
     calls = []
     original = matcore.sym_monomials
 
-    def counted(mats, r):
-        multisets, stack = original(mats, r)
+    def counted(mats, r, products=None):
+        multisets, stack = original(mats, r, products)
         if r == 2:
             calls.append(stack.shape[-1])
         return multisets, stack

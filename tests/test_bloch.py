@@ -798,7 +798,7 @@ def _rho_vw_by_loop(gens, v, w):
     for a in range(3):
         acc += v[a] * gens[a]
     stack = np.stack(gens)
-    prods = np.einsum("aij,bjk->abik", stack, stack)
+    prods = stack[:, None] @ stack
     acc += np.einsum("ab,abik->ik", (np.asarray(w) + np.asarray(w).T) / 2.0, prods)
     return acc
 

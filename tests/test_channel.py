@@ -880,7 +880,7 @@ def test_find_identity_tensors_bitwise_equal_to_scatter_loop(build, r):
 def test_critical_values_report_unchanged_under_reference_fold(monkeypatch, build):
     g = build()
     texts = [json.dumps(ch.critical_values(g, r).to_json()) for r in (1, 2, 3)]
-    monkeypatch.setattr(mc, "_sym_fold", lambda stack, multisets: iter(
+    monkeypatch.setattr(mc, "_sym_fold", lambda stack, multisets, products: iter(
         [(np.arange(len(multisets)), reference_sym_fold(stack, multisets))]))
     assert [json.dumps(ch.critical_values(g, r).to_json()) for r in (1, 2, 3)] == texts
 
@@ -1019,15 +1019,16 @@ def test_verified_from_the_fit_agrees_with_the_traceless_basis(monkeypatch, name
 
 
 # tracemalloc peak of critical_values(su(n), 3) in rank-3 output stacks: a
-# fit over whole stacks holds about 4.2 / 4.1 of them.  It reads 1.26 / 0.67
-# streamed; at su(6) one largest factor's slab of triple products is 0.46
-# stacks by itself and the pair table 0.16.
+# fit over whole stacks holds about 4.2 / 4.1 of them.  It reads 1.29 / 0.67
+# streamed on a fresh set, whose pair table (0.16 stacks at su(6)) is built
+# inside the call; at su(6) one largest factor's slab of triple products is
+# 0.46 stacks by itself.
 CRITICAL_PEAK_STACKS = {6: 1.3, 8: 1.0}
 
 
 @pytest.mark.parametrize("n", sorted(CRITICAL_PEAK_STACKS))
 def test_critical_values_peak_below_the_output_stack(n):
-    g = su(n)
+    g = rg.gell_mann(n)   # a fresh set: its pair table counts towards the peak
     stack_bytes = math.comb(g.k + 2, 3) * 16 * g.d * g.d   # 4.48 MB at n = 6, 44.7 MB at n = 8
     tracemalloc.start()
     try:

@@ -209,8 +209,8 @@ def test_spin_vw_purity_search_sees_every_off_diagonal_monomial(monkeypatch, dro
     # A span that misses one J_(a J_b), a != b, must move the witness off the
     # closed form; the diagonal |s, s><s, s| has no weight on such a direction.
     # The witness reads the set's table of them, built on a fresh set's first read.
-    def without(mats, r, _original=rg.sym_monomials):
-        multisets, monomials = _original(mats, r)
+    def without(mats, r, products, _original=rg.sym_monomials):
+        multisets, monomials = _original(mats, r, products)
         keep = [j for j, m in enumerate(multisets) if m != drop]
         return tuple(multisets[j] for j in keep), monomials[keep]
 

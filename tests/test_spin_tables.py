@@ -1,7 +1,7 @@
-"""The spin sets' product tables (``GeneratorSet.pair_monomials`` and
+"""The sets' product tables (``GeneratorSet.pair_monomials`` and
 ``GeneratorSet.pair_products``): the (v, w) readers that use them give the
-bytes of the per-call refold, each set builds its own once, and only spin
-sets are read for them."""
+bytes of the per-call refold, each set builds its own once, every set is read
+for its pair products and only spin sets for their pair monomials."""
 
 import copy
 import json
@@ -24,7 +24,7 @@ TABLES = ("pair_monomials", "pair_products")
 
 
 # The readers as they were written before the tables: every call refolds the
-# rank-2 monomials with sym_monomials and forms the products with einsum.
+# rank-2 monomials with sym_monomials and forms the products X_a X_b.
 
 def refold_extract_vw(rho, g):
     m = mc.as_complex_matrix(rho)
@@ -52,7 +52,7 @@ def refold_rho_vw(g, v, w):
     acc = np.zeros(gens.shape[1:], dtype=np.complex128)
     for va, x in zip(v, gens):
         acc += va * x
-    prods = np.einsum("aij,bjk->abik", gens, gens)
+    prods = gens[:, None] @ gens
     acc += np.einsum("ab,abik->ik", (w + w.T) / 2.0, prods)
     return acc
 
@@ -60,8 +60,8 @@ def refold_rho_vw(g, v, w):
 def refold_purity_search(g):
     d = g.d
     basis = ch.traceless_basis(np.concatenate([mc.sym_monomials(g.generators, r)[1] for r in (1, 2)]))
-    z = (1.0 + 1j * math.sqrt(2.0)) / (math.sqrt(6.0) + math.sqrt(3.0))
-    psi = np.sqrt([float(math.comb(d - 1, i)) for i in range(d)]) * z ** np.arange(d)
+    nj = np.einsum("a,aij->ij", np.sqrt([1.0, 2.0, 3.0]) / math.sqrt(6.0), g.generators)
+    psi = np.linalg.svd(nj - (d - 1) / 2 * np.eye(d))[2][-1].conj()
     rest = np.outer(psi, psi.conj()).ravel() / np.vdot(psi, psi).real
     rest -= basis.T @ (basis.conj() @ rest)
     rest[::d + 1] -= 1.0 / d
@@ -184,21 +184,48 @@ def test_a_second_set_builds_its_own_tables():
     assert second.pair_monomials[1].tobytes() == first.pair_monomials[1].tobytes()
 
 
-def test_only_spin_sets_build_tables(tmp_path, monkeypatch):
+def test_each_set_builds_its_pair_products_once(tmp_path, monkeypatch):
+    # every reader of X_a X_b takes the set's pair_products, so one process
+    # that runs critical and verify on a set (and apply on spin-3/2, whose
+    # reports read pair_monomials) forms its table once; the raw and {v}
+    # applies on the other sets and every bloch-scan form none.  su(3) scans
+    # read the closed form's own cached tensors, built here beforehand.
+    bl._su3_tensors()
+    calls = []
+    original = mc.pair_table
+
+    def counted(stack):
+        calls.append(stack.shape[:2])   # (k, d)
+        return original(stack)
+
+    for module in (mc, rg):
+        monkeypatch.setattr(module, "pair_table", counted)
     monkeypatch.setattr(cli, "_GENSETS", {})
-    sizes = {"su": ["--n", "3"], "g2": [], "clifford": [], "spin": ["--two-s", "3"]}
-    for algebra, size in sizes.items():
-        g = rg.build_algebra(algebra, n=3, two_s=3)
-        rho = tmp_path / f"{algebra}.json"
-        rho.write_text(json.dumps({"v": [0.01] * g.k}))
-        out = str(tmp_path / "out")
-        head = ["--algebra", algebra, *size, "--out", out]
-        for argv in (["apply", *head, "--p", "0.3", "--rho", str(rho)], ["verify", *head],
-                     ["critical", *head, "--max-rank", "2"], ["bloch-scan", *head, "--samples", "20"]):
-            assert cli.main(argv) == 0, argv
+    sizes = {("su", 3): ["--n", "3"], ("su", 4): ["--n", "4"], ("g2", None): [],
+             ("clifford", None): [], ("spin", 3): ["--two-s", "3"]}
+    out = str(tmp_path / "out")
+    heads = {key: ["--algebra", key[0], *size, "--out", out] for key, size in sizes.items()}
+    for (algebra, size), head in heads.items():
+        g = rg.build_algebra(algebra, n=size, two_s=size)
+        for i, obj in enumerate([mc.matrix_to_json(np.eye(g.d) / g.d), {"v": [0.01] * g.k}]):
+            rho = tmp_path / f"{algebra}-{i}.json"
+            rho.write_text(json.dumps(obj))
+            if algebra != "spin":
+                assert cli.main(["apply", *head, "--p", "0.3", "--rho", str(rho)]) == 0
+        assert cli.main(["bloch-scan", *head, "--samples", "20"]) == 0
+    assert calls == []
+    vw = tmp_path / "vw.json"
+    spin3_2 = rg.spin_rep(3)
+    vw.write_text(json.dumps({"v": [0.01] * 3, "w": (np.eye(3) / (spin3_2.d * spin3_2.Z)).tolist()}))
+    for path in (vw, tmp_path / "spin-0.json", tmp_path / "spin-1.json"):
+        assert cli.main(["apply", *heads["spin", 3], "--p", "0.3", "--rho", str(path)]) == 0
+    for head in heads.values():
+        assert cli.main(["critical", *head, "--max-rank", "3"]) == 0
+        assert cli.main(["verify", *head]) == 0
+    assert sorted(calls) == [(3, 4), (4, 4), (8, 3), (14, 7), (15, 4)]
     for (algebra, *_), g in cli._GENSETS.items():
-        built = [name for name in TABLES if name in vars(g)]
-        assert built == (list(TABLES) if algebra == "spin" else []), algebra
+        assert "pair_products" in vars(g)
+        assert ("pair_monomials" in vars(g)) == (algebra == "spin"), algebra
 
 
 def test_spin_tables_hold_fifteen_matrices():

@@ -117,6 +117,19 @@ def test_spin_suite_reports_exact_pure_weight():
         assert "vw_purity_search_min" not in info
 
 
+@pytest.mark.parametrize("two_s", [3, 4, 7])
+def test_spin_suite_passes_in_a_rotated_basis(two_s):
+    # U J_a U^dag for a seeded random unitary U is the same representation in
+    # another basis; the witness's coherent state must come from these J, not
+    # from J_3 = diag(s, ..., -s)
+    g = rg.spin_rep(two_s)
+    rng = np.random.default_rng(5)
+    u, _ = np.linalg.qr(rng.normal(size=(g.d, g.d)) + 1j * rng.normal(size=(g.d, g.d)))
+    rotated = rg.GeneratorSet.from_generators(u @ g.generators @ u.conj().T, algebra=rg.SU2_SPIN)
+    checks, _ = verify.run_suite(rotated)
+    assert [c["name"] for c in checks if not c["pass"]] == []
+
+
 @pytest.mark.parametrize("algebra, size", [("su", {"n": 2}), ("su", {"n": 4}), ("clifford", {})])
 def test_su_and_clifford_suites_draw_no_random_density(monkeypatch, algebra, size):
     def refuse(*args, **kwargs):
