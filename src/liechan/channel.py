@@ -402,10 +402,9 @@ class IdentityReport:
     report is the rank's :func:`critical_values` entry, ``verified`` None
     until that checks it.
 
-    Of the monomials M and their transforms the report keeps one row block
-    when the fit was that block (``_block``); from more blocks it keeps the
-    TSQR factor of the traceless parts if the fit is special (``_r``), and
-    ``residual_with`` forms the blocks again from the set and L.
+    Of the monomials M the report keeps only the TSQR factor of their
+    traceless parts, if the fit is special (``_r``); ``residual_with``
+    streams the monomials again through :func:`pinned_residual`.
     """
 
     rank: int
@@ -418,12 +417,9 @@ class IdentityReport:
     informative: tuple = field(repr=False)
     _f: np.ndarray = field(repr=False)            # f_M per monomial
     _g: np.ndarray = field(repr=False)            # g_M per monomial, NaN where not pinned
-    _tr_m: np.ndarray = field(repr=False)         # Re tr M per monomial
-    _tr_t: np.ndarray = field(repr=False)         # Re tr of each transform sum_i X_i M X_i
     _set: GeneratorSet = field(repr=False)
     _action: np.ndarray = field(repr=False)       # L, the transforms' matrix
-    _block: tuple | None = field(repr=False)      # (rows, M, transforms), a fit of one block
-    _r: np.ndarray | None = field(repr=False)     # else a special fit's TSQR factor
+    _r: np.ndarray | None = field(repr=False)     # a special fit's TSQR factor
     verified: bool | None = None   # map of the traceless rank-r span to 0, if checked
 
     @property
@@ -444,26 +440,9 @@ class IdentityReport:
     def g_tensor(self) -> np.ndarray:
         return symmetric_tensor(self.multisets, self._g, self.k)
 
-    def _traceless_r(self) -> np.ndarray | None:
-        """R of a QR of the monomials' traceless parts, one vec(M) a row: the
-        TSQR factor, or for a fit of one block that block's own QR (the
-        TSQR's first step), formed here; None for a fit of several blocks
-        that is not special."""
-        if self._block is None:
-            return self._r
-        rows, m, _ = self._block
-        return _tsqr_step(None, _traceless(m, self._tr_m[rows]))
-
     def residual_with(self, g0: float) -> float:
         """Worst fit error when g is pinned to g0 and only f re-fitted."""
-        blocks = [self._block] if self._block else _monomial_blocks(
-            self._set.generators, self.rank, self._action, self._set.pair_products)[1]
-        worst = []
-        for rows, m, t in blocks:
-            d = m.shape[1]
-            f0 = (self._tr_t[rows] - g0 * self._tr_m[rows]) / d
-            worst.append(max_abs(t - f0[:, None, None] * np.eye(d) - g0 * m))
-        return max(worst)
+        return pinned_residual(self._set, self.rank, g0, self._action)
 
 
 def _traces(stack: np.ndarray) -> np.ndarray:
@@ -503,17 +482,17 @@ FIT_BLOCK_BYTES = 1 << 17
 FIT_BLOCK_ROWS = 16
 
 
-def _monomial_blocks(gens: np.ndarray, r: int, action: np.ndarray, products=None) -> tuple[tuple, Iterator]:
-    """The rank-r multisets of ``gens`` and an iterator over their monomials M
-    (folded on the pair table ``products``) in row blocks ``(rows, M, sum_i
-    X_i M X_i)``, the transforms read from L = ``action``.  The blocks are of
-    near-equal size, at most FIT_BLOCK_BYTES of monomials (or
+def _monomial_blocks(g: GeneratorSet, r: int, action: np.ndarray) -> tuple[tuple, Iterator]:
+    """The rank-r multisets of the set ``g`` and an iterator over their
+    monomials M (folded on ``g.pair_products``) in row blocks ``(rows, M,
+    sum_i X_i M X_i)``, the transforms read from L = ``action``.  The blocks
+    are of near-equal size, at most FIT_BLOCK_BYTES of monomials (or
     FIT_BLOCK_ROWS), and never one row, since a one-row product is a gemv,
     whose sums need not match gemm's bits: each row of each array is bitwise
     what the whole stack gives.  One block is a slab of the fold as it
     comes; more are copied from the slabs into a scratch buffer."""
-    multisets, slabs = sym_monomial_slabs(gens, r, products)
-    n, d = len(multisets), gens.shape[1]
+    multisets, slabs = sym_monomial_slabs(g.generators, r, g.pair_products)
+    n, d = len(multisets), g.d
     count = -(-n // max(FIT_BLOCK_BYTES // (16 * d * d), FIT_BLOCK_ROWS))
     sizes = [n * (i + 1) // count - n * i // count for i in range(count)]
 
@@ -543,14 +522,29 @@ def _monomial_blocks(gens: np.ndarray, r: int, action: np.ndarray, products=None
     return multisets, blocks()
 
 
+def pinned_residual(g: GeneratorSet, r: int, g0: float, action: np.ndarray) -> float:
+    """Worst max|T - f0 I - g0 M| over the symmetrized rank-r monomials M of
+    the set ``g`` and their transforms T = sum_i X_i M X_i (read from L =
+    ``action``), where g is pinned to ``g0`` and f0 = (tr T - g0 tr M)/d: the
+    misfit of the identity at a known g, from one pass over the blocks."""
+    worst = []
+    diag = np.arange(g.d)
+    for _, m, t in _monomial_blocks(g, r, action)[1]:
+        f0 = (_traces(t) - g0 * _traces(m)) / g.d
+        t[:, diag, diag] -= f0[:, None]   # t is a fresh product, so it takes the misfit
+        t -= g0 * m
+        worst.append(max_abs(t))
+    return max(worst)
+
+
 def find_identity(g: GeneratorSet, r: int, action: np.ndarray | None = None) -> IdentityReport:
     """Fit sum_i X_i M X_i = f_M I + g_M M for every symmetrized rank-r
     monomial M of the generators, with r capped at 3.
 
     The transforms are read from L = ``action``, ``generator_action(g)``
     when None; a caller fitting several ranks of one set (every rank of
-    :func:`critical_values` and of a verify suite) builds L once and
-    passes it.
+    :func:`critical_values`) builds L once and passes it.  A caller that
+    knows g reads its misfit from :func:`pinned_residual` and fits nothing.
 
     Per monomial, g_M is the least-squares slope on the traceless parts of
     M and of the transform, and f_M then matches the traces.  A monomial is
@@ -561,21 +555,21 @@ def find_identity(g: GeneratorSet, r: int, action: np.ndarray | None = None) -> 
 
     The monomials stream through in row blocks (:func:`_monomial_blocks`),
     so no stack of all of them is formed unless it is one block.  The
-    report keeps per monomial f_M, g_M, the flag and the two traces, the
-    worst misfit, and the one block or, for a special fit, the TSQR factor
-    of the traceless parts (at most d^2 x d^2), which the blocks stop
-    forming once their g_M spread past SPECIAL_SPREAD_TOL.
+    report keeps per monomial f_M, g_M and the flag, the worst misfit, and
+    for a special fit the TSQR factor of the traceless parts (at most d^2 x
+    d^2), which the blocks stop forming once their g_M spread past
+    SPECIAL_SPREAD_TOL.
     """
     if r not in (1, 2, 3):
         raise ValueError("rank r must be 1, 2 or 3")
     if action is None:
         action = generator_action(g)
     d, k = g.d, g.k
-    multisets, blocks = _monomial_blocks(g.generators, r, action, g.pair_products)
+    multisets, blocks = _monomial_blocks(g, r, action)
     n = len(multisets)
-    tr_m, tr_t, f_m, g_m = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    f_m, g_m = np.empty(n), np.empty(n)
     informative = np.empty(n, dtype=bool)
-    kept = r_factor = None
+    r_factor = None
     worst = []
     diag = np.arange(d)
     g_lo, g_hi = np.inf, -np.inf   # over the informative g_M so far
@@ -587,19 +581,19 @@ def find_identity(g: GeneratorSet, r: int, action: np.ndarray | None = None) -> 
         # any g fits a monomial that is a multiple of I; pick 0 so f absorbs it
         gm = np.where(flags, _inner(m0, t) / np.where(flags, norm0, 1.0), 0.0)
         fm = (trt - gm * trm) / d
-        if len(rows) == n:   # the only block, kept
-            kept = rows, m, t
-        misfit = np.multiply(gm[:, None, None], m, out=None if kept else m)   # else scratch
+        # m is scratch when there are several blocks; one block is the fold's
+        # slab, at r = 1 the set's own generators, so it is left as it is
+        misfit = np.multiply(gm[:, None, None], m, out=None if len(rows) == n else m)
         misfit -= t
         misfit[:, diag, diag] += fm[:, None]
         worst.append(max_abs(misfit))
         del misfit, t
-        if kept is None:   # a TSQR step, while the fit can be special: only then is its span read
-            g_lo = min(g_lo, gm.min(where=flags, initial=np.inf))
-            g_hi = max(g_hi, gm.max(where=flags, initial=-np.inf))
-            if g_hi - g_lo <= SPECIAL_SPREAD_TOL:
-                r_factor = _tsqr_step(r_factor, m0)
-        tr_m[rows], tr_t[rows], f_m[rows], g_m[rows], informative[rows] = trm, trt, fm, gm, flags
+        # a TSQR step, while the fit can be special: only then is its span read
+        g_lo = min(g_lo, gm.min(where=flags, initial=np.inf))
+        g_hi = max(g_hi, gm.max(where=flags, initial=-np.inf))
+        if g_hi - g_lo <= SPECIAL_SPREAD_TOL:
+            r_factor = _tsqr_step(r_factor, m0)
+        f_m[rows], g_m[rows], informative[rows] = fm, gm, flags
     g_values = g_m[informative]
     if g_values.size:
         spread = float(g_values.max() - g_values.min())
@@ -621,11 +615,8 @@ def find_identity(g: GeneratorSet, r: int, action: np.ndarray | None = None) -> 
         informative=tuple(informative.tolist()),
         _f=f_m,
         _g=np.where(informative, g_m, np.nan),
-        _tr_m=tr_m,
-        _tr_t=tr_t,
         _set=g,
         _action=action,
-        _block=kept,
         _r=r_factor if special else None,
     )
 
@@ -677,7 +668,7 @@ def critical_values(g: GeneratorSet, max_rank: int = 2) -> CriticalDecomposition
     at which the channel sends every I/d + (rank-r) state to I/d.
 
     ``verified`` is True when (1 - p) I + (p/Z) L maps an orthonormal basis
-    of the traceless rank-r span, read from the fit's R factor, to within
+    of the traceless rank-r span, read from the fit's TSQR factor, to within
     CRITICAL_MAP_TOL = 1e-8 of zero; the channel is unital, so that is the
     map of those states to I/d.
 
@@ -695,7 +686,7 @@ def critical_values(g: GeneratorSet, max_rank: int = 2) -> CriticalDecomposition
         report = find_identity(g, r, action)
         p_r = report.p_value
         if p_r is not None and 0.0 <= p_r <= 1.0:
-            basis = _row_basis(report._traceless_r(), len(report.multisets))
+            basis = _row_basis(report._r, len(report.multisets))
             images = (1.0 - p_r) * basis + (p_r / g.Z) * (basis @ action.T)
             report = replace(report, verified=max_abs(images) <= CRITICAL_MAP_TOL)
         entries.insert(0, report)

@@ -42,7 +42,7 @@ from . import verify
 #   reads them in row blocks (channel.find_identity); raising MAX_N is a
 #   decision of its own.  The process bound of `critical` is
 #   2 x ARRAY_BUDGET above the interpreter, at every --n and --two-s.  At
-#   its peak these are alive, with their sizes at n = 10 (tracemalloc 115 MB
+#   its peak these are alive, with their sizes at n = 10 (tracemalloc 112 MB
 #   in all):
 #   - the set's pair table X_a X_b, 16 k^2 n^2 bytes (16 MB), kept with it;
 #   - one slab of the fold: its triple products, at most
@@ -53,8 +53,8 @@ from . import verify
 #     channel.FIT_BLOCK_BYTES (under 1 MB), or of channel.FIT_BLOCK_ROWS
 #     monomials where that is more (from d = 23 on; 5 MB at d = 64);
 #   - L, 16 n^4 bytes (0.16 MB), and the fit's R factor, at most as large;
-#   - the per-monomial scalars: the multisets, traces, f_M, g_M and flags
-#     and the fold's factor indices, about 180 bytes a monomial (30 MB).
+#   - the per-monomial scalars: the multisets, f_M, g_M and flags and the
+#     fold's factor indices, about 165 bytes a monomial (27 MB).
 #   The other su(n) arrays (structure_tensors' T_ijk and tensors) are
 #   smaller.
 # * --two-s: the spin superoperator L (channel.generator_action, built once
@@ -162,6 +162,8 @@ def _load_rho(path: str, g: rg.GeneratorSet) -> mc.DensityMatrix:
     if "v" in obj:
         v = _real_array(obj["v"], "v")
         if "w" not in obj:
+            if v.ndim == 2:   # bloch_rho reads it as a stack, but --rho holds one state
+                raise ValueError(f"expected one length-{g.k} coefficient vector v, not a stack")
             return mc.DensityMatrix(bl.bloch_rho(g, v))
         w = obj["w"]   # present, so null is a bad leaf like any other
         if isinstance(w, dict):

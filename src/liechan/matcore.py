@@ -390,6 +390,8 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     d, entries = obj["dim"], obj["entries"]
     if type(d) is not int:
         raise ValueError(f"matrix 'dim' must be an integer, got {d!r}")
+    if d < 1:
+        raise ValueError(f"matrix 'dim' must be a positive integer, got {d}")
     if not isinstance(entries, list) or len(entries) != d * d:
         raise ValueError(f"expected a list of {d * d} entries")
     try:

@@ -2,7 +2,8 @@
 caller built (:func:`run_suite`).  Invariants that the library enforces on
 construction are reported through the same repgen functions.  Each su, spin
 and g2 suite builds L = ``channel.generator_action(g)`` once and reads every
-product identity from it as a ``channel.find_identity`` fit with g pinned.
+product identity, whose g the paper states, from it as the misfit
+``channel.pinned_residual`` at that g; no suite fits g.
 
 The sampled checks draw each sample from its own ``derived_rng(seed, i)``
 stream.  The spin and g2 checks draw every sample first and evaluate the
@@ -33,10 +34,11 @@ def _su(g: rg.GeneratorSet) -> tuple[list, dict]:
     sqrt(n/(2(n + 1)))/2 p < 0.354 p times the residual, for all rho and p."""
     n = g.d
     checks = [_check(*row) for row in rg.structure_tensors(g).residuals]
-    rank1 = ch.find_identity(g, 1, ch.generator_action(g))
-    checks.append(_check("depolarizing_factor", rank1.residual_with(g.Z * ch.su_n_factor(1.0, n)), 1e-9))
+    action = ch.generator_action(g)
+    depolarizing = ch.pinned_residual(g, 1, g.Z * ch.su_n_factor(1.0, n), action)
+    checks.append(_check("depolarizing_factor", depolarizing, 1e-9))
     pc = ch.su_n_critical(n)
-    checks.append(_check("critical_map_to_uniform", rank1.residual_with(g.Z - g.Z / pc), 1e-9))
+    checks.append(_check("critical_map_to_uniform", ch.pinned_residual(g, 1, g.Z - g.Z / pc, action), 1e-9))
     return checks, {"Z": g.Z, "N": g.N, "critical_p": pc}
 
 
@@ -51,7 +53,7 @@ def _spin(g: rg.GeneratorSet, seed: int) -> tuple[list, dict]:
     action = ch.generator_action(g)   # one L for both ranks
     for r, name, g_r in ((1, "triple_product_identity", lam - 1.0),
                          (2, "quadruple_product_identity", lam - 3.0)):
-        checks.append(_check(name, ch.find_identity(g, r, action).residual_with(g_r), 1e-9))
+        checks.append(_check(name, ch.pinned_residual(g, r, g_r, action), 1e-9))
     # a draw whose Kraus family is not normalized (a faulty set) has no
     # channel; its normalization deviation stands in for the misfit, as in
     # the g2 suite's bloch_scaling, and the suite goes on
@@ -121,7 +123,7 @@ def _g2(g: rg.GeneratorSet, seed: int) -> tuple[list, dict]:
         _check("trace_orthonormality", g.residuals["trace_form_deviation"], 1e-9),
     ]
     # L X_b = 0, as the fitted f_b = tr(L X_b)/d = Z tr(X_b)/d vanishes
-    cubic = ch.find_identity(g, 1, ch.generator_action(g)).residual_with(0.0)
+    cubic = ch.pinned_residual(g, 1, 0.0, ch.generator_action(g))
     checks.append(_check("cubic_identity", cubic, 1e-12))
     # a draw whose Kraus family is not normalized (a faulty set) has no
     # channel; its normalization deviation stands in for the misfit, so the

@@ -532,7 +532,7 @@ def test_find_identity_transforms_match_per_monomial_einsum(gens):
     n = g.k * g.d * g.d + 4
     bound = 2 * n * u / (1 - n * u)
     _, monomials = mc.sym_monomials(g.generators, 2)
-    _, blocks = ch._monomial_blocks(g.generators, 2, ch.generator_action(g))
+    _, blocks = ch._monomial_blocks(g, 2, ch.generator_action(g))
     seen = []
     for rows, block, transforms in blocks:   # the fit's monomials and transforms
         assert block.tobytes() == monomials[rows].tobytes()
@@ -908,8 +908,8 @@ def test_critical_values_builds_the_generator_action_once(monkeypatch, build):
 
 def test_identity_fit_takes_each_trace_once(monkeypatch):
     # find_identity traces each block of monomials and of transforms once,
-    # so every monomial and transform once, and residual_with reads those
-    # traces instead of taking them again
+    # so every monomial and transform once, and so does pinned_residual on
+    # the blocks of its own pass
     calls = []
     real = ch._traces
     monkeypatch.setattr(ch, "_traces", lambda stack: calls.append(stack.copy()) or real(stack))
@@ -918,14 +918,16 @@ def test_identity_fit_takes_each_trace_once(monkeypatch):
     for g, r in ((su(3), 2), (spin(3), 3), (g2(), 1), (su(4), 3)):
         _, monomials = mc.sym_monomials(g.generators, r)
         n, d = len(monomials), g.d
-        transforms = (monomials.reshape(n, d * d) @ ch.generator_action(g).T).reshape(n, d, d)
+        action = ch.generator_action(g)
+        transforms = (monomials.reshape(n, d * d) @ action.T).reshape(n, d, d)
         calls.clear()
-        rep = ch.find_identity(g, r)
+        ch.find_identity(g, r)
         for traced, whole in ((calls[::2], monomials), (calls[1::2], transforms)):
             assert sorted(m.tobytes() for c in traced for m in c) == sorted(m.tobytes() for m in whole)
         calls.clear()
-        rep.residual_with(0.5)
-        assert calls == []
+        ch.pinned_residual(g, r, 0.5, action)   # each block's transforms, then its monomials
+        for traced, whole in ((calls[1::2], monomials), (calls[::2], transforms)):
+            assert sorted(m.tobytes() for c in traced for m in c) == sorted(m.tobytes() for m in whole)
 
 
 def _whole_stack_fit(g, r):
@@ -953,7 +955,7 @@ def _whole_stack_fit(g, r):
 
     return dict(multisets=multisets, informative=tuple(informative.tolist()), special=special,
                 g=g_scalar, residual=mc.max_abs(misfit), f=f_m, g_m=np.where(informative, g_m, np.nan),
-                tr_m=tr_m, tr_t=tr_t, residual_with=residual_with)
+                residual_with=residual_with)
 
 
 STREAMED_SETS = {
@@ -982,13 +984,15 @@ def test_streamed_fit_bitwise_equal_to_whole_stack_fit(monkeypatch, name, r):
     if r > 1:   # the fold runs in several slabs
         assert len(list(mc.sym_monomial_slabs(g.generators, r)[1])) > 1
     if r == 3:  # and the fit in several blocks
-        assert len(list(ch._monomial_blocks(g.generators, r, ch.generator_action(g))[1])) > 1
+        assert len(list(ch._monomial_blocks(g, r, ch.generator_action(g))[1])) > 1
     rep = ch.find_identity(g, r)
     assert rep.multisets == ref["multisets"] and rep.informative == ref["informative"]
     assert (rep.special, rep.g, rep.residual) == (ref["special"], ref["g"], ref["residual"])
-    for got, want in ((rep._f, "f"), (rep._g, "g_m"), (rep._tr_m, "tr_m"), (rep._tr_t, "tr_t")):
+    for got, want in ((rep._f, "f"), (rep._g, "g_m")):
         assert got.tobytes() == ref[want].tobytes()
+    action = ch.generator_action(g)
     for g0 in (0.5, g.Z - 3.0):
+        assert ch.pinned_residual(g, r, g0, action) == ref["residual_with"](g0)
         assert rep.residual_with(g0) == ref["residual_with"](g0)
 
 
@@ -1011,7 +1015,7 @@ def test_verified_from_the_fit_agrees_with_the_traceless_basis(monkeypatch, name
         basis = ch.traceless_basis(mc.sym_monomials(g.generators, entry.rank)[1])
         images = (1.0 - p) * basis + (p / g.Z) * (basis @ action.T)
         assert entry.verified == (mc.max_abs(images) <= ch.CRITICAL_MAP_TOL)
-        streamed = ch._row_basis(entry._traceless_r(), len(entry.multisets))
+        streamed = ch._row_basis(entry._r, len(entry.multisets))
         assert streamed.shape == basis.shape
         assert mc.max_abs(streamed.conj().T @ streamed - basis.conj().T @ basis) < 1e-10
         checked += 1

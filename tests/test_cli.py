@@ -128,6 +128,38 @@ def test_apply_stacked_vw_exits_2_as_one_bad_state(tmp_path, capsys, algebra, me
     assert capsys.readouterr().err == message
 
 
+# the first three coefficients of each row, padded with zeros to the set's k
+STACKED_V = {
+    "one_row": [[0.1, 0.0, 0.0]],
+    "two_rows": [[0.1, 0.0, 0.0], [0.0, 0.1, 0.0]],
+    "nan_row": [[0.0, math.nan, 0.0]],
+}
+
+
+@pytest.mark.parametrize("algebra, k", [(["spin", "--two-s", "2"], 3), (["su", "--n", "3"], 8)],
+                         ids=["spin1", "su3"])
+@pytest.mark.parametrize("rows", list(STACKED_V.values()), ids=list(STACKED_V))
+def test_apply_stacked_v_exits_2_as_one_bad_state(tmp_path, capsys, algebra, k, rows):
+    # bloch_rho takes an (n, k) stack, but --rho holds one state; the shape
+    # is checked before finiteness, as on the {v, w} path
+    rho_file = tmp_path / "rho.json"
+    rho_file.write_text(json.dumps({"v": [row + [0.0] * (k - 3) for row in rows]}))
+    code, _ = run(tmp_path, "apply", "--algebra", *algebra, "--p", "0.1", "--rho", str(rho_file))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: expected one length-{k} coefficient vector v, not a stack\n"
+
+
+@pytest.mark.parametrize("dim, entries", [(-2, [[0.5, 0]] * 4), (-1, [[1, 0]]), (0, [])],
+                         ids=["minus_two", "minus_one", "zero"])
+def test_apply_non_positive_matrix_dim_exits_2(tmp_path, capsys, dim, entries):
+    # d * d matches the entry count, so only the sign of dim is wrong
+    rho_file = tmp_path / "rho.json"
+    rho_file.write_text(json.dumps({"dim": dim, "entries": entries}))
+    code, _ = run(tmp_path, "apply", "--algebra", "su", "--n", "2", "--rho", str(rho_file))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: matrix 'dim' must be a positive integer, got {dim}\n"
+
+
 FINITE_V = "error: Bloch coefficients must be finite (no NaN/Inf)"
 UNREPRESENTABLE_RHO = [
     ('{"v": [Infinity, 0, 0]}', FINITE_V),

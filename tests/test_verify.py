@@ -227,17 +227,19 @@ def test_suite_builds_the_generator_action_once(monkeypatch, algebra, size):
             return _original(*args)
 
         monkeypatch.setattr(ch, name, counted)
-    actions, fits = [], []
-    real_action, real_fit = ch.generator_action, ch.find_identity
+    actions, pins, fits = [], [], []
+    real_action, real_pin, real_fit = ch.generator_action, ch.pinned_residual, ch.find_identity
     monkeypatch.setattr(ch, "generator_action", lambda g: actions.append(real_action(g)) or actions[-1])
-    monkeypatch.setattr(ch, "find_identity",
-                        lambda g, r, action=None: fits.append((r, action)) or real_fit(g, r, action))
+    monkeypatch.setattr(ch, "pinned_residual",
+                        lambda g, r, g0, action: pins.append((r, action)) or real_pin(g, r, g0, action))
+    monkeypatch.setattr(ch, "find_identity", lambda *args: fits.append(args) or real_fit(*args))
     checks, _ = verify.run_suite(g, seed=2)
     assert all(c["pass"] for c in checks)
     assert calls["generator_action"] == 1
-    # every product identity is fitted through the public name, on the one L
-    assert [r for r, _ in fits] == ([1, 2] if algebra == "spin" else [1])
-    assert all(action is actions[0] for _, action in fits)
+    # every product identity is read at its pinned g through the public name, on the one L
+    assert [r for r, _ in pins] == {"su": [1, 1], "spin": [1, 2], "g2": [1]}[algebra]
+    assert all(action is actions[0] for _, action in pins)
+    assert fits == []   # no suite fits g
     if algebra == "su":
         assert calls["build_channel"] == 0
         assert calls["superoperator"] == 1   # the one inside generator_action
