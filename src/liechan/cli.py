@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -110,16 +111,29 @@ def _dump_json(obj, path: str | None) -> None:
 # --two-s bound the memo to 9 su(n), 63 spin, g2 and Clifford sets: 4.7 MB of
 # sets, 7.9 MB with their nonzero_terms, 29.5 MB once every spin set holds
 # its tables and 60.5 MB once every set does, 31 MB of it the su(n) pair
-# tables (tracemalloc); a failed build raises and is not stored.
+# tables (tracemalloc); a failed build raises and is not stored.  From the
+# set's first verify on, its entry also holds verify.measure(set), the suite
+# rows that read no seed, so later verifies of the set run only the seeded
+# checks: 1 to 3 kB a set, 0.13 MB for all of them (tracemalloc).  One reset
+# of the memo drops both.
 _GENSETS: dict = {}
 
 
-def _genset(args: argparse.Namespace) -> rg.GeneratorSet:
-    key = (args.algebra, args.n if args.algebra == "su" else None,
-           args.two_s if args.algebra == "spin" else None)
+@dataclasses.dataclass
+class _Memo:
+    genset: rg.GeneratorSet
+    measured: verify.Measured | None = None   # from the set's first verify on
+
+
+def _memo(args: argparse.Namespace) -> _Memo:
+    key = (args.algebra, args.n, args.two_s)
     if key not in _GENSETS:
-        _GENSETS[key] = rg.build_algebra(args.algebra, n=args.n, two_s=args.two_s)
+        _GENSETS[key] = _Memo(rg.build_algebra(args.algebra, n=args.n, two_s=args.two_s))
     return _GENSETS[key]
+
+
+def _genset(args: argparse.Namespace) -> rg.GeneratorSet:
+    return _memo(args).genset
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +227,10 @@ def cmd_apply(args: argparse.Namespace) -> int:
 # verify
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    checks, info = verify.run_suite(_genset(args), args.seed)
+    memo = _memo(args)
+    if memo.measured is None:
+        memo.measured = verify.measure(memo.genset)
+    checks, info = verify.merge(memo.measured, verify.seeded_checks(memo.genset, args.seed))
     passed = all(c["pass"] for c in checks)
     report = {
         "algebra": args.algebra,
@@ -319,6 +336,9 @@ def _checked(args: argparse.Namespace) -> argparse.Namespace:
             args.seed = int(env)
         except ValueError:
             raise ValueError(f"LIECHAN_SEED must be a non-negative integer, got {env!r}") from None
+    for flag, value, algebra in (("--n", args.n, "su"), ("--two-s", args.two_s, "spin")):
+        if value is not None and args.algebra != algebra:
+            raise ValueError(f"{flag} applies only to --algebra {algebra}, not {args.algebra}")
     samples = getattr(args, "samples", None)
     if samples is not None and samples < 1:
         raise ValueError("--samples must be >= 1")

@@ -227,10 +227,38 @@ def test_genset_memo_keys_on_the_sizing_flag_only():
         argv += ["--two-s", str(two_s)] if two_s is not None else []
         return cli._checked(cli._build_parser().parse_args(argv))
 
-    assert cli._genset(cfg("g2")) is cli._genset(cfg("g2", n=5, two_s=3))
-    assert cli._genset(cfg("su", n=3)) is cli._genset(cfg("su", n=3, two_s=7))
-    assert cli._genset(cfg("spin", n=4, two_s=2)) is cli._genset(cfg("spin", two_s=2))
+    assert cli._genset(cfg("g2")) is cli._genset(cfg("g2"))
+    assert cli._genset(cfg("su", n=3)) is cli._genset(cfg("su", n=3))
+    assert cli._genset(cfg("spin", two_s=2)) is cli._genset(cfg("spin", two_s=2))
     assert cli._genset(cfg("su", n=3)) is not cli._genset(cfg("su", n=4))
+    # a size flag that the algebra does not read never reaches the memo
+    for algebra, n, two_s in (("g2", 5, 3), ("su", 3, 7), ("spin", 4, 2)):
+        with pytest.raises(ValueError, match="applies only to --algebra"):
+            cfg(algebra, n=n, two_s=two_s)
+
+
+SIZE_FLAG_OF_ANOTHER_ALGEBRA = [
+    (["--algebra", "g2", "--n", "3", "--two-s", "5"], "--n applies only to --algebra su, not g2"),
+    (["--algebra", "g2", "--n", "99"], "--n applies only to --algebra su, not g2"),
+    (["--algebra", "su", "--n", "3", "--two-s", "1"], "--two-s applies only to --algebra spin, not su"),
+    (["--algebra", "spin", "--n", "3", "--two-s", "2"], "--n applies only to --algebra su, not spin"),
+    (["--algebra", "clifford", "--two-s", "99"], "--two-s applies only to --algebra spin, not clifford"),
+]
+
+
+@pytest.mark.parametrize("command", ["gen", "apply", "verify", "bloch-scan", "critical"])
+@pytest.mark.parametrize("argv, message", SIZE_FLAG_OF_ANOTHER_ALGEBRA)
+def test_size_flag_of_another_algebra_exits_2_before_building(tmp_path, monkeypatch, capsys, command,
+                                                              argv, message):
+    from liechan import repgen as rg
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built a generator set for a rejected request")
+
+    monkeypatch.setattr(rg, "build_algebra", unreachable)
+    rho = ["--rho", str(tmp_path / "rho.json")] if command == "apply" else []
+    assert run(tmp_path, command, *argv, *rho) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_repeated_request_gives_identical_bytes(tmp_path):
@@ -771,7 +799,9 @@ def test_apply_any_json_rho_returns_exit_code(obj, algebra):
 
 # Whole argv lists for every subcommand, with sizes around the small end of
 # their ranges (negative and zero included) and p and seed values that the
-# CLI must reject.  Each optional flag is left out a quarter of the time.
+# CLI must reject.  Each optional flag is left out a quarter of the time,
+# but a size flag that the algebra does not read, which exits 2 before any
+# handler runs, is put in only a quarter of the time.
 _SUBCOMMAND_FLAGS = {
     "gen": {},
     "apply": {"--p": st.floats() | st.sampled_from([0.0, 0.5, 1.0])},
@@ -780,15 +810,18 @@ _SUBCOMMAND_FLAGS = {
     "critical": {"--max-rank": st.integers(-1, 4)},
 }
 _COMMON_FLAGS = {"--n": st.integers(-1, 4), "--two-s": st.integers(-1, 7), "--seed": st.integers(-3, 2**31)}
+_SIZE_FLAG = {"su": "--n", "spin": "--two-s"}
 
 
 @st.composite
 def _argv(draw):
     command = draw(st.sampled_from(sorted(_SUBCOMMAND_FLAGS)))
-    argv = [command, "--algebra", draw(st.sampled_from(["su", "spin", "g2", "clifford"]))]
+    algebra = draw(st.sampled_from(["su", "spin", "g2", "clifford"]))
+    argv = [command, "--algebra", algebra]
     argv += ["--rho", "RHO"] if command == "apply" else []
     for flag, values in {**_COMMON_FLAGS, **_SUBCOMMAND_FLAGS[command]}.items():
-        if draw(st.integers(0, 3)):
+        unread = flag in ("--n", "--two-s") and flag != _SIZE_FLAG.get(algebra)
+        if bool(draw(st.integers(0, 3))) != unread:
             argv += [flag, str(draw(values))]
     return argv
 

@@ -223,9 +223,9 @@ def test_each_set_builds_its_pair_products_once(tmp_path, monkeypatch):
         assert cli.main(["critical", *head, "--max-rank", "3"]) == 0
         assert cli.main(["verify", *head]) == 0
     assert sorted(calls) == [(3, 4), (4, 4), (8, 3), (14, 7), (15, 4)]
-    for (algebra, *_), g in cli._GENSETS.items():
-        assert "pair_products" in vars(g)
-        assert ("pair_monomials" in vars(g)) == (algebra == "spin"), algebra
+    for (algebra, *_), memo in cli._GENSETS.items():
+        assert "pair_products" in vars(memo.genset)
+        assert ("pair_monomials" in vars(memo.genset)) == (algebra == "spin"), algebra
 
 
 def test_spin_tables_hold_fifteen_matrices():

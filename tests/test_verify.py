@@ -40,8 +40,63 @@ def test_run_suite_matches_cli_report(tmp_path, algebra, size):
 def test_run_suite_rejects_unknown_algebra():
     custom = rg.GeneratorSet.from_generators(rg.gell_mann(2).generators)
     assert custom.algebra == rg.CUSTOM
-    with pytest.raises(ValueError, match="no identity suite for algebra 'custom'"):
-        verify.run_suite(custom)
+    for part in (verify.run_suite, verify.measure, lambda g: verify.seeded_checks(g, 0)):
+        with pytest.raises(ValueError, match="no identity suite for algebra 'custom'"):
+            part(custom)
+
+
+@pytest.mark.parametrize(
+    "algebra, size, seeded",
+    [
+        ("su", {"n": 3}, []),
+        ("spin", {"two_s": 1}, ["vw_closed_form"]),
+        ("spin", {"two_s": 2}, ["vw_closed_form", "iteration_formula"]),
+        ("g2", {}, ["bloch_scaling"]),
+        ("clifford", {}, ["vector_channel_trace_preserving"]),
+    ],
+)
+def test_run_suite_is_the_merge_of_its_two_parts(algebra, size, seeded):
+    g = rg.build_algebra(algebra, **size)
+    measured = verify.measure(g)
+    for seed in (0, 7, 2**63 + 5):
+        rows = verify.seeded_checks(g, seed)
+        assert [c["name"] for c in rows] == seeded
+        checks, info = verify.run_suite(g, seed)
+        assert (checks, info) == verify.merge(measured, rows)
+
+
+WARM_SETS = ([("su", ["--n", str(n)]) for n in (2, 3, 4, 5)]
+             + [("spin", ["--two-s", str(two_s)]) for two_s in (1, 2, 3, 4, 5, 6, 7, 15)]
+             + [("g2", []), ("clifford", [])])
+
+
+@pytest.mark.parametrize("algebra, size", WARM_SETS, ids=[" ".join([a, *s]) for a, s in WARM_SETS])
+def test_warm_verify_writes_the_cold_bytes(tmp_path, monkeypatch, algebra, size):
+    # the CLI measures a set on its first verify and runs only the seeded
+    # checks on later seeds; every report is the one a fresh memo writes
+    from liechan import cli
+
+    measures = []
+    real = verify.measure
+    monkeypatch.setattr(verify, "measure", lambda g: measures.append(g) or real(g))
+
+    def report(seed):
+        out = tmp_path / "report.json"
+        code = main(["verify", "--algebra", algebra, *size, "--seed", str(seed), "--out", str(out)])
+        return code, out.read_bytes()
+
+    seeds = (0, 3, 11, 2**63 + 5)
+    cold = {}
+    for seed in seeds:
+        monkeypatch.setattr(cli, "_GENSETS", {})
+        cold[seed] = report(seed)
+    assert len(measures) == len(seeds)
+    monkeypatch.setattr(cli, "_GENSETS", {})
+    report(7)
+    for seed in seeds:
+        assert report(seed) == cold[seed]
+    assert len(measures) == len(seeds) + 1
+    assert cold[0][0] == 0
 
 
 def test_g2_suite_reports_generator_residuals():
@@ -335,6 +390,11 @@ def test_g2_cubic_identity_is_exact_superoperator_residual():
 
 
 def test_dependent_clifford_basis_fails_basis_rank_16(tmp_path, monkeypatch):
+    from liechan import cli
+
+    # the CLI keeps each set's measurements for the process; a fresh memo
+    # measures the faulty basis here
+    monkeypatch.setattr(cli, "_GENSETS", {})
     real = rg.clifford_basis
 
     def dependent(g):
